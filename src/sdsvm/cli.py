@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 flag/validation problems, 2 computation errors.
 All randomness flows from --seed; two runs with identical argv produce
-byte-identical outputs regardless of --threads.
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .data import (
     simulation_rows_csv,
     simulation_summary_csv,
 )
-from .errors import PipelineError, SdsvmError
+from .errors import IoError, PipelineError, SdsvmError, run_stage, write_text
 from .kernels import KernelSpec
 from .outliermap import MapStyle, build_map, emit_csv, emit_svg
 from .outlyingness import DirectionPolicy
@@ -65,7 +65,6 @@ def _add_fit_flags(parser):
         "'exhaustive', or a sampled pair count",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
 def _add_map_output_flags(parser):
@@ -128,7 +127,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--test-size", type=int, default=600, help="test samples per run")
     _add_kernel_flags(sim)
     _add_fit_flags(sim)
-    sim.add_argument("--out-csv", default=None, help="per-run table path ('-' for stdout)")
+    sim.add_argument("--out-csv", default="-", help="per-run table path ('-' for stdout)")
 
     toy = sub.add_parser(
         "toy",
@@ -228,14 +227,6 @@ def _load_dataset(parser, args):
     return load_csv(args.data, label_col=label_col, coding=coding)
 
 
-def _write_text(destination, text):
-    if destination == "-":
-        sys.stdout.write(text)
-        return
-    with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _emit_map_outputs(args, fit):
     points = build_map(fit)
     style = MapStyle(label_top=args.label_top, threshold=args.threshold)
@@ -250,14 +241,27 @@ def _emit_map_outputs(args, fit):
         emit_csv(points, "-")
 
 
-def _cmd_fit(parser, args) -> int:
+def _fit_from_args(parser, args, load_dataset):
+    """Validate the fit flags, then fit the dataset that load_dataset() returns."""
     _validate_kappa(parser, args.kappa)
     spec = _kernel_from_args(parser, args)
     cv = _cv_from_args(parser, args)
     policy = _policy_from_args(parser, args)
-    dataset = _run_stage("load", _load_dataset, parser, args)
-    fit = fit_sdsvm(dataset, spec, kappa=args.kappa, cv=cv, policy=policy)
-    _run_stage("write", _write_text, args.out_fit, fit_to_text(fit))
+    return fit_sdsvm(load_dataset(), spec, kappa=args.kappa, cv=cv, policy=policy)
+
+
+def _read_fit_report(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path!r}: {exc}") from exc
+    return fit_from_text(text)
+
+
+def _cmd_fit(parser, args) -> int:
+    fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
+    run_stage("write", write_text, args.out_fit, fit_to_text(fit))
     return 0
 
 
@@ -265,29 +269,24 @@ def _cmd_map(parser, args) -> int:
     if (args.data is None) == (args.fit_report is None):
         parser.error("map needs a dataset path or --fit, not both")
     if args.fit_report is not None:
-        with open(args.fit_report, "r", encoding="utf-8") as fh:
-            fit = _run_stage("load", fit_from_text, fh.read())
+        fit = run_stage("load", _read_fit_report, args.fit_report)
     else:
-        _validate_kappa(parser, args.kappa)
-        spec = _kernel_from_args(parser, args)
-        cv = _cv_from_args(parser, args)
-        policy = _policy_from_args(parser, args)
-        dataset = _run_stage("load", _load_dataset, parser, args)
-        fit = fit_sdsvm(dataset, spec, kappa=args.kappa, cv=cv, policy=policy)
-    _run_stage("render", _emit_map_outputs, args, fit)
+        fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
+    run_stage("render", _emit_map_outputs, args, fit)
     return 0
 
 
 def _cmd_simulate(parser, args) -> int:
-    _validate_kappa_grid = [float(tok) for tok in args.kappas.split(",") if tok]
-    if not _validate_kappa_grid:
+    try:
+        kappas = [float(tok) for tok in args.kappas.split(",") if tok]
+    except ValueError:
+        parser.error(f"--kappas must be a comma list of numbers, got {args.kappas!r}")
+    if not kappas:
         parser.error("--kappas must list at least one value")
-    for kappa in _validate_kappa_grid:
+    for kappa in kappas:
         _validate_kappa(parser, kappa)
     if args.runs < 1:
         parser.error(f"--runs must be >= 1, got {args.runs}")
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     spec = SimulationSpec(
         n_per_group=args.n,
         dim=args.d,
@@ -295,41 +294,24 @@ def _cmd_simulate(parser, args) -> int:
         outliers_per_group=4 if args.contaminated else 0,
         test_size=args.test_size,
         runs=args.runs,
-        kappas=tuple(_validate_kappa_grid),
+        kappas=tuple(kappas),
         seed=args.seed,
     )
     kernel = _kernel_from_args(parser, args)
     cv = _cv_from_args(parser, args)
     policy = _policy_from_args(parser, args)
-    result = run_simulation(spec, kernel, cv=cv, policy=policy, threads=args.threads)
-    if args.out_csv is not None:
-        _run_stage("write", _write_text, args.out_csv, simulation_rows_csv(result))
-    else:
-        sys.stdout.write(simulation_rows_csv(result))
+    result = run_simulation(spec, kernel, cv=cv, policy=policy)
+    run_stage("write", write_text, args.out_csv, simulation_rows_csv(result))
     sys.stdout.write(simulation_summary_csv(result))
     return 0
 
 
 def _cmd_toy(parser, args) -> int:
-    _validate_kappa(parser, args.kappa)
-    spec = _kernel_from_args(parser, args)
-    cv = _cv_from_args(parser, args)
-    policy = _policy_from_args(parser, args)
-    dataset = gen_toy(args.seed)
-    fit = fit_sdsvm(dataset, spec, kappa=args.kappa, cv=cv, policy=policy)
+    fit = _fit_from_args(parser, args, lambda: gen_toy(args.seed))
     if args.out_fit is not None:
-        _run_stage("write", _write_text, args.out_fit, fit_to_text(fit))
-    _run_stage("render", _emit_map_outputs, args, fit)
+        run_stage("write", write_text, args.out_fit, fit_to_text(fit))
+    run_stage("render", _emit_map_outputs, args, fit)
     return 0
-
-
-def _run_stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except SdsvmError as exc:
-        if isinstance(exc, PipelineError):
-            raise
-        raise PipelineError(name, exc) from exc
 
 
 def main(argv=None) -> int:

@@ -2,13 +2,12 @@
 
 Generators are pure functions of (spec, seed, run index): every stream they
 consume is derived from those values alone, so repeated calls are identical
-and runs can execute in any order or in parallel.
+and runs can execute in any order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,13 @@ from .errors import (
     MissingLabel,
     ParseError,
     SdsvmError,
+    write_text,
 )
 from .kernels import KernelSpec, Sample, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, fit_sdsvm
 from .rng import Stream, derive_key
+from .svm import decision_values, sign_labels
 
 
 @dataclass(frozen=True)
@@ -204,9 +205,8 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
             if cross is None:
                 cross = kernel_cross(kernel, train.samples, test.samples)
             retained = np.array(fit.plan.retained, dtype=np.intp)
-            f_vals = (fit.model.alpha * fit.model.labels) @ cross[retained] + fit.model.bias
-            predictions = np.where(f_vals >= 0.0, 1.0, -1.0)
-            error = float(np.mean(predictions != test.labels))
+            f_vals = decision_values(fit.model, cross[retained])
+            error = float(np.mean(sign_labels(f_vals) != test.labels))
             rows.append(RunRow(run=run, kappa=kappa, error=error))
         except SdsvmError as exc:
             rows.append(
@@ -220,28 +220,18 @@ def run_simulation(
     kernel: KernelSpec | None = None,
     cv: CvConfig | None = None,
     policy: DirectionPolicy | None = None,
-    threads: int = 1,
     tol: float = 1e-3,
 ) -> SimulationResult:
     """Fit every (run, kappa) cell and summarize test error per kappa.
 
     Failures inside a run are recorded as nan rows instead of aborting the
-    sweep.  Results do not depend on the thread count: each run's data comes
-    from its own (seed, run)-derived streams.
+    sweep.  Each run's data comes from its own (seed, run)-derived streams.
     """
     kernel = kernel or KernelSpec(kind="linear")
     cv = cv or CvConfig()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_run = list(
-                pool.map(
-                    lambda run: _evaluate_run(spec, kernel, cv, policy, run, tol),
-                    range(spec.runs),
-                )
-            )
-    else:
-        per_run = [_evaluate_run(spec, kernel, cv, policy, run, tol) for run in range(spec.runs)]
-    rows = tuple(row for chunk in per_run for row in chunk)
+    rows = tuple(
+        row for run in range(spec.runs) for row in _evaluate_run(spec, kernel, cv, policy, run, tol)
+    )
     summary = []
     for kappa in spec.kappas:
         errs = np.array([r.error for r in rows if r.kappa == kappa and not math.isnan(r.error)])
@@ -343,15 +333,7 @@ def save_csv(dataset: Dataset, destination) -> None:
             raise SdsvmError("save_csv requires vector payloads")
         cells = [repr(float(v)) for v in sample.payload] + [str(int(label))]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {destination!r}: {exc}") from exc
+    write_text(destination, "\n".join(lines) + "\n")
 
 
 def load_fasta(path, labels_path) -> Dataset:

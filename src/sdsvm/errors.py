@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two helpers that
+turn failures into them: the pipeline stage wrapper and the text writer.
 
 Everything raised on purpose derives from SdsvmError so callers (and the
 CLI) can separate domain failures from programming errors.
 """
+
+import sys
 
 
 class SdsvmError(Exception):
@@ -100,3 +103,34 @@ class PipelineError(SdsvmError):
         super().__init__(f"stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+def run_stage(name, fn, *args, **kwargs):
+    """Call fn, naming `name` as the stage of any SdsvmError it raises.
+
+    A PipelineError passes through unchanged, so the innermost stage wins.
+    """
+    try:
+        return fn(*args, **kwargs)
+    except PipelineError:
+        raise
+    except SdsvmError as exc:
+        raise PipelineError(name, exc) from exc
+
+
+def write_text(destination, text) -> None:
+    """Write text to '-' (stdout), an open stream, or a path.
+
+    Files are written as UTF-8 with Unix line ends; an OSError becomes an
+    IoError.
+    """
+    try:
+        if destination == "-":
+            sys.stdout.write(text)
+        elif hasattr(destination, "write"):
+            destination.write(text)
+        else:
+            with open(destination, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {destination!r}: {exc}") from exc

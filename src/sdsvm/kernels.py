@@ -229,34 +229,70 @@ def _kmer_dot(c1, c2) -> float:
     return float(sum(v * large.get(w, 0) for w, v in small.items()))
 
 
-def eval_kernel(spec: KernelSpec, a: Sample, b: Sample) -> float:
-    """K(a, b) for a single pair of samples."""
-    if spec.kind == "spectrum":
-        _require_strings(spec, (a, b))
-        rows = _kmer_count_rows([a.payload, b.payload], spec.kmer)
-        if isinstance(rows, np.ndarray):
-            return float(rows[0] @ rows[1])
-        return _kmer_dot(rows[0], rows[1])
-    if spec.kind == "precomputed":
-        i = _precomputed_index(spec, a)
-        j = _precomputed_index(spec, b)
-        return float(spec.matrix[i, j])
-    _require_vectors(spec, (a, b))
-    va, vb = a.payload, b.payload
-    if va.shape[0] != vb.shape[0]:
-        raise DimensionError(f"dimension mismatch: {va.shape[0]} vs {vb.shape[0]}")
-    if spec.kind == "linear":
-        return float(va @ vb)
-    if spec.kind == "rbf":
-        diff = va - vb
-        return float(np.exp(-spec.gamma * (diff @ diff)))
-    # polynomial
-    return float((spec.gamma * (va @ vb) + spec.coef0) ** spec.degree)
-
-
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
-    """Keep the i <= j entries and mirror them, making symmetry exact."""
-    return np.triu(m) + np.triu(m, 1).T
+    """Keep the i <= j entries and mirror them in place, making symmetry exact.
+
+    The values are those of triu(m) + triu(m, 1).T, -0.0 turning into 0.0.
+    """
+    m += 0.0
+    np.copyto(m, m.T, where=np.tri(m.shape[0], k=-1, dtype=bool))
+    return m
+
+
+def _block(spec: KernelSpec, samples_a, samples_b=None) -> np.ndarray:
+    """K(a_i, b_j) over two sample lists; samples_b=None means the square block.
+
+    The single place that branches on the kernel kind.  The square block
+    keeps the arithmetic its exactness rests on: one x @ x.T product (the
+    symmetric BLAS path), RBF norms read from the Gram diagonal with the
+    distance diagonal pinned to zero (so exp(0) == 1 exactly), and one k-mer
+    count table for spectrum.
+    """
+    square = samples_b is None
+    a = list(samples_a)
+    b = a if square else list(samples_b)
+    if not a or not b:
+        raise EmptyInput("a kernel block needs at least one sample on each side")
+    both = a if square else a + b
+    if spec.kind == "spectrum":
+        _require_strings(spec, both)
+        rows = _kmer_count_rows([s.payload for s in both], spec.kmer)
+        na = len(a)
+        if isinstance(rows, np.ndarray):
+            return rows @ rows.T if square else rows[:na] @ rows[na:].T
+        rows_b = rows if square else rows[na:]
+        out = np.zeros((na, len(b)))
+        for i in range(na):
+            for j in range(len(b)):
+                out[i, j] = _kmer_dot(rows[i], rows_b[j])
+        return out
+    if spec.kind == "precomputed":
+        ia = np.array([_precomputed_index(spec, s) for s in a], dtype=np.intp)
+        ib = ia if square else np.array([_precomputed_index(spec, s) for s in b], dtype=np.intp)
+        return spec.matrix[np.ix_(ia, ib)]
+    _require_vectors(spec, both)
+    xa = np.vstack([s.payload for s in a])
+    xb = xa if square else np.vstack([s.payload for s in b])
+    gram = xa @ xb.T
+    if spec.kind == "linear":
+        return gram
+    if spec.kind == "polynomial":
+        return (spec.gamma * gram + spec.coef0) ** spec.degree
+    if square:
+        sq_a = sq_b = np.diag(gram)
+    else:
+        sq_a, sq_b = np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1)
+    # exp(-gamma * max(sq_a + sq_b - 2 gram, 0)), step by step in place so
+    # that no more than two blocks are alive at once.  The square norms view
+    # the Gram diagonal, so d2 is formed before gram is scaled.
+    d2 = sq_a[:, None] + sq_b[None, :]
+    gram *= 2.0
+    d2 -= gram
+    np.maximum(d2, 0.0, out=d2)
+    if square:
+        np.fill_diagonal(d2, 0.0)
+    d2 *= -spec.gamma
+    return np.exp(d2, out=d2)
 
 
 def kernel_matrix(spec: KernelSpec, samples) -> KernelMatrix:
@@ -265,72 +301,14 @@ def kernel_matrix(spec: KernelSpec, samples) -> KernelMatrix:
     Each unordered pair is represented by its upper-triangle value and
     mirrored, so entries[i, j] == entries[j, i] holds exactly.
     """
-    samples = list(samples)
-    if not samples:
-        raise EmptyInput("kernel_matrix needs at least one sample")
-    if spec.kind == "spectrum":
-        _require_strings(spec, samples)
-        rows = _kmer_count_rows([s.payload for s in samples], spec.kmer)
-        if isinstance(rows, np.ndarray):
-            gram = rows @ rows.T
-        else:
-            k = len(rows)
-            gram = np.zeros((k, k))
-            for i in range(k):
-                for j in range(i, k):
-                    gram[i, j] = _kmer_dot(rows[i], rows[j])
-        return KernelMatrix(_mirror_upper(gram))
-    if spec.kind == "precomputed":
-        idx = np.array([_precomputed_index(spec, s) for s in samples], dtype=np.intp)
-        return KernelMatrix(_mirror_upper(spec.matrix[np.ix_(idx, idx)]))
-    _require_vectors(spec, samples)
-    x = np.vstack([s.payload for s in samples])
-    gram = x @ x.T
-    if spec.kind == "linear":
-        return KernelMatrix(_mirror_upper(gram))
-    if spec.kind == "polynomial":
-        return KernelMatrix(_mirror_upper((spec.gamma * gram + spec.coef0) ** spec.degree))
-    # rbf: squared distances from the Gram expansion; the diagonal is pinned
-    # to zero so exp(0) == 1 holds exactly.
-    sq = np.diag(gram)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-    np.fill_diagonal(d2, 0.0)
-    return KernelMatrix(_mirror_upper(np.exp(-spec.gamma * d2)))
+    return KernelMatrix(_mirror_upper(_block(spec, samples)))
 
 
 def kernel_cross(spec: KernelSpec, samples_a, samples_b) -> np.ndarray:
     """Rectangular block K(a_i, b_j); used for scoring new samples."""
-    samples_a, samples_b = list(samples_a), list(samples_b)
-    if not samples_a or not samples_b:
-        raise EmptyInput("kernel_cross needs nonempty sample lists")
-    if spec.kind == "spectrum":
-        _require_strings(spec, samples_a)
-        _require_strings(spec, samples_b)
-        rows = _kmer_count_rows([s.payload for s in samples_a + samples_b], spec.kmer)
-        na = len(samples_a)
-        if isinstance(rows, np.ndarray):
-            return rows[:na] @ rows[na:].T
-        out = np.zeros((na, len(samples_b)))
-        for i in range(na):
-            for j in range(len(samples_b)):
-                out[i, j] = _kmer_dot(rows[i], rows[na + j])
-        return out
-    if spec.kind == "precomputed":
-        ia = np.array([_precomputed_index(spec, s) for s in samples_a], dtype=np.intp)
-        ib = np.array([_precomputed_index(spec, s) for s in samples_b], dtype=np.intp)
-        return spec.matrix[np.ix_(ia, ib)].copy()
-    _require_vectors(spec, samples_a)
-    _require_vectors(spec, samples_b)
-    xa = np.vstack([s.payload for s in samples_a])
-    xb = np.vstack([s.payload for s in samples_b])
-    if xa.shape[1] != xb.shape[1]:
-        raise DimensionError(f"dimension mismatch: {xa.shape[1]} vs {xb.shape[1]}")
-    gram = xa @ xb.T
-    if spec.kind == "linear":
-        return gram
-    if spec.kind == "polynomial":
-        return (spec.gamma * gram + spec.coef0) ** spec.degree
-    d2 = np.maximum(
-        np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :] - 2.0 * gram, 0.0
-    )
-    return np.exp(-spec.gamma * d2)
+    return _block(spec, samples_a, samples_b)
+
+
+def eval_kernel(spec: KernelSpec, a: Sample, b: Sample) -> float:
+    """K(a, b) for a single pair of samples, through the square block."""
+    return float(kernel_matrix(spec, (a, b)).entries[0, 1])

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import io
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import EmptyInput, IoError, ParseError
+from .errors import EmptyInput, IoError, ParseError, write_text
+from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
 
@@ -54,45 +54,18 @@ def build_map(fit) -> list:
     A sample counts as misclassified when its label disagrees with sign(f),
     where f == 0 classifies as +1.
     """
-    points = []
-    for i in range(fit.n):
-        label = int(fit.labels[i])
-        f = float(fit.decision_values[i])
-        predicted = 1 if f >= 0.0 else -1
-        points.append(
-            OutlierMapPoint(
-                id=fit.ids[i],
-                label=label,
-                f=f,
-                r=float(fit.plan.outlyingness[i]),
-                trimmed=bool(fit.plan.trimmed[i]),
-                misclassified=predicted != label,
-            )
+    misclassified = sign_labels(fit.decision_values) != fit.labels
+    return [
+        OutlierMapPoint(
+            id=fit.ids[i],
+            label=int(fit.labels[i]),
+            f=float(fit.decision_values[i]),
+            r=float(fit.plan.outlyingness[i]),
+            trimmed=bool(fit.plan.trimmed[i]),
+            misclassified=bool(misclassified[i]),
         )
-    return points
-
-
-def _open_out(destination):
-    """Returns (stream, should_close). '-' means stdout."""
-    if destination == "-":
-        return sys.stdout, False
-    if hasattr(destination, "write"):
-        return destination, False
-    try:
-        return open(destination, "w", encoding="utf-8", newline="\n"), True
-    except OSError as exc:
-        raise IoError(f"cannot write {destination!r}: {exc}") from exc
-
-
-def _write(destination, text):
-    stream, should_close = _open_out(destination)
-    try:
-        stream.write(text)
-    except OSError as exc:
-        raise IoError(f"write failed: {exc}") from exc
-    finally:
-        if should_close:
-            stream.close()
+        for i in range(fit.n)
+    ]
 
 
 def _fmt(x: float) -> str:
@@ -111,7 +84,7 @@ def map_to_csv(points) -> str:
 
 def emit_csv(points, destination) -> None:
     """Write the map as CSV; rows stay in original sample order."""
-    _write(destination, map_to_csv(points))
+    write_text(destination, map_to_csv(points))
 
 
 def parse_csv(source) -> list:
@@ -268,4 +241,4 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
 
 def emit_svg(points, style: MapStyle | None = None, destination="-") -> None:
     """Render and write the SVG map."""
-    _write(destination, map_to_svg(points, style))
+    write_text(destination, map_to_svg(points, style))

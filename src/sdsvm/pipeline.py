@@ -19,10 +19,10 @@ from .errors import (
     DimensionError,
     GroupEmptyAfterTrim,
     PipelineError,
-    SdsvmError,
     SerializationError,
     SingleClassError,
     TooFewSamples,
+    run_stage,
 )
 from .kernels import KernelMatrix, KernelSpec, kernel_matrix, parse_spec
 from .outlyingness import (
@@ -36,8 +36,10 @@ from .svm import (
     DEFAULT_TOL,
     LabeledSet,
     SvmModel,
+    decision_values,
     model_from_text,
     model_to_text,
+    sign_labels,
     solve_dual,
 )
 
@@ -214,7 +216,6 @@ def select_C(omega_t: KernelMatrix, labels_t: LabeledSet, cv: CvConfig) -> CvSel
     ConvergenceError propagates.
     """
     y = labels_t.labels
-    n = len(labels_t)
     if labels_t.n_minus == 0 or labels_t.n_plus == 0:
         raise SingleClassError("cross-validation needs both classes in the retained set")
     folds = min(cv.folds, labels_t.n_minus, labels_t.n_plus)
@@ -239,10 +240,8 @@ def select_C(omega_t: KernelMatrix, labels_t: LabeledSet, cv: CvConfig) -> CvSel
                 sub = KernelMatrix(entries[np.ix_(train_idx, train_idx)])
                 sub_labels = LabeledSet(indices=tuple(train_idx.tolist()), labels=y[train_idx])
                 model = solve_dual(sub, sub_labels, c)
-                f_vals = (model.alpha * model.labels) @ entries[np.ix_(train_idx, test_idx)]
-                f_vals = f_vals + model.bias
-                predictions = np.where(f_vals >= 0.0, 1.0, -1.0)
-                rates.append(float(np.mean(predictions != y[test_idx])))
+                f_vals = decision_values(model, entries[np.ix_(train_idx, test_idx)])
+                rates.append(float(np.mean(sign_labels(f_vals) != y[test_idx])))
         except ConvergenceError as exc:
             last_failure = exc
             table.append((c, math.nan))
@@ -257,13 +256,6 @@ def select_C(omega_t: KernelMatrix, labels_t: LabeledSet, cv: CvConfig) -> CvSel
             max_violation=getattr(last_failure, "max_violation", None),
         )
     return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
-
-
-def _stage(name, fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except SdsvmError as exc:
-        raise PipelineError(name, exc) from exc
 
 
 def fit_sdsvm(
@@ -297,7 +289,7 @@ def fit_sdsvm(
             ),
         )
 
-    omega = _stage("kernel", kernel_matrix, spec, dataset.samples)
+    omega = run_stage("kernel", kernel_matrix, spec, dataset.samples)
 
     def per_group_reports():
         reports = []
@@ -309,11 +301,11 @@ def fit_sdsvm(
             policies.append(group_policy)
         return reports, policies
 
-    (report_minus, report_plus), (policy_minus, policy_plus) = _stage(
+    (report_minus, report_plus), (policy_minus, policy_plus) = run_stage(
         "outlyingness", per_group_reports
     )
     full_set = LabeledSet(indices=tuple(range(n)), labels=labels)
-    plan = _stage("trim", trim, report_minus, report_plus, full_set, kappa)
+    plan = run_stage("trim", trim, report_minus, report_plus, full_set, kappa)
 
     retained = np.array(plan.retained, dtype=np.intp)
     labels_t = LabeledSet(indices=tuple(retained.tolist()), labels=labels[retained])
@@ -324,13 +316,12 @@ def fit_sdsvm(
         cv_table = ((chosen_c, math.nan),)
         folds_used = 0
     else:
-        selection = _stage("select-c", select_C, omega_t, labels_t, cv)
+        selection = run_stage("select-c", select_C, omega_t, labels_t, cv)
         chosen_c = selection.c
         cv_table = selection.table
         folds_used = selection.folds_used
 
-    retained_samples = tuple(dataset.samples[i] for i in retained)
-    model = _stage(
+    model = run_stage(
         "train",
         solve_dual,
         omega_t,
@@ -338,10 +329,8 @@ def fit_sdsvm(
         chosen_c,
         tol,
         spec=spec,
-        samples=retained_samples,
+        ids=tuple(dataset.samples[i].id for i in retained),
     )
-    f_all = (model.alpha * model.labels) @ omega.entries[np.ix_(retained, np.arange(n))]
-    f_all = f_all + model.bias
 
     return FitResult(
         model=model,
@@ -349,7 +338,7 @@ def fit_sdsvm(
         chosen_c=float(chosen_c),
         cv_table=tuple(cv_table),
         folds_used=folds_used,
-        decision_values=f_all,
+        decision_values=decision_values(model, omega.entries[retained]),
         ids=tuple(s.id for s in dataset.samples),
         labels=labels,
         spec=spec,
@@ -402,7 +391,10 @@ def fit_to_text(fit: FitResult) -> str:
 
 
 def fit_from_text(text: str) -> FitResult:
-    """Rebuild a FitResult from its report (payloads are not serialized)."""
+    """Rebuild a FitResult from its report (payloads are not serialized).
+
+    Raises SerializationError, and nothing else, on a malformed report.
+    """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
         raise SerializationError("not a sdsvm fit report")
@@ -421,59 +413,62 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError(f"expected {key!r} line, got {line!r}")
         return rest
 
-    kappa = float(keyed("kappa"))
-    chosen_c = float(keyed("chosen-c"))
-    folds_used = int(keyed("folds-used"))
-    policy_minus = _policy_from_text(keyed("policy-minus"))
-    policy_plus = _policy_from_text(keyed("policy-plus"))
-    spec = parse_spec(keyed("kernel"))
-    cv_rows = int(keyed("cv-table"))
-    cv_table = []
-    for _ in range(cv_rows):
-        c_txt, err_txt = take().split()
-        cv_table.append((float(c_txt), float(err_txt)))
-    model_lines = int(keyed("model"))
-    model = model_from_text("\n".join(lines[pos : pos + model_lines]))
-    pos += model_lines
-    n = int(keyed("samples"))
-    if take() != "id label outlyingness trimmed f":
-        raise SerializationError("fit report missing sample table header")
-    ids, labels, r_vals, trimmed, f_vals = [], [], [], [], []
-    for _ in range(n):
-        parts = take().split()
-        if len(parts) != 5:
-            raise SerializationError(f"bad sample row: {lines[pos - 1]!r}")
-        ids.append(parts[0])
-        labels.append(float(parts[1]))
-        r_vals.append(float(parts[2]))
-        trimmed.append(parts[3] == "true")
-        f_vals.append(float(parts[4]))
-    labels_arr = np.array(labels)
-    trimmed_arr = np.array(trimmed, dtype=bool)
-    retained_minus = tuple(
-        int(i) for i in np.flatnonzero((labels_arr < 0) & ~trimmed_arr)
-    )
-    retained_plus = tuple(int(i) for i in np.flatnonzero((labels_arr > 0) & ~trimmed_arr))
-    plan = TrimPlan(
-        kappa=kappa,
-        h_minus=len(retained_minus),
-        h_plus=len(retained_plus),
-        retained_minus=retained_minus,
-        retained_plus=retained_plus,
-        outlyingness=np.array(r_vals),
-        trimmed=trimmed_arr,
-    )
-    return FitResult(
-        model=model,
-        plan=plan,
-        chosen_c=chosen_c,
-        cv_table=tuple(cv_table),
-        folds_used=folds_used,
-        decision_values=np.array(f_vals),
-        ids=tuple(ids),
-        labels=labels_arr,
-        spec=spec,
-        kappa=kappa,
-        policy_minus=policy_minus,
-        policy_plus=policy_plus,
-    )
+    try:
+        kappa = float(keyed("kappa"))
+        chosen_c = float(keyed("chosen-c"))
+        folds_used = int(keyed("folds-used"))
+        policy_minus = _policy_from_text(keyed("policy-minus"))
+        policy_plus = _policy_from_text(keyed("policy-plus"))
+        spec = parse_spec(keyed("kernel"))
+        cv_rows = int(keyed("cv-table"))
+        cv_table = []
+        for _ in range(cv_rows):
+            c_txt, err_txt = take().split()
+            cv_table.append((float(c_txt), float(err_txt)))
+        model_lines = int(keyed("model"))
+        model = model_from_text("\n".join(lines[pos : pos + model_lines]))
+        pos += model_lines
+        n = int(keyed("samples"))
+        if take() != "id label outlyingness trimmed f":
+            raise SerializationError("fit report missing sample table header")
+        ids, labels, r_vals, trimmed, f_vals = [], [], [], [], []
+        for _ in range(n):
+            parts = take().split()
+            if len(parts) != 5:
+                raise SerializationError(f"bad sample row: {lines[pos - 1]!r}")
+            ids.append(parts[0])
+            labels.append(float(parts[1]))
+            r_vals.append(float(parts[2]))
+            trimmed.append(parts[3] == "true")
+            f_vals.append(float(parts[4]))
+        labels_arr = np.array(labels)
+        trimmed_arr = np.array(trimmed, dtype=bool)
+        retained_minus = tuple(
+            int(i) for i in np.flatnonzero((labels_arr < 0) & ~trimmed_arr)
+        )
+        retained_plus = tuple(int(i) for i in np.flatnonzero((labels_arr > 0) & ~trimmed_arr))
+        plan = TrimPlan(
+            kappa=kappa,
+            h_minus=len(retained_minus),
+            h_plus=len(retained_plus),
+            retained_minus=retained_minus,
+            retained_plus=retained_plus,
+            outlyingness=np.array(r_vals),
+            trimmed=trimmed_arr,
+        )
+        return FitResult(
+            model=model,
+            plan=plan,
+            chosen_c=chosen_c,
+            cv_table=tuple(cv_table),
+            folds_used=folds_used,
+            decision_values=np.array(f_vals),
+            ids=tuple(ids),
+            labels=labels_arr,
+            spec=spec,
+            kappa=kappa,
+            policy_minus=policy_minus,
+            policy_plus=policy_plus,
+        )
+    except (ValueError, IndexError, KeyError) as exc:
+        raise SerializationError(f"bad fit report: {exc}") from exc

@@ -17,7 +17,7 @@ with f == 0 resolving to +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class SvmModel:
     c: float
     tol: float
     spec: KernelSpec | None = None
-    samples: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=np.float64).copy()
@@ -113,9 +112,12 @@ def solve_dual(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     spec: KernelSpec | None = None,
-    samples=None,
+    ids=None,
 ) -> SvmModel:
     """Solve the dual on the retained set's kernel matrix.
+
+    The model records `ids` for its retained samples, or the label set's
+    indices when none are given.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
     Raises SingleClassError when one class is absent and ConvergenceError
@@ -174,27 +176,15 @@ def solve_dual(
         hi = float(np.min(np.where(beta > lower, yg, np.inf)))
         bias = 0.5 * (lo + hi)
 
-    ids = tuple(s.id for s in samples) if samples is not None else labels.indices
     return SvmModel(
         alpha=alpha,
         labels=y,
         bias=bias,
-        ids=ids,
+        ids=labels.indices if ids is None else ids,
         c=float(c),
         tol=float(tol),
         spec=spec,
-        samples=tuple(samples) if samples is not None else None,
     )
-
-
-def decision_value(model: SvmModel, omega_row) -> float:
-    """f(x) from the kernel values K(x_i, x) against the retained set."""
-    row = np.asarray(omega_row, dtype=np.float64).ravel()
-    if row.shape[0] != model.n_retained:
-        raise DimensionError(
-            f"kernel row has {row.shape[0]} entries, model retains {model.n_retained}"
-        )
-    return float((model.alpha * model.labels) @ row + model.bias)
 
 
 def decision_values(model: SvmModel, omega_block) -> np.ndarray:
@@ -207,9 +197,20 @@ def decision_values(model: SvmModel, omega_block) -> np.ndarray:
     return (model.alpha * model.labels) @ block + model.bias
 
 
+def sign_labels(f) -> np.ndarray:
+    """Predicted labels sign(f) as -1.0/+1.0; f == 0 resolves to +1."""
+    return np.where(f >= 0.0, 1.0, -1.0)
+
+
+def decision_value(model: SvmModel, omega_row) -> float:
+    """f(x) from the kernel values K(x_i, x) against the retained set."""
+    column = np.asarray(omega_row, dtype=np.float64).reshape(-1, 1)
+    return float(decision_values(model, column)[0])
+
+
 def predict(model: SvmModel, omega_row) -> int:
     """Predicted label sign(f); f == 0 resolves to +1."""
-    return 1 if decision_value(model, omega_row) >= 0.0 else -1
+    return int(sign_labels(decision_value(model, omega_row)))
 
 
 _MODEL_HEADER = "sdsvm-model-v1"
@@ -230,32 +231,38 @@ def model_to_text(model: SvmModel) -> str:
 
 
 def model_from_text(text: str) -> SvmModel:
-    """Inverse of model_to_text (samples/payloads are not serialized)."""
+    """Inverse of model_to_text (payloads are not serialized).
+
+    Raises SerializationError, and nothing else, on a malformed block.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith(_MODEL_HEADER + " "):
         raise SerializationError("not a sdsvm model block")
-    header = lines[0][len(_MODEL_HEADER) + 1 :]
-    fields = dict(tok.split("=", 1) for tok in header.split())
-    c = float(fields.pop("C"))
-    tol = float(fields.pop("tol"))
-    spec = parse_spec(" ".join(f"{k}={v}" for k, v in fields.items()))
-    if not lines[-1].startswith("bias "):
-        raise SerializationError("model block missing bias line")
-    bias = float(lines[-1].split(" ", 1)[1])
-    ids, labels, alpha = [], [], []
-    for ln in lines[1:-1]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise SerializationError(f"bad model sample line: {ln!r}")
-        ids.append(parts[0])
-        labels.append(float(parts[1]))
-        alpha.append(float(parts[2]))
-    return SvmModel(
-        alpha=np.array(alpha),
-        labels=np.array(labels),
-        bias=bias,
-        ids=tuple(ids),
-        c=c,
-        tol=tol,
-        spec=spec,
-    )
+    try:
+        header = lines[0][len(_MODEL_HEADER) + 1 :]
+        fields = dict(tok.split("=", 1) for tok in header.split())
+        c = float(fields.pop("C"))
+        tol = float(fields.pop("tol"))
+        spec = parse_spec(" ".join(f"{k}={v}" for k, v in fields.items()))
+        if not lines[-1].startswith("bias "):
+            raise SerializationError("model block missing bias line")
+        bias = float(lines[-1].split(" ", 1)[1])
+        ids, labels, alpha = [], [], []
+        for ln in lines[1:-1]:
+            parts = ln.split()
+            if len(parts) != 3:
+                raise SerializationError(f"bad model sample line: {ln!r}")
+            ids.append(parts[0])
+            labels.append(float(parts[1]))
+            alpha.append(float(parts[2]))
+        return SvmModel(
+            alpha=np.array(alpha),
+            labels=np.array(labels),
+            bias=bias,
+            ids=tuple(ids),
+            c=c,
+            tol=tol,
+            spec=spec,
+        )
+    except (ValueError, IndexError, KeyError) as exc:
+        raise SerializationError(f"bad model block: {exc}") from exc

@@ -150,3 +150,43 @@ def gram_double_loop(x):
         for j in range(k):
             out[i, j] = sum(float(x[i, t]) * float(x[j, t]) for t in range(x.shape[1]))
     return out
+
+
+def kernel_block_recipe(kind, a, b=None, gamma=1.0, degree=3, coef0=0.0, kmer=3, matrix=None):
+    """A kernel block by its documented arithmetic, for exact comparison.
+
+    `a` and `b` are arrays of row vectors, lists of strings (spectrum) or
+    lists of row indices (precomputed).  b=None is the square block: one
+    x @ x.T product, RBF squared norms from its diagonal with the distance
+    diagonal set to zero, one k-mer count table, and the upper triangle
+    mirrored.  The rectangular block takes RBF norms as row sums of squares.
+    """
+    square = b is None
+    if kind == "precomputed":
+        block = np.asarray(matrix)[np.ix_(a, a if square else b)]
+    elif kind == "spectrum":
+        strings = list(a) if square else list(a) + list(b)
+        counts = [kmer_counts_brute(s, kmer) for s in strings]
+        vocab = sorted(set().union(*counts)) or [""]
+        rows = np.array([[float(c.get(w, 0)) for w in vocab] for c in counts])
+        block = rows @ rows.T if square else rows[: len(a)] @ rows[len(a) :].T
+    else:
+        xa = np.asarray(a, dtype=np.float64)
+        xb = xa if square else np.asarray(b, dtype=np.float64)
+        gram = xa @ xb.T
+        if kind == "linear":
+            block = gram
+        elif kind == "polynomial":
+            block = (gamma * gram + coef0) ** degree
+        else:
+            if square:
+                sq_a = sq_b = np.diag(gram)
+            else:
+                sq_a, sq_b = (xa * xa).sum(axis=1), (xb * xb).sum(axis=1)
+            d2 = np.maximum(sq_a[:, None] + sq_b[None, :] - 2.0 * gram, 0.0)
+            if square:
+                np.fill_diagonal(d2, 0.0)
+            block = np.exp(-gamma * d2)
+    if square:
+        block = np.triu(block) + np.triu(block, 1).T
+    return block

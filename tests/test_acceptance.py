@@ -206,7 +206,7 @@ def test_criterion_6_qp_oracle_equivalence():
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    def run_toy(tag, threads):
+    def run_toy(tag):
         csv_path = tmp_path / f"{tag}.csv"
         svg_path = tmp_path / f"{tag}.svg"
         fit_path = tmp_path / f"{tag}.fit"
@@ -215,8 +215,6 @@ def test_criterion_7_cli_determinism(tmp_path):
                 "toy",
                 "--seed",
                 "5",
-                "--threads",
-                str(threads),
                 "--out-csv",
                 str(csv_path),
                 "--out-svg",
@@ -228,7 +226,7 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert code == 0
         return csv_path.read_bytes(), svg_path.read_bytes(), fit_path.read_bytes()
 
-    def run_sim(tag, threads):
+    def run_sim(tag):
         out = tmp_path / f"{tag}-sim.csv"
         code = cli_main(
             [
@@ -243,8 +241,6 @@ def test_criterion_7_cli_determinism(tmp_path):
                 "8",
                 "--test-size",
                 "10",
-                "--threads",
-                str(threads),
                 "--out-csv",
                 str(out),
             ]
@@ -252,8 +248,8 @@ def test_criterion_7_cli_determinism(tmp_path):
         assert code == 0
         return out.read_bytes()
 
-    toy_same = run_toy("a", 1) == run_toy("b", 1) == run_toy("c", 4)
-    sim_same = run_sim("a", 1) == run_sim("b", 1) == run_sim("c", 3)
+    toy_same = run_toy("a") == run_toy("b") == run_toy("c")
+    sim_same = run_sim("a") == run_sim("b") == run_sim("c")
     ok = toy_same and sim_same
     _report(7, "CLI byte determinism", ok, f"toy identical: {toy_same}, simulate identical: {sim_same}")
 

@@ -61,6 +61,22 @@ class TestValidation:
         assert code == 2
         assert "validate" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, stage",
+        [
+            (["map", "--fit", "{tmp}/missing.fit"], 2, "error in load"),
+            (["fit", "{tmp}/d.csv", "--out-fit", "{tmp}/no/dir/x.fit"], 2, "error in write"),
+            (["toy", "--out-fit", "{tmp}/no/dir/x.fit"], 2, "error in write"),
+            (["simulate", "--kappas", "0.5,abc"], 1, "--kappas"),
+        ],
+    )
+    def test_bad_path_or_value_exits_with_stage(self, tmp_path, capsys, argv, code, stage):
+        (tmp_path / "d.csv").write_text("0,0,-1\n1,0,-1\n0,1,-1\n3,3,1\n4,3,1\n3,4,1\n")
+        argv = [tok.format(tmp=tmp_path) for tok in argv]
+        got, _, err = run_cli(capsys, *argv)
+        assert got == code
+        assert stage in err
+
     def test_help_lists_defaults_for_every_flag(self, capsys):
         import argparse
 
@@ -168,7 +184,7 @@ class TestMap:
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, tmp_path, capsys):
         outputs = []
-        for name, threads in (("a", "1"), ("b", "1"), ("c", "4")):
+        for name in ("a", "b", "c"):
             csv_path = tmp_path / f"{name}.csv"
             svg_path = tmp_path / f"{name}.svg"
             code, _, _ = run_cli(
@@ -176,8 +192,6 @@ class TestDeterminism:
                 "toy",
                 "--seed",
                 "11",
-                "--threads",
-                threads,
                 "--out-csv",
                 str(csv_path),
                 "--out-svg",

@@ -203,11 +203,6 @@ class TestRunSimulation:
             scaled = row.error * SMALL_SPEC.test_size
             assert scaled == pytest.approx(round(scaled), abs=1e-9)
 
-    def test_threads_do_not_change_results(self):
-        sequential = run_simulation(SMALL_SPEC, LINEAR, threads=1)
-        threaded = run_simulation(SMALL_SPEC, LINEAR, threads=3)
-        assert sequential == threaded
-
     def test_summary_has_one_row_per_kappa(self):
         result = run_simulation(SMALL_SPEC, LINEAR)
         assert [s.kappa for s in result.summary] == [0.5, 1.0]

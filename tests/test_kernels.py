@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as npst
 
 from sdsvm import KernelMatrix, KernelSpec, Sample, eval_kernel, kernel_cross, kernel_matrix
 from sdsvm.errors import DimensionError, EmptyInput, KernelTypeError
 
 from conftest import make_vectors
-from oracles import spectrum_dot_brute
+from oracles import kernel_block_recipe, spectrum_dot_brute
 
 
 class TestKernelSpec:
@@ -180,3 +182,61 @@ class TestKernelCross:
         block = kernel_cross(spec, a, b)
         assert block[0, 0] == spectrum_dot_brute("ACGTACG", "CGTA", 3)
         assert block[1, 0] == 0.0
+
+
+class TestExactRecipe:
+    """Both kernel blocks reproduce their documented arithmetic bit for bit.
+
+    Downstream exact comparisons (outlyingness, trim flags) rely on the square
+    block using the symmetric recipe, not the rectangular one.
+    """
+
+    PARAMS = {
+        "linear": {},
+        "rbf": {"gamma": 0.07},
+        "polynomial": {"gamma": 0.3, "degree": 3, "coef0": 1.5},
+        "spectrum": {"kmer": 2},
+    }
+
+    @staticmethod
+    def _inputs(kind):
+        rng = np.random.default_rng(3)
+        if kind == "spectrum":
+            words = ["".join(rng.choice(list("ACGT"), size=n)) for n in rng.integers(1, 30, size=40)]
+            return [Sample(i, w) for i, w in enumerate(words)], words
+        x = rng.normal(size=(40, 13)) * 3.0
+        return make_vectors(x), x
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial", "spectrum"])
+    def test_matches_recipe(self, kind):
+        spec = KernelSpec(kind=kind, **self.PARAMS[kind])
+        samples, raw = self._inputs(kind)
+        square = kernel_matrix(spec, samples).entries
+        assert np.array_equal(square, kernel_block_recipe(kind, raw, **self.PARAMS[kind]))
+        cross = kernel_cross(spec, samples[:25], samples[25:])
+        expected = kernel_block_recipe(kind, raw[:25], raw[25:], **self.PARAMS[kind])
+        assert np.array_equal(cross, expected)
+
+    def test_precomputed_matches_recipe(self):
+        rng = np.random.default_rng(4)
+        m = rng.normal(size=(9, 9))
+        m = m + m.T
+        spec = KernelSpec(kind="precomputed", matrix=m)
+        idx = [7, 2, 2, 5, 0]
+        samples = [Sample(i, j) for i, j in enumerate(idx)]
+        square = kernel_matrix(spec, samples).entries
+        assert np.array_equal(square, kernel_block_recipe("precomputed", idx, matrix=m))
+        cross = kernel_cross(spec, samples[:2], samples[2:])
+        assert np.array_equal(cross, kernel_block_recipe("precomputed", idx[:2], idx[2:], matrix=m))
+
+    @given(
+        npst.arrays(
+            np.float64,
+            st.integers(1, 30),
+            elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        ),
+        st.sampled_from([1e-3, 0.1, 1.0, 7.5]),
+    )
+    def test_rbf_self_value_exactly_one(self, v, gamma):
+        spec = KernelSpec(kind="rbf", gamma=gamma)
+        assert eval_kernel(spec, Sample(1, v), Sample(2, v)) == 1.0

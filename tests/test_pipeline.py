@@ -22,7 +22,7 @@ from sdsvm import (
     trim,
 )
 from sdsvm.data import SimulationSpec
-from sdsvm.errors import GroupEmptyAfterTrim, PipelineError, TooFewSamples
+from sdsvm.errors import GroupEmptyAfterTrim, PipelineError, SerializationError, TooFewSamples
 
 from conftest import make_vectors
 
@@ -246,3 +246,23 @@ class TestFitReport:
         back = fit_from_text(fit_to_text(fit))
         assert back.cv_table == fit.cv_table
         assert back.folds_used == fit.folds_used
+
+    @pytest.mark.parametrize(
+        "line, replacement",
+        [
+            (1, "kappa x"),
+            (4, "policy-minus exhaustive"),
+            (6, "kernel gamma"),
+            (10, "sdsvm-model-v1 kind=linear C=x tol=0.001"),
+        ],
+    )
+    def test_malformed_report_raises_serialization_error(self, line, replacement):
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        lines[line] = replacement
+        with pytest.raises(SerializationError):
+            fit_from_text("\n".join(lines))
+
+    def test_truncated_report_raises_serialization_error(self):
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        with pytest.raises(SerializationError):
+            fit_from_text("\n".join(lines[:-3]))

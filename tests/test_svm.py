@@ -26,7 +26,7 @@ def two_point_model(c=10.0, tol=1e-3):
     samples = make_vectors([[-1.0], [1.0]])
     om = kernel_matrix(LINEAR, samples)
     labels = LabeledSet(indices=(0, 1), labels=[-1.0, 1.0])
-    return solve_dual(om, labels, c, tol, spec=LINEAR, samples=samples)
+    return solve_dual(om, labels, c, tol, spec=LINEAR, ids=tuple(s.id for s in samples))
 
 
 def random_instance(seed, n_max=6, d_max=3):
@@ -164,7 +164,7 @@ class TestSerialization:
         om = kernel_matrix(KernelSpec(kind="rbf", gamma=0.37), samples)
         labels = LabeledSet(indices=(0, 1, 2), labels=[-1.0, 1.0, 1.0])
         model = solve_dual(
-            om, labels, 2.0, spec=KernelSpec(kind="rbf", gamma=0.37), samples=samples
+            om, labels, 2.0, spec=KernelSpec(kind="rbf", gamma=0.37), ids=tuple(s.id for s in samples)
         )
         back = model_from_text(model_to_text(model))
         assert back.spec.kind == "rbf"

@@ -20,7 +20,7 @@ from .data import (
     simulation_rows_csv,
     simulation_summary_csv,
 )
-from .errors import IoError, PipelineError, SdsvmError, run_stage, write_text
+from .errors import PipelineError, SdsvmError, read_text, run_stage, write_text
 from .kernels import KernelSpec
 from .outliermap import MapStyle, build_map, emit_csv, emit_svg
 from .outlyingness import DirectionPolicy
@@ -250,15 +250,6 @@ def _fit_from_args(parser, args, load_dataset):
     return fit_sdsvm(load_dataset(), spec, kappa=args.kappa, cv=cv, policy=policy)
 
 
-def _read_fit_report(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path!r}: {exc}") from exc
-    return fit_from_text(text)
-
-
 def _cmd_fit(parser, args) -> int:
     fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
     run_stage("write", write_text, args.out_fit, fit_to_text(fit))
@@ -269,7 +260,7 @@ def _cmd_map(parser, args) -> int:
     if (args.data is None) == (args.fit_report is None):
         parser.error("map needs a dataset path or --fit, not both")
     if args.fit_report is not None:
-        fit = run_stage("load", _read_fit_report, args.fit_report)
+        fit = run_stage("load", lambda: fit_from_text(read_text(args.fit_report)))
     else:
         fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
     run_stage("render", _emit_map_outputs, args, fit)
@@ -301,6 +292,9 @@ def _cmd_simulate(parser, args) -> int:
     cv = _cv_from_args(parser, args)
     policy = _policy_from_args(parser, args)
     result = run_simulation(spec, kernel, cv=cv, policy=policy)
+    failures = {row.failure for row in result.rows}
+    if None not in failures:
+        raise SdsvmError(f"every (run, kappa) cell failed: {', '.join(sorted(failures))}")
     run_stage("write", write_text, args.out_csv, simulation_rows_csv(result))
     sys.stdout.write(simulation_summary_csv(result))
     return 0

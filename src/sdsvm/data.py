@@ -14,14 +14,14 @@ import numpy as np
 
 from .errors import (
     DuplicateId,
-    IoError,
     LabelError,
     MissingLabel,
     ParseError,
     SdsvmError,
+    read_text,
     write_text,
 )
-from .kernels import KernelSpec, Sample, kernel_cross
+from .kernels import KernelSpec, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, fit_sdsvm
 from .rng import Stream, derive_key
@@ -30,32 +30,41 @@ from .svm import decision_values, sign_labels
 
 @dataclass(frozen=True)
 class Dataset:
-    """Aligned samples and -1/+1 labels plus provenance."""
+    """Samples x with aligned -1/+1 labels, sample ids and provenance.
 
-    samples: tuple
+    x is an (n, d) float64 array (stored read-only, without a copy), a tuple
+    of strings (spectrum kernel), or a tuple of precomputed-kernel keys.
+    ids default to 1..n.
+    """
+
+    x: object
     labels: np.ndarray
+    ids: tuple | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        samples = tuple(self.samples)
+        if isinstance(self.x, np.ndarray):
+            x = np.ascontiguousarray(self.x, dtype=np.float64).view()
+            if x.ndim != 2:
+                raise ValueError(f"sample array must be 2-D, got shape {x.shape}")
+            x.flags.writeable = False
+        else:
+            x = tuple(self.x)
         labels = np.asarray(self.labels, dtype=np.float64).ravel().copy()
-        if len(samples) != labels.shape[0]:
-            raise ValueError(f"{len(samples)} samples vs {labels.shape[0]} labels")
+        if len(x) != labels.shape[0]:
+            raise ValueError(f"{len(x)} samples vs {labels.shape[0]} labels")
         if labels.size and not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        kinds = {s.kind for s in samples}
-        if len(kinds) > 1:
-            raise ValueError(f"mixed payload kinds in one dataset: {sorted(kinds)}")
-        if kinds == {"vector"}:
-            dims = {s.payload.shape[0] for s in samples}
-            if len(dims) > 1:
-                raise ValueError(f"mixed vector dimensions in one dataset: {sorted(dims)}")
+        ids = tuple(range(1, len(x) + 1)) if self.ids is None else tuple(self.ids)
+        if len(ids) != len(x):
+            raise ValueError(f"{len(ids)} ids vs {len(x)} samples")
         labels.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ids", ids)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.x)
 
 
 @dataclass(frozen=True)
@@ -113,25 +122,21 @@ def gen_simulation(spec: SimulationSpec, run_index: int):
             _normal_rows(spec.seed, run_index, "outliers-plus", m, d) + spec.outlier_mean_plus
         )
         labels.append(np.ones(m))
-    x_train = np.vstack(blocks)
-    y_train = np.concatenate(labels)
     train = Dataset(
-        samples=tuple(Sample(id=i + 1, payload=row) for i, row in enumerate(x_train)),
-        labels=y_train,
+        x=np.vstack(blocks),
+        labels=np.concatenate(labels),
         provenance=f"simulation(seed={spec.seed},run={run_index})/train",
     )
     n_test_minus = spec.test_size // 2
     n_test_plus = spec.test_size - n_test_minus
-    x_test = np.vstack(
-        [
-            _normal_rows(spec.seed, run_index, "test-minus", n_test_minus, d),
-            _normal_rows(spec.seed, run_index, "test-plus", n_test_plus, d) + spec.shift,
-        ]
-    )
-    y_test = np.concatenate([-np.ones(n_test_minus), np.ones(n_test_plus)])
     test = Dataset(
-        samples=tuple(Sample(id=i + 1, payload=row) for i, row in enumerate(x_test)),
-        labels=y_test,
+        x=np.vstack(
+            [
+                _normal_rows(spec.seed, run_index, "test-minus", n_test_minus, d),
+                _normal_rows(spec.seed, run_index, "test-plus", n_test_plus, d) + spec.shift,
+            ]
+        ),
+        labels=np.concatenate([-np.ones(n_test_minus), np.ones(n_test_plus)]),
         provenance=f"simulation(seed={spec.seed},run={run_index})/test",
     )
     return train, test
@@ -163,10 +168,9 @@ def gen_toy(seed: int = 0) -> Dataset:
             np.array([[0.0, 0.0]]),
         ]
     )
-    labels = np.concatenate([-np.ones(30), np.ones(36)])
     return Dataset(
-        samples=tuple(Sample(id=i + 1, payload=row) for i, row in enumerate(x)),
-        labels=labels,
+        x=x,
+        labels=np.concatenate([-np.ones(30), np.ones(36)]),
         provenance=f"toy(seed={seed})",
     )
 
@@ -203,7 +207,7 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
         try:
             fit = fit_sdsvm(train, kernel, kappa=kappa, cv=cv, policy=policy, tol=tol)
             if cross is None:
-                cross = kernel_cross(kernel, train.samples, test.samples)
+                cross = kernel_cross(kernel, train.x, test.x)
             retained = np.array(fit.plan.retained, dtype=np.intp)
             f_vals = decision_values(fit.model, cross[retained])
             error = float(np.mean(sign_labels(f_vals) != test.labels))
@@ -267,18 +271,13 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
     """Rectangular numeric CSV (no header) with one label column.
 
     label_col is "first", "last", or a 0-based column index.  Labels must be
-    +-1 unless a two-value coding (neg_token, pos_token) maps them.
+    +-1 unless a two-value coding (neg_token, pos_token) maps them; feature
+    cells must be finite numbers.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path!r}: {exc}") from exc
-    samples = []
+    rows = []
     labels = []
     width = None
-    row_num = 0
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         cells = [c.strip() for c in raw.split(",")]
@@ -312,26 +311,26 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
                 raise LabelError(f"label {token!r} is not numeric", line=lineno) from None
             if label not in (-1.0, 1.0):
                 raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
-        features = cells[:col] + cells[col + 1 :]
         try:
-            payload = np.array([float(c) for c in features])
+            row = [float(c) for c in cells[:col] + cells[col + 1 :]]
         except ValueError as exc:
             raise ParseError(f"non-numeric cell: {exc}", line=lineno) from None
-        row_num += 1
-        samples.append(Sample(id=row_num, payload=payload))
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite cell (nan or inf)", line=lineno)
+        rows.append(row)
         labels.append(label)
-    if not samples:
+    if not rows:
         raise ParseError("no data rows", line=1)
-    return Dataset(samples=tuple(samples), labels=np.array(labels), provenance=str(path))
+    return Dataset(x=np.array(rows), labels=np.array(labels), provenance=str(path))
 
 
 def save_csv(dataset: Dataset, destination) -> None:
-    """Write vector payloads plus a trailing label column (load_csv inverse)."""
+    """Write the rows of x plus a trailing label column (load_csv inverse)."""
+    if not isinstance(dataset.x, np.ndarray):
+        raise SdsvmError("save_csv requires a vector dataset")
     lines = []
-    for sample, label in zip(dataset.samples, dataset.labels):
-        if sample.kind != "vector":
-            raise SdsvmError("save_csv requires vector payloads")
-        cells = [repr(float(v)) for v in sample.payload] + [str(int(label))]
+    for row, label in zip(dataset.x, dataset.labels):
+        cells = [repr(float(v)) for v in row] + [str(int(label))]
         lines.append(",".join(cells))
     write_text(destination, "\n".join(lines) + "\n")
 
@@ -342,16 +341,11 @@ def load_fasta(path, labels_path) -> Dataset:
     Multi-line sequences are concatenated.  Every record id must appear in
     the labels file exactly once with a +-1 label.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            fasta_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path!r}: {exc}") from exc
     records = []  # (id, sequence) in file order
     seen = set()
     current_id = None
     chunks = []
-    for lineno, raw in enumerate(fasta_lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -375,13 +369,8 @@ def load_fasta(path, labels_path) -> Dataset:
     if not records:
         raise ParseError("no FASTA records", line=1)
 
-    try:
-        with open(labels_path, "r", encoding="utf-8") as fh:
-            label_lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {labels_path!r}: {exc}") from exc
     label_of = {}
-    for lineno, raw in enumerate(label_lines, start=1):
+    for lineno, raw in enumerate(read_text(labels_path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -398,11 +387,9 @@ def load_fasta(path, labels_path) -> Dataset:
         if value not in (-1.0, 1.0):
             raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
         label_of[rid] = value
-    samples = []
-    labels = []
-    for rid, seq in records:
+    ids, sequences = zip(*records)
+    for rid in ids:
         if rid not in label_of:
             raise MissingLabel(rid)
-        samples.append(Sample(id=rid, payload=seq))
-        labels.append(label_of[rid])
-    return Dataset(samples=tuple(samples), labels=np.array(labels), provenance=str(path))
+    labels = np.array([label_of[rid] for rid in ids])
+    return Dataset(x=sequences, labels=labels, ids=ids, provenance=str(path))

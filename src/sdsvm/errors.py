@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two helpers that
-turn failures into them: the pipeline stage wrapper and the text writer.
+"""Exception types shared across the package, and the helpers that turn
+failures into them: the pipeline stage wrapper, the text reader and writer.
 
 Everything raised on purpose derives from SdsvmError so callers (and the
 CLI) can separate domain failures from programming errors.
@@ -13,7 +13,7 @@ class SdsvmError(Exception):
 
 
 class KernelTypeError(SdsvmError):
-    """Sample payload kind does not match the kernel specification."""
+    """A sample's form (vector, string or key) does not match the kernel."""
 
 
 class DimensionError(SdsvmError):
@@ -116,6 +116,15 @@ def run_stage(name, fn, *args, **kwargs):
         raise
     except SdsvmError as exc:
         raise PipelineError(name, exc) from exc
+
+
+def read_text(path) -> str:
+    """Read a UTF-8 text file; an OSError or undecodable bytes become an IoError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {path!r}: {exc}") from exc
 
 
 def write_text(destination, text) -> None:

@@ -30,8 +30,8 @@ class KernelSpec:
     """Which kernel to use and its hyperparameters.
 
     The only place kernel identity lives; passed around immutably.  For the
-    precomputed kind, `matrix` holds the full Gram matrix and samples carry
-    either integer row indices or (when `ids` is given) string ids as payload.
+    precomputed kind, `matrix` holds the full Gram matrix and samples are
+    keys into it: integer row indices or (when `ids` is given) string ids.
     """
 
     kind: str = "linear"
@@ -98,35 +98,6 @@ def parse_spec(text: str) -> "KernelSpec":
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One observation: an opaque id plus a vector or string payload."""
-
-    id: object
-    payload: object
-
-    def __post_init__(self):
-        p = self.payload
-        if isinstance(p, str):
-            return
-        if isinstance(p, (int, np.integer)):
-            return  # row index into a precomputed matrix
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"vector payload must be 1-D, got shape {arr.shape}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "payload", arr)
-
-    @property
-    def kind(self) -> str:
-        if isinstance(self.payload, str):
-            return "string"
-        if isinstance(self.payload, (int, np.integer)):
-            return "index"
-        return "vector"
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric k x k Gram matrix; the sole stand-in for feature space."""
 
@@ -147,47 +118,17 @@ class KernelMatrix:
         return self.entries.shape[0]
 
     def take(self, indices) -> "KernelMatrix":
-        """Principal submatrix for the given sample indices (order kept)."""
+        """Principal submatrix for the given sample indices (order kept).
+
+        A principal submatrix of an exactly symmetric matrix is exactly
+        symmetric, so the fresh copy skips the constructor's checks.
+        """
         idx = np.asarray(indices, dtype=np.intp)
-        return KernelMatrix(self.entries[np.ix_(idx, idx)])
-
-
-def _require_vectors(spec, samples):
-    for pos, s in enumerate(samples):
-        if s.kind != "vector":
-            raise KernelTypeError(
-                f"{spec.kind} kernel requires vector payloads; sample {pos} (id {s.id!r}) is {s.kind}"
-            )
-    first = samples[0].payload.shape[0]
-    for pos, s in enumerate(samples):
-        if s.payload.shape[0] != first:
-            raise DimensionError(
-                f"sample {pos} (id {s.id!r}) has dimension {s.payload.shape[0]}, expected {first}"
-            )
-
-
-def _require_strings(spec, samples):
-    for pos, s in enumerate(samples):
-        if s.kind != "string":
-            raise KernelTypeError(
-                f"spectrum kernel requires string payloads; sample {pos} (id {s.id!r}) is {s.kind}"
-            )
-
-
-def _precomputed_index(spec, sample):
-    if isinstance(sample.payload, str):
-        if spec.ids is None:
-            raise KernelTypeError("precomputed kernel got a string payload but spec has no ids")
-        try:
-            return spec.ids.index(sample.payload)
-        except ValueError:
-            raise KernelTypeError(f"payload {sample.payload!r} not among precomputed ids") from None
-    if isinstance(sample.payload, (int, np.integer)):
-        idx = int(sample.payload)
-        if not 0 <= idx < spec.matrix.shape[0]:
-            raise DimensionError(f"precomputed index {idx} outside matrix of size {spec.matrix.shape[0]}")
-        return idx
-    raise KernelTypeError("precomputed kernel requires integer-index or id payloads")
+        sub = self.entries[np.ix_(idx, idx)]
+        sub.flags.writeable = False
+        out = object.__new__(KernelMatrix)
+        object.__setattr__(out, "entries", sub)
+        return out
 
 
 def _kmer_vocabulary(strings, kmer):
@@ -239,40 +180,83 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _block(spec: KernelSpec, samples_a, samples_b=None) -> np.ndarray:
-    """K(a_i, b_j) over two sample lists; samples_b=None means the square block.
+def _vectors(spec: KernelSpec, x) -> np.ndarray:
+    """x as a C-contiguous (n, d) float64 array, without a copy if it is one."""
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return np.ascontiguousarray(x, dtype=np.float64)
+    rows = list(x)
+    for pos, row in enumerate(rows):
+        if np.ndim(row) != 1:
+            raise KernelTypeError(
+                f"{spec.kind} kernel requires vectors; sample {pos} is a {type(row).__name__}"
+            )
+        if len(row) != len(rows[0]):
+            raise DimensionError(f"sample {pos} has dimension {len(row)}, expected {len(rows[0])}")
+    return np.array(rows, dtype=np.float64)
+
+
+def _strings(x) -> list:
+    strings = list(x)
+    for pos, s in enumerate(strings):
+        if not isinstance(s, str):
+            raise KernelTypeError(
+                f"spectrum kernel requires strings; sample {pos} is a {type(s).__name__}"
+            )
+    return strings
+
+
+def _matrix_rows(spec: KernelSpec, keys) -> np.ndarray:
+    """Rows of the precomputed matrix for integer indices or ids from spec.ids."""
+    row_of = {}
+    for i, key in enumerate(spec.ids or ()):
+        row_of.setdefault(key, i)  # the first row carrying an id wins
+    size = spec.matrix.shape[0]
+    rows = []
+    for key in keys:
+        if isinstance(key, str):
+            if key not in row_of:
+                raise KernelTypeError(f"key {key!r} not among the precomputed ids")
+            rows.append(row_of[key])
+        elif isinstance(key, (int, np.integer)):
+            if not 0 <= key < size:
+                raise DimensionError(f"precomputed index {key} outside matrix of size {size}")
+            rows.append(int(key))
+        else:
+            raise KernelTypeError("precomputed kernel requires integer-index or id keys")
+    return np.array(rows, dtype=np.intp)
+
+
+def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
+    """K(a_i, b_j) over two sample collections; b=None means the square block.
 
     The single place that branches on the kernel kind.  The square block
     keeps the arithmetic its exactness rests on: one x @ x.T product (the
     symmetric BLAS path), RBF norms read from the Gram diagonal with the
     distance diagonal pinned to zero (so exp(0) == 1 exactly), and one k-mer
-    count table for spectrum.
+    count table for spectrum.  The inputs are never written to.
     """
-    square = samples_b is None
-    a = list(samples_a)
-    b = a if square else list(samples_b)
-    if not a or not b:
+    square = b is None
+    if len(a) == 0 or (not square and len(b) == 0):
         raise EmptyInput("a kernel block needs at least one sample on each side")
-    both = a if square else a + b
     if spec.kind == "spectrum":
-        _require_strings(spec, both)
-        rows = _kmer_count_rows([s.payload for s in both], spec.kmer)
         na = len(a)
+        rows = _kmer_count_rows(_strings(a) if square else _strings(a) + _strings(b), spec.kmer)
         if isinstance(rows, np.ndarray):
             return rows @ rows.T if square else rows[:na] @ rows[na:].T
         rows_b = rows if square else rows[na:]
-        out = np.zeros((na, len(b)))
+        out = np.zeros((na, len(rows_b)))
         for i in range(na):
-            for j in range(len(b)):
+            for j in range(len(rows_b)):
                 out[i, j] = _kmer_dot(rows[i], rows_b[j])
         return out
     if spec.kind == "precomputed":
-        ia = np.array([_precomputed_index(spec, s) for s in a], dtype=np.intp)
-        ib = ia if square else np.array([_precomputed_index(spec, s) for s in b], dtype=np.intp)
+        ia = _matrix_rows(spec, a)
+        ib = ia if square else _matrix_rows(spec, b)
         return spec.matrix[np.ix_(ia, ib)]
-    _require_vectors(spec, both)
-    xa = np.vstack([s.payload for s in a])
-    xb = xa if square else np.vstack([s.payload for s in b])
+    xa = _vectors(spec, a)
+    xb = xa if square else _vectors(spec, b)
+    if xa.shape[1] != xb.shape[1]:
+        raise DimensionError(f"dimension {xa.shape[1]} on one side, {xb.shape[1]} on the other")
     gram = xa @ xb.T
     if spec.kind == "linear":
         return gram
@@ -295,20 +279,20 @@ def _block(spec: KernelSpec, samples_a, samples_b=None) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
-def kernel_matrix(spec: KernelSpec, samples) -> KernelMatrix:
-    """Gram matrix over a nonempty list of homogeneous samples.
+def kernel_matrix(spec: KernelSpec, x) -> KernelMatrix:
+    """Gram matrix over a nonempty (n, d) array, sequence of strings, or of precomputed keys.
 
     Each unordered pair is represented by its upper-triangle value and
     mirrored, so entries[i, j] == entries[j, i] holds exactly.
     """
-    return KernelMatrix(_mirror_upper(_block(spec, samples)))
+    return KernelMatrix(_mirror_upper(_block(spec, x)))
 
 
-def kernel_cross(spec: KernelSpec, samples_a, samples_b) -> np.ndarray:
+def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
     """Rectangular block K(a_i, b_j); used for scoring new samples."""
-    return _block(spec, samples_a, samples_b)
+    return _block(spec, a, b)
 
 
-def eval_kernel(spec: KernelSpec, a: Sample, b: Sample) -> float:
+def eval_kernel(spec: KernelSpec, a, b) -> float:
     """K(a, b) for a single pair of samples, through the square block."""
-    return float(kernel_matrix(spec, (a, b)).entries[0, 1])
+    return float(kernel_matrix(spec, [a, b]).entries[0, 1])

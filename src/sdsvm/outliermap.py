@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, IoError, ParseError, write_text
+from .errors import EmptyInput, ParseError, read_text, write_text
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
@@ -94,11 +94,7 @@ def parse_csv(source) -> list:
     elif isinstance(source, str) and "\n" in source:
         text = source
     else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise IoError(f"cannot read {source!r}: {exc}") from exc
+        text = read_text(source)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)

@@ -34,7 +34,6 @@ from .outlyingness import (
 from .rng import Stream, derive_key
 from .svm import (
     DEFAULT_TOL,
-    LabeledSet,
     SvmModel,
     decision_values,
     model_from_text,
@@ -147,17 +146,19 @@ def _floor_count(kappa: float, n: int) -> int:
 def trim(
     report_minus: OutlyingnessReport,
     report_plus: OutlyingnessReport,
-    labels: LabeledSet,
+    labels,
     kappa: float,
 ) -> TrimPlan:
     """Keep the h = floor(kappa * n) least outlying samples of each group.
+
+    labels is the -1/+1 label array of the whole dataset.
 
     Ties at the cut are broken by ascending original index; +inf outlyingness
     always sorts last, so such samples are trimmed first.
     """
     if not 0.5 <= kappa <= 1.0:
         raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
-    y = labels.labels
+    y = np.asarray(labels, dtype=np.float64)
     minus_idx = np.flatnonzero(y < 0)
     plus_idx = np.flatnonzero(y > 0)
     if report_minus.k != minus_idx.size or report_plus.k != plus_idx.size:
@@ -170,8 +171,8 @@ def trim(
     if h_minus == 0 or h_plus == 0:
         raise GroupEmptyAfterTrim(f"h-={h_minus}, h+={h_plus} after flooring kappa={kappa}")
 
-    r_full = np.zeros(len(labels))
-    trimmed = np.ones(len(labels), dtype=bool)
+    r_full = np.zeros(y.shape[0])
+    trimmed = np.ones(y.shape[0], dtype=bool)
     retained = {}
     for group_idx, report, h, key in (
         (minus_idx, report_minus, h_minus, "minus"),
@@ -207,22 +208,25 @@ def _fold_assignment(labels: np.ndarray, folds: int, seed: int, stratified: bool
     return assignment
 
 
-def select_C(omega_t: KernelMatrix, labels_t: LabeledSet, cv: CvConfig) -> CvSelection:
+def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     """Mean CV misclassification per grid point; argmin, ties to smallest C.
+
+    labels_t is the -1/+1 label array of the retained set.
 
     Folds are stratified from the seed by default and clamped down to the
     smaller class size when necessary.  Grid points whose folds fail to
     converge are recorded as nan and skipped; if every point fails the
     ConvergenceError propagates.
     """
-    y = labels_t.labels
-    if labels_t.n_minus == 0 or labels_t.n_plus == 0:
+    y = np.asarray(labels_t, dtype=np.float64)
+    n_minus = int(np.count_nonzero(y < 0))
+    n_plus = int(np.count_nonzero(y > 0))
+    if n_minus == 0 or n_plus == 0:
         raise SingleClassError("cross-validation needs both classes in the retained set")
-    folds = min(cv.folds, labels_t.n_minus, labels_t.n_plus)
+    folds = min(cv.folds, n_minus, n_plus)
     if folds < 2:
         raise SingleClassError(
-            f"smallest class has {min(labels_t.n_minus, labels_t.n_plus)} samples; "
-            "cannot form 2 folds"
+            f"smallest class has {min(n_minus, n_plus)} samples; cannot form 2 folds"
         )
     assignment = _fold_assignment(y, folds, cv.seed, cv.stratified)
     entries = omega_t.entries
@@ -237,9 +241,7 @@ def select_C(omega_t: KernelMatrix, labels_t: LabeledSet, cv: CvConfig) -> CvSel
                 test_mask = assignment == f
                 train_idx = np.flatnonzero(~test_mask)
                 test_idx = np.flatnonzero(test_mask)
-                sub = KernelMatrix(entries[np.ix_(train_idx, train_idx)])
-                sub_labels = LabeledSet(indices=tuple(train_idx.tolist()), labels=y[train_idx])
-                model = solve_dual(sub, sub_labels, c)
+                model = solve_dual(omega_t.take(train_idx), y[train_idx], c)
                 f_vals = decision_values(model, entries[np.ix_(train_idx, test_idx)])
                 rates.append(float(np.mean(sign_labels(f_vals) != y[test_idx])))
         except ConvergenceError as exc:
@@ -277,7 +279,6 @@ def fit_sdsvm(
     if cv is None:
         cv = CvConfig()
     labels = np.asarray(dataset.labels, dtype=np.float64)
-    n = labels.shape[0]
     minus_idx = np.flatnonzero(labels < 0)
     plus_idx = np.flatnonzero(labels > 0)
     if minus_idx.size < 3 or plus_idx.size < 3:
@@ -289,7 +290,7 @@ def fit_sdsvm(
             ),
         )
 
-    omega = run_stage("kernel", kernel_matrix, spec, dataset.samples)
+    omega = run_stage("kernel", kernel_matrix, spec, dataset.x)
 
     def per_group_reports():
         reports = []
@@ -304,11 +305,10 @@ def fit_sdsvm(
     (report_minus, report_plus), (policy_minus, policy_plus) = run_stage(
         "outlyingness", per_group_reports
     )
-    full_set = LabeledSet(indices=tuple(range(n)), labels=labels)
-    plan = run_stage("trim", trim, report_minus, report_plus, full_set, kappa)
+    plan = run_stage("trim", trim, report_minus, report_plus, labels, kappa)
 
     retained = np.array(plan.retained, dtype=np.intp)
-    labels_t = LabeledSet(indices=tuple(retained.tolist()), labels=labels[retained])
+    labels_t = labels[retained]
     omega_t = omega.take(retained)
 
     if len(cv.grid) == 1:
@@ -329,7 +329,7 @@ def fit_sdsvm(
         chosen_c,
         tol,
         spec=spec,
-        ids=tuple(dataset.samples[i].id for i in retained),
+        ids=tuple(dataset.ids[i] for i in retained),
     )
 
     return FitResult(
@@ -339,7 +339,7 @@ def fit_sdsvm(
         cv_table=tuple(cv_table),
         folds_used=folds_used,
         decision_values=decision_values(model, omega.entries[retained]),
-        ids=tuple(s.id for s in dataset.samples),
+        ids=dataset.ids,
         labels=labels,
         spec=spec,
         kappa=float(kappa),
@@ -391,7 +391,7 @@ def fit_to_text(fit: FitResult) -> str:
 
 
 def fit_from_text(text: str) -> FitResult:
-    """Rebuild a FitResult from its report (payloads are not serialized).
+    """Rebuild a FitResult from its report (samples are not serialized).
 
     Raises SerializationError, and nothing else, on a malformed report.
     """

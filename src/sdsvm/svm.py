@@ -41,37 +41,6 @@ _CURVATURE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class LabeledSet:
-    """Sample indices into a parent dataset plus their -1/+1 labels."""
-
-    indices: tuple
-    labels: np.ndarray
-
-    def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        lab = np.asarray(self.labels, dtype=np.float64).ravel()
-        if len(idx) != lab.shape[0]:
-            raise DimensionError(f"{len(idx)} indices vs {lab.shape[0]} labels")
-        if not np.all(np.isin(lab, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
-        lab = lab.copy()
-        lab.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "labels", lab)
-
-    @property
-    def n_minus(self) -> int:
-        return int(np.count_nonzero(self.labels < 0))
-
-    @property
-    def n_plus(self) -> int:
-        return int(np.count_nonzero(self.labels > 0))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class SvmModel:
     """Fitted dual solution over the retained training samples."""
 
@@ -107,30 +76,32 @@ def dual_objective(omega: KernelMatrix, labels, alpha) -> float:
 
 def solve_dual(
     omega_t: KernelMatrix,
-    labels: LabeledSet,
+    labels,
     c: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     spec: KernelSpec | None = None,
     ids=None,
 ) -> SvmModel:
-    """Solve the dual on the retained set's kernel matrix.
+    """Solve the dual on the retained set's kernel matrix and its -1/+1 labels.
 
-    The model records `ids` for its retained samples, or the label set's
-    indices when none are given.
+    The model records `ids` for its retained samples, 0..n-1 when none are
+    given.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
     Raises SingleClassError when one class is absent and ConvergenceError
-    (carrying the residual violation) when the pair-update cap is hit.
+    (carrying the residual violation) when the pair-update cap is hit or the
+    violation turns nan.
     """
-    y = labels.labels
-    n = len(labels)
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    n = y.shape[0]
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
     if omega_t.k != n:
         raise DimensionError(f"kernel matrix is {omega_t.k}x{omega_t.k} but {n} labels given")
-    if labels.n_minus == 0 or labels.n_plus == 0:
-        raise SingleClassError(
-            f"training needs both classes, got n-={labels.n_minus} n+={labels.n_plus}"
-        )
+    n_minus = int(np.count_nonzero(y < 0))
+    if n_minus == 0 or n_minus == n:
+        raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
     kk = omega_t.entries
@@ -153,6 +124,11 @@ def solve_dual(
         j = int(np.argmin(low_vals))
         gap = up_vals[i] - low_vals[j]
         if not gap > tol:
+            if np.isnan(gap):
+                raise ConvergenceError(
+                    f"KKT violation became nan after {iterations - 1} pair updates",
+                    max_violation=float(gap),
+                )
             break
         quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], _CURVATURE_FLOOR)
         lam = min(upper[i] - beta[i], beta[j] - lower[j], gap / quad)
@@ -180,7 +156,7 @@ def solve_dual(
         alpha=alpha,
         labels=y,
         bias=bias,
-        ids=labels.indices if ids is None else ids,
+        ids=range(n) if ids is None else ids,
         c=float(c),
         tol=float(tol),
         spec=spec,
@@ -231,7 +207,7 @@ def model_to_text(model: SvmModel) -> str:
 
 
 def model_from_text(text: str) -> SvmModel:
-    """Inverse of model_to_text (payloads are not serialized).
+    """Inverse of model_to_text (samples are not serialized).
 
     Raises SerializationError, and nothing else, on a malformed block.
     """

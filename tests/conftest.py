@@ -21,11 +21,6 @@ def linear_spec():
     return KernelSpec(kind="linear")
 
 
-def make_vectors(rows, ids=None):
-    """Samples from a 2-D array, ids defaulting to 1-based positions."""
-    from sdsvm import Sample
-
-    rows = np.asarray(rows, dtype=np.float64)
-    if ids is None:
-        ids = range(1, rows.shape[0] + 1)
-    return [Sample(id=i, payload=row) for i, row in zip(ids, rows)]
+def make_vectors(rows):
+    """Vector samples as one (n, d) float64 array."""
+    return np.asarray(rows, dtype=np.float64)

@@ -17,8 +17,6 @@ from sdsvm import (
     Dataset,
     DirectionPolicy,
     KernelSpec,
-    LabeledSet,
-    Sample,
     SimulationSpec,
     build_map,
     decision_values,
@@ -74,7 +72,7 @@ def _directions_well_conditioned(om, min_sq=1e-3, min_mad=1e-2):
 
 
 def samples_of(rows):
-    return [Sample(id=i + 1, payload=row) for i, row in enumerate(rows)]
+    return np.asarray(rows, dtype=np.float64)
 
 
 def labels_st(n):
@@ -119,11 +117,11 @@ def prop_kernel_cauchy_schwarz(spec, rows):
 )
 def prop_kernel_spectrum_matches_brute_force(kmer, s1, s2):
     spec = KernelSpec(kind="spectrum", kmer=kmer)
-    forward = eval_kernel(spec, Sample(1, s1), Sample(2, s2))
-    backward = eval_kernel(spec, Sample(1, s2), Sample(2, s1))
+    forward = eval_kernel(spec, s1, s2)
+    backward = eval_kernel(spec, s2, s1)
     assert forward == backward
     assert forward == spectrum_dot_brute(s1, s2, kmer)
-    om = kernel_matrix(spec, [Sample(1, s1), Sample(2, s2)]).entries
+    om = kernel_matrix(spec, [s1, s2]).entries
     assert om[0, 1] == forward
     assert om[0, 1] ** 2 <= om[0, 0] * om[1, 1] + 1e-9
 
@@ -216,8 +214,7 @@ def svm_instance_st(n_max=6, d_max=3, c_max=30.0, elements=finite):
 def prop_svm_objective_reaches_oracle(instance):
     rows, y, c = instance
     om = kernel_matrix(LINEAR, samples_of(rows))
-    labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
-    model = solve_dual(om, labels, c, tol=1e-8)
+    model = solve_dual(om, y, c, tol=1e-8)
     ours = dual_objective(om, y, model.alpha)
     oracle, _ = dual_qp_oracle(om.entries, y, c)
     assert ours >= -1e-12
@@ -229,9 +226,8 @@ def prop_svm_objective_reaches_oracle(instance):
 def prop_svm_complementary_slackness(instance):
     rows, y, c = instance
     om = kernel_matrix(LINEAR, samples_of(rows))
-    labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
     tol = 1e-6
-    model = solve_dual(om, labels, c, tol)
+    model = solve_dual(om, y, c, tol)
     margins = y * decision_values(model, om.entries)
     slack = tol + 1e-9
     for i in range(len(y)):
@@ -245,8 +241,8 @@ def prop_svm_complementary_slackness(instance):
 def prop_svm_label_flip_antisymmetry(instance):
     rows, y, c = instance
     om = kernel_matrix(LINEAR, samples_of(rows))
-    model_pos = solve_dual(om, LabeledSet(indices=tuple(range(len(y))), labels=y), c, tol=1e-10)
-    model_neg = solve_dual(om, LabeledSet(indices=tuple(range(len(y))), labels=-y), c, tol=1e-10)
+    model_pos = solve_dual(om, y, c, tol=1e-10)
+    model_neg = solve_dual(om, -y, c, tol=1e-10)
     f_pos = decision_values(model_pos, om.entries)
     f_neg = decision_values(model_neg, om.entries)
     assert np.all(np.abs(f_pos + f_neg) < 1e-8)
@@ -267,8 +263,7 @@ def prop_svm_permutation_invariance(instance, rng):
     def fit_and_score(order):
         ordered = rows[order]
         om = kernel_matrix(LINEAR, samples_of(ordered))
-        labels = LabeledSet(indices=tuple(range(n)), labels=y[order])
-        model = solve_dual(om, labels, c, tol=1e-10)
+        model = solve_dual(om, y[order], c, tol=1e-10)
         block = kernel_cross(LINEAR, samples_of(ordered), grid_samples)
         return decision_values(model, block)
 
@@ -285,7 +280,7 @@ def dataset_st(n_group_min=3, n_group_max=6, d_max=3):
         n_minus, n_plus, d, seed_rows = args
         rows = seed_rows[: n_minus + n_plus]
         labels = np.concatenate([-np.ones(n_minus), np.ones(n_plus)])
-        return Dataset(samples=tuple(samples_of(rows)), labels=labels, provenance="hyp")
+        return Dataset(x=rows, labels=labels, provenance="hyp")
 
     return st.tuples(
         st.integers(n_group_min, n_group_max),
@@ -312,7 +307,7 @@ def prop_pipeline_trim_idempotent(ds, kappa):
     fit1 = _fit_quietly(ds, kappa)
     retained = list(fit1.plan.retained)
     reduced = Dataset(
-        samples=tuple(ds.samples[i] for i in retained),
+        x=ds.x[retained],
         labels=ds.labels[retained],
         provenance="reduced",
     )
@@ -331,7 +326,7 @@ def prop_pipeline_trim_is_within_group(ds, rng, kappa):
     for original, new in zip(plus_positions, shuffled):
         reordered[original] = new
     ds2 = Dataset(
-        samples=tuple(ds.samples[i] for i in reordered),
+        x=ds.x[reordered],
         labels=ds.labels[np.array(reordered)],
         provenance="perm",
     )
@@ -349,9 +344,8 @@ def prop_pipeline_kappa_one_is_plain_svm(ds, c):
     # kappa 1 retains everything, so both routes hand the solver the same
     # inputs; agreement holds at the default tolerance already.
     fit = _fit_quietly(ds, 1.0, c=c, tol=1e-3)
-    om = kernel_matrix(LINEAR, ds.samples)
-    labels = LabeledSet(indices=tuple(range(len(ds))), labels=ds.labels)
-    plain = solve_dual(om, labels, c, tol=1e-3)
+    om = kernel_matrix(LINEAR, ds.x)
+    plain = solve_dual(om, ds.labels, c, tol=1e-3)
     assert np.all(
         np.abs(fit.decision_values - decision_values(plain, om.entries)) < 1e-8
     )
@@ -363,7 +357,7 @@ def prop_pipeline_kappa_one_is_plain_svm(ds, c):
     st.sampled_from([0.8, 0.9, 1.0]),
 )
 def prop_pipeline_monotone_retention(ds, kappa_small, kappa_big):
-    om = kernel_matrix(LINEAR, ds.samples)
+    om = kernel_matrix(LINEAR, ds.x)
     minus = np.flatnonzero(ds.labels < 0)
     plus = np.flatnonzero(ds.labels > 0)
     try:
@@ -371,9 +365,8 @@ def prop_pipeline_monotone_retention(ds, kappa_small, kappa_big):
         report_plus = outlyingness(om.take(plus), DirectionPolicy(mode="exhaustive"))
     except NoValidDirections:
         assume(False)
-    labels = LabeledSet(indices=tuple(range(len(ds))), labels=ds.labels)
-    plan_small = trim(report_minus, report_plus, labels, kappa_small)
-    plan_big = trim(report_minus, report_plus, labels, kappa_big)
+    plan_small = trim(report_minus, report_plus, ds.labels, kappa_small)
+    plan_big = trim(report_minus, report_plus, ds.labels, kappa_big)
     assert set(plan_small.retained) <= set(plan_big.retained)
 
 
@@ -432,8 +425,7 @@ def prop_data_generators_are_pure(spec, run):
     second_train, second_test = gen_simulation(spec, run)
     for a, b in ((first_train, second_train), (first_test, second_test)):
         assert np.array_equal(a.labels, b.labels)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.payload, sb.payload)
+        assert np.array_equal(a.x, b.x)
 
 
 @given(small_sim_spec_st())

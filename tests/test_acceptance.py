@@ -18,9 +18,7 @@ import pytest
 from sdsvm import (
     DirectionPolicy,
     KernelSpec,
-    LabeledSet,
     SimulationSpec,
-    Sample,
     build_map,
     decision_values,
     dual_objective,
@@ -159,8 +157,7 @@ def test_criterion_5_kernel_trick_equivalence():
         k = 3 + int(stream.uniforms(1)[0] * 18)  # 3..20
         d = 1 + int(stream.uniforms(1)[0] * 5)  # 1..5
         rows = stream.normals(k * d).reshape(k, d)
-        samples = [Sample(id=i, payload=row) for i, row in enumerate(rows)]
-        om = kernel_matrix(LINEAR, samples)
+        om = kernel_matrix(LINEAR, rows)
         report = outlyingness(om, DirectionPolicy(mode="exhaustive"))
         pairs = enumerate_directions(k, DirectionPolicy(mode="exhaustive"), om)
         expected = sd_outlyingness_input_space(rows, pairs)
@@ -183,9 +180,8 @@ def test_criterion_6_qp_oracle_equivalence():
         if np.all(labels_arr == labels_arr[0]):
             labels_arr[0] = -labels_arr[0]
         c = 10.0 ** (stream.uniforms(1)[0] * 3.0 - 1.5)
-        om = kernel_matrix(LINEAR, [Sample(id=i, payload=row) for i, row in enumerate(rows)])
-        labeled = LabeledSet(indices=tuple(range(n)), labels=labels_arr)
-        model = solve_dual(om, labeled, c, tol)
+        om = kernel_matrix(LINEAR, rows)
+        model = solve_dual(om, labels_arr, c, tol)
         ours = dual_objective(om, labels_arr, model.alpha)
         oracle, _ = dual_qp_oracle(om.entries, labels_arr, c)
         worst_gap = max(worst_gap, abs(ours - oracle))

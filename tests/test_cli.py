@@ -68,10 +68,17 @@ class TestValidation:
             (["fit", "{tmp}/d.csv", "--out-fit", "{tmp}/no/dir/x.fit"], 2, "error in write"),
             (["toy", "--out-fit", "{tmp}/no/dir/x.fit"], 2, "error in write"),
             (["simulate", "--kappas", "0.5,abc"], 1, "--kappas"),
+            (["fit", "{tmp}/bin.dat"], 2, "error in load"),
+            (["map", "--fit", "{tmp}/bin.dat"], 2, "error in load"),
+            (["fit", "{tmp}/s.fasta", "--labels", "{tmp}/bin.dat", "--kernel", "spectrum"], 2, "error in load"),
+            (["fit", "{tmp}/nan.csv"], 2, "line 3: non-finite"),
         ],
     )
     def test_bad_path_or_value_exits_with_stage(self, tmp_path, capsys, argv, code, stage):
         (tmp_path / "d.csv").write_text("0,0,-1\n1,0,-1\n0,1,-1\n3,3,1\n4,3,1\n3,4,1\n")
+        (tmp_path / "nan.csv").write_text("0,0,-1\n1,0,-1\n0,nan,-1\n3,3,1\n4,3,1\n3,4,1\n")
+        (tmp_path / "bin.dat").write_bytes(bytes(range(128, 256)) * 3)
+        (tmp_path / "s.fasta").write_text(">a\nACGT\n>b\nGGTT\n")
         argv = [tok.format(tmp=tmp_path) for tok in argv]
         got, _, err = run_cli(capsys, *argv)
         assert got == code
@@ -144,6 +151,15 @@ class TestSimulate:
         assert code == 0
         assert target.read_text().splitlines()[0] == "run,kappa,error"
         assert out.splitlines()[0] == "kappa,median,q1,q3"
+
+
+    def test_every_cell_failing_exits_2_without_table(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--runs", "1", "--n", "2", "--d", "3", "--test-size", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error in simulate" in err and "PipelineError" in err
 
 
 class TestMap:

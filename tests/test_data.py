@@ -35,17 +35,17 @@ class TestLoadCsv:
         ds = load_csv(self.write(tmp_path, "1,2,-1\n3,4,1\n"))
         assert len(ds) == 2
         assert np.array_equal(ds.labels, [-1.0, 1.0])
-        assert np.array_equal(ds.samples[0].payload, [1.0, 2.0])
-        assert ds.samples[0].id == 1 and ds.samples[1].id == 2
+        assert np.array_equal(ds.x[0], [1.0, 2.0])
+        assert ds.ids[0] == 1 and ds.ids[1] == 2
 
     def test_first_column_labels(self, tmp_path):
         ds = load_csv(self.write(tmp_path, "-1,5,6\n1,7,8\n"), label_col="first")
-        assert np.array_equal(ds.samples[0].payload, [5.0, 6.0])
+        assert np.array_equal(ds.x[0], [5.0, 6.0])
 
     def test_integer_label_column(self, tmp_path):
         ds = load_csv(self.write(tmp_path, "5,-1,6\n7,1,8\n"), label_col=1)
         assert np.array_equal(ds.labels, [-1.0, 1.0])
-        assert np.array_equal(ds.samples[0].payload, [5.0, 6.0])
+        assert np.array_equal(ds.x[0], [5.0, 6.0])
 
     def test_zero_label_rejected(self, tmp_path):
         with pytest.raises(LabelError) as excinfo:
@@ -66,6 +66,12 @@ class TestLoadCsv:
             load_csv(self.write(tmp_path, "1,x,-1\n"))
         assert excinfo.value.line == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        with pytest.raises(ParseError, match="non-finite") as excinfo:
+            load_csv(self.write(tmp_path, f"1,2,-1\n3,{cell},1\n"))
+        assert excinfo.value.line == 2
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ParseError):
             load_csv(self.write(tmp_path, ""))
@@ -76,8 +82,7 @@ class TestLoadCsv:
         save_csv(original, target)
         back = load_csv(target)
         assert np.array_equal(back.labels, original.labels)
-        for a, b in zip(back.samples, original.samples):
-            assert np.array_equal(a.payload, b.payload)
+        assert np.array_equal(back.x, original.x)
 
 
 class TestLoadFasta:
@@ -91,13 +96,13 @@ class TestLoadFasta:
     def test_two_records(self, tmp_path):
         ds = load_fasta(*self.write(tmp_path, ">a\nACGT\n>b\nGGTT\n", "a 1\nb -1\n"))
         assert len(ds) == 2
-        assert ds.samples[0].payload == "ACGT"
-        assert ds.samples[0].id == "a"
+        assert ds.x[0] == "ACGT"
+        assert ds.ids[0] == "a"
         assert np.array_equal(ds.labels, [1.0, -1.0])
 
     def test_multi_line_sequence_concatenated(self, tmp_path):
         ds = load_fasta(*self.write(tmp_path, ">a desc here\nACGT\nTTAA\nG\n", "a 1\n"))
-        assert ds.samples[0].payload == "ACGTTTAAG"
+        assert ds.x[0] == "ACGTTTAAG"
 
     def test_missing_label(self, tmp_path):
         with pytest.raises(MissingLabel) as excinfo:
@@ -122,7 +127,7 @@ class TestGenerators:
         train, test = gen_simulation(SimulationSpec(), 0)
         assert len(train) == 50
         assert len(test) == 600
-        assert train.samples[0].payload.shape == (1000,)
+        assert train.x[0].shape == (1000,)
 
     def test_contaminated_adds_eight(self):
         train, _ = gen_simulation(SimulationSpec(outliers_per_group=4), 0)
@@ -135,20 +140,19 @@ class TestGenerators:
         b_train, b_test = gen_simulation(spec, 3)
         for a, b in ((a_train, b_train), (a_test, b_test)):
             assert np.array_equal(a.labels, b.labels)
-            for sa, sb in zip(a.samples, b.samples):
-                assert np.array_equal(sa.payload, sb.payload)
+            assert np.array_equal(a.x, b.x)
 
     def test_different_runs_differ(self):
         spec = SimulationSpec(n_per_group=4, dim=6, test_size=8)
         a, _ = gen_simulation(spec, 0)
         b, _ = gen_simulation(spec, 1)
-        assert not np.array_equal(a.samples[0].payload, b.samples[0].payload)
+        assert not np.array_equal(a.x[0], b.x[0])
 
     def test_toy_layout(self):
         ds = gen_toy(0)
         assert len(ds) == 66
-        assert np.array_equal(ds.samples[65].payload, [0.0, 0.0])
-        assert ds.samples[65].id == 66
+        assert np.array_equal(ds.x[65], [0.0, 0.0])
+        assert ds.ids[65] == 66
         assert np.array_equal(ds.labels[:30], -np.ones(30))
         assert np.array_equal(ds.labels[30:], np.ones(36))
 
@@ -156,14 +160,13 @@ class TestGenerators:
     def test_toy_jitter_stays_near_centers(self, seed):
         ds = gen_toy(seed)
         for i in (60, 61, 62):
-            assert np.linalg.norm(ds.samples[i].payload - [5.0, 7.0]) < 1.5
+            assert np.linalg.norm(ds.x[i] - [5.0, 7.0]) < 1.5
         for i in (63, 64):
-            assert np.linalg.norm(ds.samples[i].payload - [5.0, -5.0]) < 1.5
+            assert np.linalg.norm(ds.x[i] - [5.0, -5.0]) < 1.5
 
     def test_toy_determinism(self):
         a, b = gen_toy(9), gen_toy(9)
-        for sa, sb in zip(a.samples, b.samples):
-            assert np.array_equal(sa.payload, sb.payload)
+        assert np.array_equal(a.x, b.x)
 
     def test_group_means_land_where_declared(self):
         # loose aggregate sanity check on the generator marginals
@@ -171,7 +174,7 @@ class TestGenerators:
         pooled_minus, pooled_plus = [], []
         for run in range(5):
             train, _ = gen_simulation(spec, run)
-            x = np.vstack([s.payload for s in train.samples])
+            x = train.x
             pooled_minus.append(x[:40].mean())
             pooled_plus.append(x[40:].mean())
         n_values = 5 * 40 * 50
@@ -231,13 +234,9 @@ class TestRunSimulation:
 
 class TestDatasetValidation:
     def test_label_alignment_checked(self):
-        from sdsvm import Sample
-
         with pytest.raises(ValueError):
-            Dataset(samples=(Sample(1, [0.0]),), labels=np.array([1.0, -1.0]))
+            Dataset(x=np.zeros((1, 1)), labels=np.array([1.0, -1.0]))
 
     def test_label_values_checked(self):
-        from sdsvm import Sample
-
         with pytest.raises(ValueError):
-            Dataset(samples=(Sample(1, [0.0]),), labels=np.array([2.0]))
+            Dataset(x=np.zeros((1, 1)), labels=np.array([2.0]))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
-from sdsvm import KernelMatrix, KernelSpec, Sample, eval_kernel, kernel_cross, kernel_matrix
+import sdsvm.kernels
+from sdsvm import KernelMatrix, KernelSpec, eval_kernel, kernel_cross, kernel_matrix
 from sdsvm.errors import DimensionError, EmptyInput, KernelTypeError
 
 from conftest import make_vectors
@@ -42,50 +43,50 @@ class TestKernelSpec:
 
 class TestEvalKernel:
     def test_linear_dot_by_hand(self):
-        value = eval_kernel(KernelSpec(), Sample(1, [1.0, 2.0]), Sample(2, [3.0, 4.0]))
+        value = eval_kernel(KernelSpec(), [1.0, 2.0], [3.0, 4.0])
         assert value == 11.0
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.5])
     def test_rbf_same_point_is_one(self, gamma):
-        s = Sample(1, [0.3, -2.0, 5.0])
+        s = [0.3, -2.0, 5.0]
         assert eval_kernel(KernelSpec(kind="rbf", gamma=gamma), s, s) == 1.0
 
     def test_rbf_formula(self):
         spec = KernelSpec(kind="rbf", gamma=0.5)
-        value = eval_kernel(spec, Sample(1, [0.0]), Sample(2, [2.0]))
+        value = eval_kernel(spec, [0.0], [2.0])
         assert value == pytest.approx(np.exp(-0.5 * 4.0), rel=1e-15)
 
     def test_polynomial_formula(self):
         spec = KernelSpec(kind="polynomial", gamma=2.0, degree=3, coef0=1.0)
-        value = eval_kernel(spec, Sample(1, [1.0, 1.0]), Sample(2, [2.0, 0.0]))
+        value = eval_kernel(spec, [1.0, 1.0], [2.0, 0.0])
         assert value == (2.0 * 2.0 + 1.0) ** 3
 
     def test_spectrum_shared_twomer(self):
         spec = KernelSpec(kind="spectrum", kmer=2)
-        assert eval_kernel(spec, Sample(1, "AAB"), Sample(2, "ABA")) == 1.0
+        assert eval_kernel(spec, "AAB", "ABA") == 1.0
 
     def test_spectrum_short_string_gives_zero(self):
         spec = KernelSpec(kind="spectrum", kmer=4)
-        assert eval_kernel(spec, Sample(1, "AB"), Sample(2, "ABAB")) == 0.0
+        assert eval_kernel(spec, "AB", "ABAB") == 0.0
 
     def test_payload_kind_mismatch(self):
         with pytest.raises(KernelTypeError):
-            eval_kernel(KernelSpec(), Sample(1, "ACGT"), Sample(2, "ACGT"))
+            eval_kernel(KernelSpec(), "ACGT", "ACGT")
         with pytest.raises(KernelTypeError):
-            eval_kernel(KernelSpec(kind="spectrum", kmer=2), Sample(1, [1.0]), Sample(2, [2.0]))
+            eval_kernel(KernelSpec(kind="spectrum", kmer=2), [1.0], [2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            eval_kernel(KernelSpec(), Sample(1, [1.0, 2.0]), Sample(2, [1.0]))
+            eval_kernel(KernelSpec(), [1.0, 2.0], [1.0])
 
     def test_precomputed_by_index_and_id(self):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])
         by_index = KernelSpec(kind="precomputed", matrix=m)
-        assert eval_kernel(by_index, Sample(1, 0), Sample(2, 1)) == 0.5
+        assert eval_kernel(by_index, 0, 1) == 0.5
         by_id = KernelSpec(kind="precomputed", matrix=m, ids=("a", "b"))
-        assert eval_kernel(by_id, Sample(1, "b"), Sample(2, "b")) == 2.0
+        assert eval_kernel(by_id, "b", "b") == 2.0
         with pytest.raises(KernelTypeError):
-            eval_kernel(by_id, Sample(1, "zzz"), Sample(2, "a"))
+            eval_kernel(by_id, "zzz", "a")
 
 
 class TestKernelMatrix:
@@ -124,19 +125,19 @@ class TestKernelMatrix:
             kernel_matrix(KernelSpec(), [])
 
     def test_mixed_dimension_names_problem(self):
-        samples = [Sample(1, [1.0, 2.0]), Sample(2, [1.0])]
+        samples = [[1.0, 2.0], [1.0]]
         with pytest.raises(DimensionError):
             kernel_matrix(KernelSpec(), samples)
 
     def test_mixed_payload_kind_reports_index(self):
-        samples = [Sample(1, [1.0]), Sample(2, "ACGT")]
+        samples = [[1.0], "ACGT"]
         with pytest.raises(KernelTypeError, match="sample 1"):
             kernel_matrix(KernelSpec(), samples)
 
     def test_spectrum_matches_brute_force(self):
         strings = ["ACGTACGT", "TTACG", "ACACAC", "GGG"]
         spec = KernelSpec(kind="spectrum", kmer=2)
-        om = kernel_matrix(spec, [Sample(i, s) for i, s in enumerate(strings)])
+        om = kernel_matrix(spec, strings)
         for i, s1 in enumerate(strings):
             for j, s2 in enumerate(strings):
                 assert om.entries[i, j] == spectrum_dot_brute(s1, s2, 2)
@@ -145,7 +146,7 @@ class TestKernelMatrix:
         m = np.arange(16.0).reshape(4, 4)
         m = (m + m.T) / 2.0
         spec = KernelSpec(kind="precomputed", matrix=m)
-        om = kernel_matrix(spec, [Sample(1, 2), Sample(2, 0)])
+        om = kernel_matrix(spec, [2, 0])
         assert np.array_equal(om.entries, m[np.ix_([2, 0], [2, 0])])
 
     def test_take_submatrix(self):
@@ -177,8 +178,8 @@ class TestKernelCross:
 
     def test_spectrum_cross(self):
         spec = KernelSpec(kind="spectrum", kmer=3)
-        a = [Sample(1, "ACGTACG"), Sample(2, "AAAA")]
-        b = [Sample(3, "CGTA")]
+        a = ["ACGTACG", "AAAA"]
+        b = ["CGTA"]
         block = kernel_cross(spec, a, b)
         assert block[0, 0] == spectrum_dot_brute("ACGTACG", "CGTA", 3)
         assert block[1, 0] == 0.0
@@ -203,7 +204,7 @@ class TestExactRecipe:
         rng = np.random.default_rng(3)
         if kind == "spectrum":
             words = ["".join(rng.choice(list("ACGT"), size=n)) for n in rng.integers(1, 30, size=40)]
-            return [Sample(i, w) for i, w in enumerate(words)], words
+            return words, words
         x = rng.normal(size=(40, 13)) * 3.0
         return make_vectors(x), x
 
@@ -217,16 +218,24 @@ class TestExactRecipe:
         expected = kernel_block_recipe(kind, raw[:25], raw[25:], **self.PARAMS[kind])
         assert np.array_equal(cross, expected)
 
+    def test_sparse_kmer_counts_match_dense(self, monkeypatch):
+        spec = KernelSpec(kind="spectrum", **self.PARAMS["spectrum"])
+        words, _ = self._inputs("spectrum")
+        square = kernel_matrix(spec, words).entries
+        cross = kernel_cross(spec, words[:25], words[25:])
+        monkeypatch.setattr(sdsvm.kernels, "_DENSE_KMER_LIMIT", 0)
+        assert np.array_equal(kernel_matrix(spec, words).entries, square)
+        assert np.array_equal(kernel_cross(spec, words[:25], words[25:]), cross)
+
     def test_precomputed_matches_recipe(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(9, 9))
         m = m + m.T
         spec = KernelSpec(kind="precomputed", matrix=m)
         idx = [7, 2, 2, 5, 0]
-        samples = [Sample(i, j) for i, j in enumerate(idx)]
-        square = kernel_matrix(spec, samples).entries
+        square = kernel_matrix(spec, idx).entries
         assert np.array_equal(square, kernel_block_recipe("precomputed", idx, matrix=m))
-        cross = kernel_cross(spec, samples[:2], samples[2:])
+        cross = kernel_cross(spec, idx[:2], idx[2:])
         assert np.array_equal(cross, kernel_block_recipe("precomputed", idx[:2], idx[2:], matrix=m))
 
     @given(
@@ -239,4 +248,4 @@ class TestExactRecipe:
     )
     def test_rbf_self_value_exactly_one(self, v, gamma):
         spec = KernelSpec(kind="rbf", gamma=gamma)
-        assert eval_kernel(spec, Sample(1, v), Sample(2, v)) == 1.0
+        assert eval_kernel(spec, v, v) == 1.0

@@ -8,7 +8,6 @@ from sdsvm import (
     Dataset,
     DirectionPolicy,
     KernelSpec,
-    LabeledSet,
     OutlyingnessReport,
     decision_values,
     fit_from_text,
@@ -24,8 +23,6 @@ from sdsvm import (
 from sdsvm.data import SimulationSpec
 from sdsvm.errors import GroupEmptyAfterTrim, PipelineError, SerializationError, TooFewSamples
 
-from conftest import make_vectors
-
 LINEAR = KernelSpec(kind="linear")
 EXHAUSTIVE = DirectionPolicy(mode="exhaustive")
 
@@ -34,14 +31,9 @@ def report(values):
     return OutlyingnessReport(r=np.asarray(values, dtype=np.float64), policy=EXHAUSTIVE)
 
 
-def labeled(labels):
-    labels = np.asarray(labels, dtype=np.float64)
-    return LabeledSet(indices=tuple(range(len(labels))), labels=labels)
-
-
 class TestTrim:
     def test_half_of_four(self):
-        labels = labeled([-1, -1, -1, -1, 1, 1, 1, 1])
+        labels = [-1, -1, -1, -1, 1, 1, 1, 1]
         plan = trim(report([3.0, 1.0, 2.0, 4.0]), report([1.0, 2.0, 3.0, 4.0]), labels, 0.5)
         assert plan.h_minus == 2 and plan.h_plus == 2
         assert plan.retained_minus == (1, 2)
@@ -49,13 +41,13 @@ class TestTrim:
         assert plan.retained == (1, 2, 4, 5)
 
     def test_kappa_one_keeps_everything(self):
-        labels = labeled([-1, -1, -1, 1, 1, 1])
+        labels = [-1, -1, -1, 1, 1, 1]
         plan = trim(report([5.0, 1.0, 9.0]), report([2.0, 2.0, 2.0]), labels, 1.0)
         assert plan.retained == (0, 1, 2, 3, 4, 5)
         assert not plan.trimmed.any()
 
     def test_tie_at_cut_broken_by_index(self):
-        labels = labeled([1, 1, 1, 1, -1, -1, -1, -1])
+        labels = [1, 1, 1, 1, -1, -1, -1, -1]
         plan = trim(
             report([1.0, 1.0, 1.0, 1.0]),
             report([0.0, 5.0, 5.0, 9.0]),
@@ -68,17 +60,17 @@ class TestTrim:
         assert plan.trimmed[3]
 
     def test_infinite_outlyingness_trimmed_first(self):
-        labels = labeled([-1, -1, -1, 1, 1, 1])
+        labels = [-1, -1, -1, 1, 1, 1]
         plan = trim(report([np.inf, 0.5, 1.0]), report([1.0, 1.0, 1.0]), labels, 0.5)
         assert 0 not in plan.retained_minus
 
     def test_empty_group_after_floor(self):
-        labels = labeled([-1, 1, 1])
+        labels = [-1, 1, 1]
         with pytest.raises(GroupEmptyAfterTrim):
             trim(report([1.0]), report([1.0, 2.0]), labels, 0.5)
 
     def test_kappa_range_validated(self):
-        labels = labeled([-1, 1])
+        labels = [-1, 1]
         for bad in (0.4, 1.2):
             with pytest.raises(ValueError, match="kappa"):
                 trim(report([1.0]), report([1.0]), labels, bad)
@@ -88,7 +80,7 @@ class TestTrim:
         [(0.5, 4, 2), (0.5, 25, 12), (0.7, 25, 17), (0.9, 29, 26), (0.7, 30, 21), (1.0, 25, 25)],
     )
     def test_floor_counts(self, kappa, n, expected):
-        labels = labeled([-1] * n + [1] * n)
+        labels = [-1] * n + [1] * n
         plan = trim(report(np.arange(n)), report(np.arange(n)), labels, kappa)
         assert plan.h_minus == expected
 
@@ -100,14 +92,14 @@ def wide_margin_dataset():
     pos = offsets + [5.0, 0.0]
     rows = np.vstack([neg, pos])
     labels = np.concatenate([-np.ones(9), np.ones(9)])
-    return Dataset(samples=tuple(make_vectors(rows)), labels=labels, provenance="wide-margin")
+    return Dataset(x=rows, labels=labels, provenance="wide-margin")
 
 
 class TestSelectC:
     def test_singleton_grid(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
-        selection = select_C(om, labeled(ds.labels), CvConfig(folds=3, grid=(0.1,)))
+        om = kernel_matrix(LINEAR, ds.x)
+        selection = select_C(om, ds.labels, CvConfig(folds=3, grid=(0.1,)))
         assert selection.c == 0.1
         assert len(selection.table) == 1
         assert selection.table[0][0] == 0.1
@@ -115,46 +107,46 @@ class TestSelectC:
 
     def test_wide_margin_reaches_zero_error(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
-        selection = select_C(om, labeled(ds.labels), CvConfig(folds=3, grid=(0.01, 1.0, 100.0)))
+        om = kernel_matrix(LINEAR, ds.x)
+        selection = select_C(om, ds.labels, CvConfig(folds=3, grid=(0.01, 1.0, 100.0)))
         errors = dict(selection.table)
         assert errors[selection.c] == 0.0
 
     def test_same_seed_same_table(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
+        om = kernel_matrix(LINEAR, ds.x)
         cv = CvConfig(folds=4, grid=(0.01, 0.1, 1.0), seed=9)
-        first = select_C(om, labeled(ds.labels), cv)
-        second = select_C(om, labeled(ds.labels), cv)
+        first = select_C(om, ds.labels, cv)
+        second = select_C(om, ds.labels, cv)
         assert first == second
 
     def test_ties_prefer_smallest_c(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
-        selection = select_C(om, labeled(ds.labels), CvConfig(folds=3, grid=(10.0, 0.5, 2.0)))
+        om = kernel_matrix(LINEAR, ds.x)
+        selection = select_C(om, ds.labels, CvConfig(folds=3, grid=(10.0, 0.5, 2.0)))
         errors = [err for _, err in selection.table]
         assert errors.count(min(errors)) >= 2  # wide margin: many zeros
         assert selection.c == 0.5
 
     def test_folds_clamped_to_min_class(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
-        selection = select_C(om, labeled(ds.labels), CvConfig(folds=10, grid=(0.1, 1.0)))
+        om = kernel_matrix(LINEAR, ds.x)
+        selection = select_C(om, ds.labels, CvConfig(folds=10, grid=(0.1, 1.0)))
         assert selection.folds_used == 9
 
     def test_unstratified_folds_still_deterministic(self):
         ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.samples)
+        om = kernel_matrix(LINEAR, ds.x)
         cv = CvConfig(folds=3, grid=(0.1, 1.0), seed=2, stratified=False)
-        assert select_C(om, labeled(ds.labels), cv) == select_C(om, labeled(ds.labels), cv)
+        assert select_C(om, ds.labels, cv) == select_C(om, ds.labels, cv)
 
 
 class TestFitSdsvm:
     def test_kappa_one_singleton_equals_plain_svm(self):
         ds = wide_margin_dataset()
         fit = fit_sdsvm(ds, LINEAR, kappa=1.0, cv=CvConfig(grid=(0.25,)))
-        om = kernel_matrix(LINEAR, ds.samples)
-        plain = solve_dual(om, labeled(ds.labels), 0.25)
+        om = kernel_matrix(LINEAR, ds.x)
+        plain = solve_dual(om, ds.labels, 0.25)
         np.testing.assert_allclose(fit.model.alpha, plain.alpha, atol=1e-8)
         assert fit.model.bias == pytest.approx(plain.bias, abs=1e-8)
         np.testing.assert_allclose(
@@ -193,9 +185,7 @@ class TestFitSdsvm:
 
     def test_group_size_precondition(self):
         rows = np.arange(8.0).reshape(4, 2)
-        ds = Dataset(
-            samples=tuple(make_vectors(rows)), labels=np.array([-1.0, -1.0, 1.0, 1.0])
-        )
+        ds = Dataset(x=rows, labels=np.array([-1.0, -1.0, 1.0, 1.0]))
         with pytest.raises(PipelineError) as excinfo:
             fit_sdsvm(ds, LINEAR)
         assert excinfo.value.stage == "validate"
@@ -203,10 +193,7 @@ class TestFitSdsvm:
 
     def test_stage_label_on_degenerate_groups(self):
         rows = np.ones((8, 2))
-        ds = Dataset(
-            samples=tuple(make_vectors(rows)),
-            labels=np.array([-1.0] * 4 + [1.0] * 4),
-        )
+        ds = Dataset(x=rows, labels=np.array([-1.0] * 4 + [1.0] * 4))
         with pytest.raises(PipelineError) as excinfo:
             fit_sdsvm(ds, LINEAR)
         assert excinfo.value.stage == "outlyingness"

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sdsvm import (
+    KernelMatrix,
     KernelSpec,
-    LabeledSet,
     decision_value,
     decision_values,
     dual_objective,
@@ -23,10 +25,8 @@ LINEAR = KernelSpec(kind="linear")
 
 
 def two_point_model(c=10.0, tol=1e-3):
-    samples = make_vectors([[-1.0], [1.0]])
-    om = kernel_matrix(LINEAR, samples)
-    labels = LabeledSet(indices=(0, 1), labels=[-1.0, 1.0])
-    return solve_dual(om, labels, c, tol, spec=LINEAR, ids=tuple(s.id for s in samples))
+    om = kernel_matrix(LINEAR, make_vectors([[-1.0], [1.0]]))
+    return solve_dual(om, [-1.0, 1.0], c, tol, spec=LINEAR, ids=(1, 2))
 
 
 def random_instance(seed, n_max=6, d_max=3):
@@ -54,9 +54,8 @@ class TestSolveDual:
     def test_tiny_c_collapses_box(self):
         x, y, _ = random_instance(3)
         om = kernel_matrix(LINEAR, make_vectors(x))
-        labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
         c = 1e-9
-        model = solve_dual(om, labels, c)
+        model = solve_dual(om, y, c)
         assert np.all(model.alpha >= 0.0) and np.all(model.alpha <= c)
         assert dual_objective(om, y, model.alpha) <= len(y) * c
 
@@ -64,8 +63,7 @@ class TestSolveDual:
         x = np.array([[1.2, 0.1], [0.4, -1.0], [-0.9, 0.6], [-1.4, -0.4]])
         y = np.array([1.0, 1.0, -1.0, -1.0])
         om = kernel_matrix(LINEAR, make_vectors(x))
-        labels = LabeledSet(indices=(0, 1, 2, 3), labels=y)
-        model = solve_dual(om, labels, 5.0, tol=1e-6)
+        model = solve_dual(om, y, 5.0, tol=1e-6)
         ours = dual_objective(om, y, model.alpha)
         expected, _ = dual_qp_oracle(om.entries, y, 5.0)
         assert ours == pytest.approx(expected, abs=1e-6)
@@ -74,17 +72,15 @@ class TestSolveDual:
         for seed in range(5):
             x, y, c = random_instance(seed, n_max=10)
             om = kernel_matrix(LINEAR, make_vectors(x))
-            labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
-            model = solve_dual(om, labels, c)
+            model = solve_dual(om, y, c)
             assert abs(float(model.alpha @ y)) <= 1e-10 * c
             assert np.all(model.alpha >= 0.0) and np.all(model.alpha <= c)
 
     def test_free_vectors_sit_on_margin(self):
         x, y, _ = random_instance(11, n_max=10)
         om = kernel_matrix(LINEAR, make_vectors(x))
-        labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
         tol = 1e-6
-        model = solve_dual(om, labels, 1.0, tol)
+        model = solve_dual(om, y, 1.0, tol)
         f_vals = decision_values(model, om.entries)
         free = (model.alpha > 1e-8) & (model.alpha < 1.0 - 1e-8)
         for i in np.flatnonzero(free):
@@ -93,22 +89,27 @@ class TestSolveDual:
     def test_single_class_rejected(self):
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
         with pytest.raises(SingleClassError):
-            solve_dual(om, LabeledSet(indices=(0, 1), labels=[1.0, 1.0]), 1.0)
+            solve_dual(om, [1.0, 1.0], 1.0)
 
     def test_nonpositive_c_rejected(self):
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
-        labels = LabeledSet(indices=(0, 1), labels=[-1.0, 1.0])
         with pytest.raises(ValueError):
-            solve_dual(om, labels, 0.0)
+            solve_dual(om, [-1.0, 1.0], 0.0)
 
     def test_iteration_cap_raises_convergence_error(self):
         x, y, _ = random_instance(2, n_max=10)
         om = kernel_matrix(LINEAR, make_vectors(x))
-        labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
         with pytest.raises(ConvergenceError) as excinfo:
-            solve_dual(om, labels, 10.0, tol=1e-12, max_iter=1)
+            solve_dual(om, y, 10.0, tol=1e-12, max_iter=1)
         assert excinfo.value.max_violation is not None
         assert excinfo.value.max_violation > 0
+
+    def test_nan_violation_raises_convergence_error(self):
+        entries = np.eye(3)
+        entries[1, 1] = np.inf
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_dual(KernelMatrix(entries), [-1.0, 1.0, 1.0], 1.0)
+        assert math.isnan(excinfo.value.max_violation)
 
 
 class TestDecisionAndPredict:
@@ -136,8 +137,7 @@ class TestDecisionAndPredict:
     def test_decision_values_matches_scalar(self):
         x, y, c = random_instance(7, n_max=8)
         om = kernel_matrix(LINEAR, make_vectors(x))
-        labels = LabeledSet(indices=tuple(range(len(y))), labels=y)
-        model = solve_dual(om, labels, c)
+        model = solve_dual(om, y, c)
         block = om.entries
         vector = decision_values(model, block)
         for j in range(block.shape[1]):
@@ -160,12 +160,9 @@ class TestSerialization:
         assert model_to_text(back) == text
 
     def test_rbf_spec_round_trip(self):
-        samples = make_vectors([[-1.0], [1.0], [2.0]])
-        om = kernel_matrix(KernelSpec(kind="rbf", gamma=0.37), samples)
-        labels = LabeledSet(indices=(0, 1, 2), labels=[-1.0, 1.0, 1.0])
-        model = solve_dual(
-            om, labels, 2.0, spec=KernelSpec(kind="rbf", gamma=0.37), ids=tuple(s.id for s in samples)
-        )
+        spec = KernelSpec(kind="rbf", gamma=0.37)
+        om = kernel_matrix(spec, make_vectors([[-1.0], [1.0], [2.0]]))
+        model = solve_dual(om, [-1.0, 1.0, 1.0], 2.0, spec=spec, ids=(1, 2, 3))
         back = model_from_text(model_to_text(model))
         assert back.spec.kind == "rbf"
         assert back.spec.gamma == 0.37

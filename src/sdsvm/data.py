@@ -17,6 +17,7 @@ from .errors import (
     LabelError,
     MissingLabel,
     ParseError,
+    PipelineError,
     SdsvmError,
     read_text,
     write_text,
@@ -182,7 +183,7 @@ class RunRow:
     run: int
     kappa: float
     error: float  # nan marks a failed run
-    failure: str | None = None
+    failure: str | None = None  # class of the error that failed it, unwrapped from its stage
 
 
 @dataclass(frozen=True)
@@ -213,8 +214,9 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
             error = float(np.mean(sign_labels(f_vals) != test.labels))
             rows.append(RunRow(run=run, kappa=kappa, error=error))
         except SdsvmError as exc:
+            cause = exc.cause if isinstance(exc, PipelineError) else exc
             rows.append(
-                RunRow(run=run, kappa=kappa, error=math.nan, failure=type(exc).__name__)
+                RunRow(run=run, kappa=kappa, error=math.nan, failure=type(cause).__name__)
             )
     return rows
 

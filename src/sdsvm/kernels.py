@@ -58,6 +58,8 @@ class KernelSpec:
             m = np.asarray(m, dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"precomputed matrix must be square, got shape {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise ValueError("precomputed matrix must be finite")
             if not np.array_equal(m, m.T):
                 raise ValueError("precomputed matrix must be symmetric")
             m = m.copy()
@@ -279,18 +281,35 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
+def _finite_block(spec: KernelSpec, a, b=None) -> np.ndarray:
+    """_block, raising DimensionError instead of returning inf or nan entries.
+
+    Huge finite inputs (1e200) overflow the products; the overflow is
+    reported here rather than as numpy warnings and a failure further on.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = _block(spec, a, b)
+    if not np.all(np.isfinite(block)):
+        raise DimensionError("kernel block has non-finite entries")
+    return block
+
+
 def kernel_matrix(spec: KernelSpec, x) -> KernelMatrix:
     """Gram matrix over a nonempty (n, d) array, sequence of strings, or of precomputed keys.
 
     Each unordered pair is represented by its upper-triangle value and
-    mirrored, so entries[i, j] == entries[j, i] holds exactly.
+    mirrored, so entries[i, j] == entries[j, i] holds exactly.  Raises
+    DimensionError when an entry is not finite.
     """
-    return KernelMatrix(_mirror_upper(_block(spec, x)))
+    return KernelMatrix(_mirror_upper(_finite_block(spec, x)))
 
 
 def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
-    """Rectangular block K(a_i, b_j); used for scoring new samples."""
-    return _block(spec, a, b)
+    """Rectangular block K(a_i, b_j); used for scoring new samples.
+
+    Raises DimensionError when an entry is not finite.
+    """
+    return _finite_block(spec, a, b)
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:

@@ -214,9 +214,11 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     labels_t is the -1/+1 label array of the retained set.
 
     Folds are stratified from the seed by default and clamped down to the
-    smaller class size when necessary.  Grid points whose folds fail to
-    converge are recorded as nan and skipped; if every point fails the
-    ConvergenceError propagates.
+    smaller class size when necessary.  Each fold solves the grid in
+    ascending C, every solve starting from the last converged solution of
+    that fold (alpha seeding).  Grid points whose folds fail to converge are
+    recorded as nan and skipped; if every point fails the ConvergenceError
+    propagates.
     """
     y = np.asarray(labels_t, dtype=np.float64)
     n_minus = int(np.count_nonzero(y < 0))
@@ -230,32 +232,44 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
         )
     assignment = _fold_assignment(y, folds, cv.seed, cv.stratified)
     entries = omega_t.entries
+    ascending = sorted(range(len(cv.grid)), key=lambda t: cv.grid[t])
+
+    rates = [[] for _ in cv.grid]
+    failures = {}
+    for f in range(folds):
+        test_mask = assignment == f
+        train_idx = np.flatnonzero(~test_mask)
+        test_idx = np.flatnonzero(test_mask)
+        omega_f, y_train, y_test = omega_t.take(train_idx), y[train_idx], y[test_idx]
+        cross = entries[np.ix_(train_idx, test_idx)]
+        start = None
+        for t in ascending:
+            if t in failures:
+                continue
+            try:
+                model = solve_dual(omega_f, y_train, cv.grid[t], start=start)
+            except ConvergenceError as exc:
+                failures[t] = exc
+                continue
+            start = model.alpha
+            f_vals = decision_values(model, cross)
+            rates[t].append(float(np.mean(sign_labels(f_vals) != y_test)))
 
     table = []
     best = None
-    last_failure = None
-    for c in cv.grid:
-        rates = []
-        try:
-            for f in range(folds):
-                test_mask = assignment == f
-                train_idx = np.flatnonzero(~test_mask)
-                test_idx = np.flatnonzero(test_mask)
-                model = solve_dual(omega_t.take(train_idx), y[train_idx], c)
-                f_vals = decision_values(model, entries[np.ix_(train_idx, test_idx)])
-                rates.append(float(np.mean(sign_labels(f_vals) != y[test_idx])))
-        except ConvergenceError as exc:
-            last_failure = exc
+    for t, c in enumerate(cv.grid):
+        if t in failures:
             table.append((c, math.nan))
             continue
-        mean_rate = float(np.mean(rates))
+        mean_rate = float(np.mean(rates[t]))
         table.append((c, mean_rate))
         if best is None or mean_rate < best[0] or (mean_rate == best[0] and c < best[1]):
             best = (mean_rate, c)
     if best is None:
+        last_failure = failures[len(cv.grid) - 1]
         raise ConvergenceError(
             f"every C in the grid failed to converge (last: {last_failure})",
-            max_violation=getattr(last_failure, "max_violation", None),
+            max_violation=last_failure.max_violation,
         )
     return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
 

@@ -7,8 +7,10 @@ Solves
 
 with a two-variable decomposition: each iteration picks the maximal violating
 pair and moves the two coefficients along the equality constraint.  The whole
-kernel matrix is held in memory (problems here are at most a few hundred
-rows), so no shrinking or row caching is needed.  The classifier is
+kernel matrix is held in memory (a few thousand rows at most: the n=2000 RBF
+fit solves on 1,500), so no shrinking or row caching is needed.  A solve
+starts from alpha = 0, or from a given feasible alpha such as the solution
+at a smaller C (alpha seeding along a C grid).  The classifier is
 
     f(x) = sum_i a_i y_i K(x_i, x) + b,      predicted label = sign(f),
 
@@ -51,6 +53,8 @@ class SvmModel:
     c: float
     tol: float
     spec: KernelSpec | None = None
+    updates: int = 0  # pair updates the solver made; not serialized
+    gap: float = float("nan")  # final KKT violation; not serialized
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=np.float64).copy()
@@ -82,11 +86,17 @@ def solve_dual(
     max_iter: int = DEFAULT_MAX_ITER,
     spec: KernelSpec | None = None,
     ids=None,
+    start=None,
 ) -> SvmModel:
     """Solve the dual on the retained set's kernel matrix and its -1/+1 labels.
 
     The model records `ids` for its retained samples, 0..n-1 when none are
-    given.
+    given, and the pair updates made and final KKT violation.
+
+    `start` is an alpha vector feasible for this C (in [0, C], with
+    sum alpha_i y_i = 0), e.g. the solution at a smaller C; the solve
+    begins there instead of at alpha = 0.  An infeasible start raises
+    ValueError.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
     Raises SingleClassError when one class is absent and ConvergenceError
@@ -108,8 +118,19 @@ def solve_dual(
 
     # Work in beta = y * alpha: bounds become [A, B] per sample and both
     # selection criteria read off y * g with g = 1 - y * (K beta).
-    beta = np.zeros(n)
-    g = np.ones(n)
+    if start is None:
+        beta = np.zeros(n)
+        g = np.ones(n)
+    else:
+        alpha0 = np.asarray(start, dtype=np.float64)
+        if alpha0.shape != (n,):
+            raise ValueError(f"start has shape {alpha0.shape}, expected ({n},)")
+        if not np.all((alpha0 >= 0.0) & (alpha0 <= c)):
+            raise ValueError(f"start must lie in [0, C] with C={c}")
+        if abs(float(alpha0 @ y)) > 1e-9 * c:
+            raise ValueError("start violates sum alpha_i y_i = 0")
+        beta = y * alpha0
+        g = 1.0 - y * (kk @ beta)
     upper = np.where(y > 0, c, 0.0)
     lower = np.where(y > 0, 0.0, -c)
 
@@ -160,6 +181,8 @@ def solve_dual(
         c=float(c),
         tol=float(tol),
         spec=spec,
+        updates=iterations - 1,
+        gap=float(gap),
     )
 
 
@@ -207,7 +230,7 @@ def model_to_text(model: SvmModel) -> str:
 
 
 def model_from_text(text: str) -> SvmModel:
-    """Inverse of model_to_text (samples are not serialized).
+    """Inverse of model_to_text (samples and solver statistics are not serialized).
 
     Raises SerializationError, and nothing else, on a malformed block.
     """

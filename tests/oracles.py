@@ -3,12 +3,18 @@
 Everything here recomputes expected values by a different route than the
 library: explicit coordinates instead of kernel matrices, hand-rolled sorting
 medians instead of numpy, and exhaustive active-set enumeration instead of
-an iterative dual solver.
+an iterative dual solver.  select_c_cold is the per-C cold-start loop that
+the warm-started C path in pipeline.select_C must reproduce.
 """
 
 import itertools
+import math
 
 import numpy as np
+
+from sdsvm.errors import ConvergenceError
+from sdsvm.pipeline import CvSelection, _fold_assignment
+from sdsvm.svm import decision_values, sign_labels, solve_dual
 
 
 def median_sorted(values):
@@ -125,6 +131,34 @@ def dual_qp_oracle(kernel, labels, c):
             best_value = value
             best_alpha = a.copy()
     return best_value, best_alpha
+
+
+def select_c_cold(omega_t, labels_t, cv):
+    """pipeline.select_C as one cold-start solve per (C, fold), in grid order."""
+    y = np.asarray(labels_t, dtype=np.float64)
+    folds = min(cv.folds, int(np.sum(y < 0)), int(np.sum(y > 0)))
+    assignment = _fold_assignment(y, folds, cv.seed, cv.stratified)
+    entries = omega_t.entries
+    table = []
+    best = None
+    for c in cv.grid:
+        rates = []
+        try:
+            for f in range(folds):
+                test_mask = assignment == f
+                train_idx = np.flatnonzero(~test_mask)
+                test_idx = np.flatnonzero(test_mask)
+                model = solve_dual(omega_t.take(train_idx), y[train_idx], c)
+                f_vals = decision_values(model, entries[np.ix_(train_idx, test_idx)])
+                rates.append(float(np.mean(sign_labels(f_vals) != y[test_idx])))
+        except ConvergenceError:
+            table.append((c, math.nan))
+            continue
+        mean_rate = float(np.mean(rates))
+        table.append((c, mean_rate))
+        if best is None or mean_rate < best[0] or (mean_rate == best[0] and c < best[1]):
+            best = (mean_rate, c)
+    return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
 
 
 def kmer_counts_brute(text, k):

@@ -1,3 +1,6 @@
+import runpy
+import sys
+
 import pytest
 
 from sdsvm.cli import build_parser, main
@@ -72,17 +75,28 @@ class TestValidation:
             (["map", "--fit", "{tmp}/bin.dat"], 2, "error in load"),
             (["fit", "{tmp}/s.fasta", "--labels", "{tmp}/bin.dat", "--kernel", "spectrum"], 2, "error in load"),
             (["fit", "{tmp}/nan.csv"], 2, "line 3: non-finite"),
+            (["fit", "{tmp}/big.csv"], 2, "error in kernel"),
         ],
     )
     def test_bad_path_or_value_exits_with_stage(self, tmp_path, capsys, argv, code, stage):
         (tmp_path / "d.csv").write_text("0,0,-1\n1,0,-1\n0,1,-1\n3,3,1\n4,3,1\n3,4,1\n")
         (tmp_path / "nan.csv").write_text("0,0,-1\n1,0,-1\n0,nan,-1\n3,3,1\n4,3,1\n3,4,1\n")
+        (tmp_path / "big.csv").write_text(
+            "1e200,0,-1\n2e200,0,-1\n0,1e200,-1\n3e200,3e200,1\n4e200,3e200,1\n3e200,4e200,1\n"
+        )
         (tmp_path / "bin.dat").write_bytes(bytes(range(128, 256)) * 3)
         (tmp_path / "s.fasta").write_text(">a\nACGT\n>b\nGGTT\n")
         argv = [tok.format(tmp=tmp_path) for tok in argv]
         got, _, err = run_cli(capsys, *argv)
         assert got == code
         assert stage in err
+
+    def test_python_dash_m_runs_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["sdsvm", "--help"])
+        with pytest.raises(SystemExit) as excinfo:
+            runpy.run_module("sdsvm", run_name="__main__")
+        assert excinfo.value.code == 0
+        assert "usage: sdsvm" in capsys.readouterr().out
 
     def test_help_lists_defaults_for_every_flag(self, capsys):
         import argparse
@@ -159,7 +173,7 @@ class TestSimulate:
         )
         assert code == 2
         assert out == ""
-        assert "error in simulate" in err and "PipelineError" in err
+        assert "error in simulate" in err and "TooFewSamples" in err
 
 
 class TestMap:

@@ -228,7 +228,7 @@ class TestRunSimulation:
         result = run_simulation(spec, LINEAR)
         assert len(result.rows) == 1
         assert math.isnan(result.rows[0].error)
-        assert result.rows[0].failure == "PipelineError"
+        assert result.rows[0].failure == "TooFewSamples"
         assert math.isnan(result.summary[0].median)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +41,11 @@ class TestKernelSpec:
             KernelSpec(kind="precomputed", matrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
         with pytest.raises(ValueError, match="matrix"):
             KernelSpec(kind="precomputed")
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_precomputed_needs_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(kind="precomputed", matrix=np.array([[1.0, bad], [bad, 1.0]]))
 
 
 class TestEvalKernel:
@@ -159,6 +166,21 @@ class TestKernelMatrix:
             KernelMatrix(np.zeros((2, 3)))
         with pytest.raises(DimensionError):
             KernelMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+class TestNonFiniteBlocks:
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec(), KernelSpec(kind="rbf", gamma=0.5), KernelSpec(kind="polynomial", degree=2)],
+    )
+    def test_overflow_raises_without_warnings(self, spec):
+        x = make_vectors([[1e200, 0.0], [0.0, 1e200], [2e200, 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="non-finite"):
+                kernel_matrix(spec, x)
+            with pytest.raises(DimensionError, match="non-finite"):
+                kernel_cross(spec, x[:1], x)
 
 
 class TestKernelCross:

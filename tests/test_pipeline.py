@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import sdsvm.pipeline
 from sdsvm import (
     CvConfig,
+    KernelMatrix,
     Dataset,
     DirectionPolicy,
     KernelSpec,
@@ -21,7 +23,16 @@ from sdsvm import (
     trim,
 )
 from sdsvm.data import SimulationSpec
-from sdsvm.errors import GroupEmptyAfterTrim, PipelineError, SerializationError, TooFewSamples
+from sdsvm.errors import (
+    ConvergenceError,
+    GroupEmptyAfterTrim,
+    PipelineError,
+    SerializationError,
+    TooFewSamples,
+)
+from sdsvm.pipeline import DEFAULT_C_GRID
+
+from oracles import select_c_cold
 
 LINEAR = KernelSpec(kind="linear")
 EXHAUSTIVE = DirectionPolicy(mode="exhaustive")
@@ -139,6 +150,97 @@ class TestSelectC:
         om = kernel_matrix(LINEAR, ds.x)
         cv = CvConfig(folds=3, grid=(0.1, 1.0), seed=2, stratified=False)
         assert select_C(om, ds.labels, cv) == select_C(om, ds.labels, cv)
+
+
+def toy_retained(spec):
+    """Kernel matrix and labels of the set a kappa=0.5 toy fit trains on."""
+    ds = gen_toy(1)
+    retained = np.array(fit_sdsvm(ds, spec).plan.retained)
+    return kernel_matrix(spec, ds.x).take(retained), ds.labels[retained]
+
+
+class TestWarmCPath:
+    """select_C solves each fold's grid in ascending C from the last solution."""
+
+    @pytest.mark.parametrize(
+        "spec, cv",
+        [
+            (LINEAR, CvConfig(folds=5, grid=(10.0, 0.5, 2.0))),
+            (LINEAR, CvConfig(folds=5, grid=DEFAULT_C_GRID)),
+            (KernelSpec(kind="rbf", gamma=0.5), CvConfig(folds=5, grid=DEFAULT_C_GRID)),
+            (LINEAR, CvConfig(folds=4, grid=(0.01, 0.1, 1.0, 10.0), seed=3, stratified=False)),
+        ],
+    )
+    def test_matches_cold_start_loop(self, spec, cv):
+        om, y = toy_retained(spec)
+        assert select_C(om, y, cv) == select_c_cold(om, y, cv)
+
+    def test_fold_blocks_built_once_per_fold(self, monkeypatch):
+        om, y = toy_retained(LINEAR)
+        takes = []
+        original = KernelMatrix.take
+
+        def counting_take(self, indices):
+            takes.append(indices)
+            return original(self, indices)
+
+        monkeypatch.setattr(KernelMatrix, "take", counting_take)
+        selection = select_C(om, y, CvConfig(folds=4, grid=(0.01, 0.1, 1.0)))
+        assert len(takes) == selection.folds_used == 4
+
+    def test_failed_c_is_nan_and_next_c_seeds_from_last_success(self, monkeypatch):
+        om, y = toy_retained(LINEAR)
+        cv = CvConfig(folds=4, grid=(10.0, 0.01, 1.0, 0.1))
+        reference = select_c_cold(om, y, cv)
+        calls = []
+
+        def flaky(omega, labels, c, start=None):
+            call = {"c": c, "start": start, "alpha": None}
+            calls.append(call)
+            if c == 1.0:
+                raise ConvergenceError("forced failure", max_violation=1.0)
+            model = solve_dual(omega, labels, c, start=start)
+            call["alpha"] = model.alpha
+            return model
+
+        monkeypatch.setattr(sdsvm.pipeline, "solve_dual", flaky)
+        selection = select_C(om, y, cv)
+        assert math.isnan(selection.table[2][1])
+        for t in (0, 1, 3):
+            assert selection.table[t] == reference.table[t]
+        assert selection.c == reference.c
+        assert [call["c"] for call in calls].count(1.0) == 1  # skipped after its failure
+        for pos, call in enumerate(calls):
+            if call["c"] == 0.01:
+                assert call["start"] is None
+            else:
+                previous = [p for p in calls[:pos] if p["alpha"] is not None][-1]
+                assert previous["c"] == {0.1: 0.01, 1.0: 0.1, 10.0: 0.1}[call["c"]]
+                assert call["start"] is previous["alpha"]
+
+    def test_every_c_failing_propagates(self, monkeypatch):
+        om, y = toy_retained(LINEAR)
+
+        def failing(omega, labels, c, start=None):
+            raise ConvergenceError(f"forced failure at C={c}", max_violation=2.0)
+
+        monkeypatch.setattr(sdsvm.pipeline, "solve_dual", failing)
+        with pytest.raises(ConvergenceError) as excinfo:
+            select_C(om, y, CvConfig(folds=3, grid=(0.1, 1.0)))
+        assert excinfo.value.max_violation == 2.0
+
+    def test_final_train_solve_starts_cold(self, monkeypatch):
+        starts = []
+
+        def recording(omega, labels, c, tol=1e-3, spec=None, ids=None, start=None):
+            starts.append(start)
+            return solve_dual(omega, labels, c, tol, spec=spec, ids=ids, start=start)
+
+        monkeypatch.setattr(sdsvm.pipeline, "solve_dual", recording)
+        fit_sdsvm(gen_toy(1), LINEAR, cv=CvConfig(folds=3, grid=(0.01, 1.0)))
+        assert len(starts) == 2 * 3 + 1
+        assert starts[0] is None and starts[1] is not None  # the fold's second C is seeded
+        assert starts[-1] is None
 
 
 class TestFitSdsvm:

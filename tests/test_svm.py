@@ -112,6 +112,56 @@ class TestSolveDual:
         assert math.isnan(excinfo.value.max_violation)
 
 
+class TestWarmStart:
+    X = np.array([[1.2, 0.1], [0.4, -1.0], [-0.9, 0.6], [-1.4, -0.4]])
+    Y = np.array([1.0, 1.0, -1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "start, match",
+        [
+            (np.zeros(3), "shape"),
+            (np.array([6.0, 0.0, 6.0, 0.0]), r"\[0, C\]"),
+            (np.array([-1.0, 0.0, -1.0, 0.0]), r"\[0, C\]"),
+            (np.array([np.nan, 0.0, 0.0, 0.0]), r"\[0, C\]"),
+            (np.array([1.0, 0.0, 0.0, 0.0]), "sum"),
+        ],
+    )
+    def test_infeasible_start_rejected(self, start, match):
+        om = kernel_matrix(LINEAR, self.X)
+        with pytest.raises(ValueError, match=match):
+            solve_dual(om, self.Y, 5.0, start=start)
+
+    def test_cold_solve_reports_updates_and_gap(self):
+        om = kernel_matrix(LINEAR, self.X)
+        model = solve_dual(om, self.Y, 5.0, tol=1e-6)
+        assert model.updates > 0
+        assert model.gap <= 1e-6
+
+    def test_solver_statistics_not_serialized(self):
+        model = two_point_model()
+        assert model.updates == 1
+        back = model_from_text(model_to_text(model))
+        assert back.updates == 0 and math.isnan(back.gap)
+
+    def test_optimal_start_makes_no_updates(self):
+        om = kernel_matrix(LINEAR, self.X)
+        cold = solve_dual(om, self.Y, 5.0, tol=1e-9)
+        warm = solve_dual(om, self.Y, 5.0, start=cold.alpha)
+        assert warm.updates == 0
+        assert np.array_equal(warm.alpha, cold.alpha)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_solve_at_larger_c_reaches_oracle(self, seed):
+        x, y, c = random_instance(seed)
+        om = kernel_matrix(LINEAR, make_vectors(x))
+        smaller = solve_dual(om, y, c / 10.0)
+        tol = 1e-6
+        warm = solve_dual(om, y, c, tol, start=smaller.alpha)
+        assert warm.gap <= tol
+        expected, _ = dual_qp_oracle(om.entries, y, c)
+        assert dual_objective(om, y, warm.alpha) == pytest.approx(expected, abs=1e-6)
+
+
 class TestDecisionAndPredict:
     def test_zero_row_zero_bias(self):
         model = two_point_model()

@@ -40,7 +40,14 @@ DEGENERACY_TOL = 1e-12
 EXHAUSTIVE_LIMIT = 100
 DEFAULT_SAMPLED_COUNT = 2000
 
-_PAIR_CHUNK = 1024
+# Directions per median/MAD chunk.  On 1000-sample groups 128 and 256 were
+# the fastest measured; 256 keeps small exhaustive groups to few chunks.
+_PAIR_CHUNK = 256
+
+# Candidate pairs per stream call of the sampler: at least what is still
+# missing, so the usual case finishes in one or two calls.
+_MIN_DRAW_BLOCK = 64
+_MAX_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,8 @@ class OutlyingnessReport:
     r: np.ndarray
     policy: DirectionPolicy
     degenerate_pairs: int = 0
+    directions: int = 0  # pairs scanned, degenerate ones included
+    draws: int = 0  # candidate pairs the sampler drew; 0 when exhaustive
 
     def __post_init__(self):
         arr = np.asarray(self.r, dtype=np.float64)
@@ -148,12 +157,26 @@ def projection_vector(omega: KernelMatrix, i: int, j: int) -> ProjectionVector:
     return ProjectionVector(values=values, pair=(i, j))
 
 
-def enumerate_directions(k: int, policy: DirectionPolicy | None, omega: KernelMatrix):
+class DirectionList(list):
+    """The (i, j) index pairs to scan, i < j, in scan order.
+
+    `draws` is how many candidate pairs the sampler drew to find them,
+    rejected ones included; 0 for an exhaustive list.
+    """
+
+    def __init__(self, pairs, draws: int = 0):
+        super().__init__(pairs)
+        self.draws = draws
+
+
+def enumerate_directions(k: int, policy: DirectionPolicy | None, omega: KernelMatrix) -> DirectionList:
     """Materialize the unordered index pairs the outlyingness will scan.
 
     Exhaustive mode returns every pair (degenerate ones included; the caller
-    skips and counts them).  Sampled mode rejects degenerate and repeated
-    draws, giving up after 100 * count rejections.
+    skips and counts them).  Sampled mode yields the pairs that a loop
+    drawing one pair at a time from the ("directions",) stream would accept:
+    it rejects i == j, repeated and degenerate draws, and gives up after
+    100 * count rejections.
     """
     if k < 2:
         raise ValueError(f"need at least 2 samples to form a direction, got {k}")
@@ -164,30 +187,75 @@ def enumerate_directions(k: int, policy: DirectionPolicy | None, omega: KernelMa
         i_idx, j_idx = np.triu_indices(k, 1)
         if not np.any(_squared_norms(entries, i_idx, j_idx) > DEGENERACY_TOL):
             raise NoValidDirections("all samples coincide in feature space")
-        return list(zip(i_idx.tolist(), j_idx.tolist()))
-    stream = Stream(derive_key(policy.seed, "directions"))
-    pairs = []
-    seen = set()
-    rejections = 0
-    limit = 100 * policy.count
-    while len(pairs) < policy.count and rejections <= limit:
-        i, j = (int(v) for v in stream.integers(2, k))
-        if i == j:
-            rejections += 1
-            continue
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            rejections += 1
-            continue
-        if (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j] <= DEGENERACY_TOL:
-            rejections += 1
-            continue
-        seen.add((i, j))
-        pairs.append((i, j))
-    if not pairs:
+        return DirectionList(zip(i_idx.tolist(), j_idx.tolist()))
+    lo, hi, draws = _sample_pairs(k, policy, entries)
+    if not lo.size:
         raise NoValidDirections("no non-degenerate direction found while sampling")
-    return pairs
+    return DirectionList(zip(lo.tolist(), hi.tolist()), draws)
+
+
+def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
+    """(lo, hi, draws): the sampled pairs as index arrays, in draw order.
+
+    Candidate pairs are drawn in blocks, each one stream.integers call whose
+    counters continue where the previous block's ended, so the candidates
+    are exactly those of one-pair-at-a-time draws.  A candidate is accepted
+    when i != j, the pair is not degenerate and it is the pair's first
+    non-degenerate occurrence; the block is cut where the one-at-a-time loop
+    would stop (count accepted, or more than 100 * count rejections).
+    """
+    stream = Stream(derive_key(policy.seed, "directions"))
+    diag = np.diag(entries)
+    count = policy.count
+    limit = 100 * count
+    seen = np.empty(0, dtype=np.int64)  # lo * k + hi of every accepted pair
+    lo_parts, hi_parts = [], []
+    accepted = rejections = draws = 0
+    while accepted < count and rejections <= limit:
+        block = min(max(count - accepted, _MIN_DRAW_BLOCK), _MAX_DRAW_BLOCK)
+        ij = stream.integers(2 * block, k)
+        lo = np.minimum(ij[0::2], ij[1::2])
+        hi = np.maximum(ij[0::2], ij[1::2])
+        code = lo * k + hi
+        sq = (diag[lo] + diag[hi]) - 2.0 * entries[lo, hi]
+        # ~(sq <= tol), not sq > tol: a nan norm is accepted, as in the loop.
+        candidate = np.flatnonzero((lo != hi) & ~(sq <= DEGENERACY_TOL))
+        _, first = np.unique(code[candidate], return_index=True)
+        first = candidate[first]
+        fresh = np.zeros(block, dtype=bool)
+        fresh[first[~np.isin(code[first], seen)]] = True
+        accepted_after = accepted + np.cumsum(fresh)
+        rejected_after = rejections + np.cumsum(~fresh)
+        stops = np.flatnonzero((accepted_after >= count) | (rejected_after > limit))
+        end = int(stops[0]) + 1 if stops.size else block
+        keep = np.flatnonzero(fresh[:end])
+        lo_parts.append(lo[keep])
+        hi_parts.append(hi[keep])
+        seen = np.concatenate((seen, code[keep]))
+        accepted = int(accepted_after[end - 1])
+        rejections = int(rejected_after[end - 1])
+        draws += end
+    return np.concatenate(lo_parts), np.concatenate(hi_parts), draws
+
+
+def _row_medians(v: np.ndarray) -> np.ndarray:
+    """np.median(v, axis=1), from one partition per row.
+
+    np.median partitions at both middle order statistics plus the last one
+    for its nan check.  Here one partition places order statistic m =
+    (k - 1) // 2.  Because nan sorts last, a row holding a nan has one in
+    part[m + 1:], so a minimum taken there or over part[m:] is nan for it.
+    Odd k: the median is min(part[m:]), which is part[m] otherwise.  Even k:
+    the upper middle is min(part[m + 1:]), and the halving (a + b) / 2.0 is
+    np.mean's arithmetic on two values, up to the sign of a zero median,
+    which |v - med| does not see.
+    """
+    k = v.shape[1]
+    m = (k - 1) // 2
+    part = np.partition(v, m, axis=1)
+    if k % 2:
+        return part[:, m:].min(axis=1)
+    return (part[:, m] + part[:, m + 1 :].min(axis=1)) / 2.0
 
 
 def outlyingness(omega: KernelMatrix, policy: DirectionPolicy | None = None) -> OutlyingnessReport:
@@ -215,14 +283,25 @@ def outlyingness(omega: KernelMatrix, policy: DirectionPolicy | None = None) -> 
         degenerate += int(np.count_nonzero(~ok))
         if not np.any(ok):
             continue
-        v = (entries[i_idx[ok]] - entries[j_idx[ok]]) / np.sqrt(sq[ok])[:, None]
-        med = np.median(v, axis=1, keepdims=True)
-        dev = np.abs(v - med)
-        mad = np.median(dev, axis=1, keepdims=True)
+        v = entries[i_idx[ok]]
+        v -= entries[j_idx[ok]]
+        v /= np.sqrt(sq[ok])[:, None]
+        # v becomes |v - med|, then |v - med| / mad, in place.
+        v -= _row_medians(v)[:, None]
+        np.abs(v, out=v)
+        mad = _row_medians(v)
+        no_spread = np.flatnonzero(~(mad > 0.0))  # mad 0 or nan
+        repaired = np.where(v[no_spread] == 0.0, 0.0, np.inf)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ratio = dev / mad
-        ratio = np.where(mad > 0.0, ratio, np.where(dev == 0.0, 0.0, np.inf))
-        r = np.maximum(r, ratio.max(axis=0))
+            v /= mad[:, None]
+        v[no_spread] = repaired
+        np.maximum(r, v.max(axis=0), out=r)
     if degenerate == len(pairs):
         raise NoValidDirections("every enumerated direction was degenerate")
-    return OutlyingnessReport(r=r, policy=policy, degenerate_pairs=degenerate)
+    return OutlyingnessReport(
+        r=r,
+        policy=policy,
+        degenerate_pairs=degenerate,
+        directions=len(pairs),
+        draws=pairs.draws,
+    )

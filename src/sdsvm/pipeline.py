@@ -122,6 +122,9 @@ class FitResult:
     kappa: float
     policy_minus: DirectionPolicy
     policy_plus: DirectionPolicy
+    # (minus, plus) outlyingness reports of the fit; not serialized, so a
+    # fit read back from text has ().
+    reports: tuple = ()
 
     def __post_init__(self):
         f = np.asarray(self.decision_values, dtype=np.float64).copy()
@@ -345,6 +348,7 @@ def fit_sdsvm(
         spec=spec,
         ids=tuple(dataset.ids[i] for i in retained),
     )
+    del omega_t  # freed before the n_retained x n decision block is gathered
 
     return FitResult(
         model=model,
@@ -359,6 +363,7 @@ def fit_sdsvm(
         kappa=float(kappa),
         policy_minus=policy_minus,
         policy_plus=policy_plus,
+        reports=(report_minus, report_plus),
     )
 
 

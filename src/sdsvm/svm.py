@@ -136,32 +136,35 @@ def solve_dual(
 
     iterations = 0
     gap = np.inf
-    while iterations < max_iter:
-        iterations += 1
-        yg = y * g
-        up_vals = np.where(beta < upper, yg, -np.inf)
-        low_vals = np.where(beta > lower, yg, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        gap = up_vals[i] - low_vals[j]
-        if not gap > tol:
-            if np.isnan(gap):
-                raise ConvergenceError(
-                    f"KKT violation became nan after {iterations - 1} pair updates",
-                    max_violation=float(gap),
-                )
-            break
-        quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], _CURVATURE_FLOOR)
-        lam = min(upper[i] - beta[i], beta[j] - lower[j], gap / quad)
-        # Pin to the box exactly so bound membership stays an exact test.
-        beta[i] = min(upper[i], beta[i] + lam)
-        beta[j] = max(lower[j], beta[j] - lam)
-        g += y * lam * (kk[j] - kk[i])
-    else:
-        raise ConvergenceError(
-            f"no convergence after {max_iter} pair updates (KKT violation {gap:.3e})",
-            max_violation=float(gap),
-        )
+    # A non-finite kernel makes g nan; the nan gap raises ConvergenceError,
+    # so the arithmetic's own warnings would only repeat it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        while iterations < max_iter:
+            iterations += 1
+            yg = y * g
+            up_vals = np.where(beta < upper, yg, -np.inf)
+            low_vals = np.where(beta > lower, yg, np.inf)
+            i = int(np.argmax(up_vals))
+            j = int(np.argmin(low_vals))
+            gap = up_vals[i] - low_vals[j]
+            if not gap > tol:
+                if np.isnan(gap):
+                    raise ConvergenceError(
+                        f"KKT violation became nan after {iterations - 1} pair updates",
+                        max_violation=float(gap),
+                    )
+                break
+            quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], _CURVATURE_FLOOR)
+            lam = min(upper[i] - beta[i], beta[j] - lower[j], gap / quad)
+            # Pin to the box exactly so bound membership stays an exact test.
+            beta[i] = min(upper[i], beta[i] + lam)
+            beta[j] = max(lower[j], beta[j] - lam)
+            g += y * lam * (kk[j] - kk[i])
+        else:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} pair updates (KKT violation {gap:.3e})",
+                max_violation=float(gap),
+            )
 
     alpha = y * beta
     yg = y * g

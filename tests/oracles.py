@@ -4,7 +4,9 @@ Everything here recomputes expected values by a different route than the
 library: explicit coordinates instead of kernel matrices, hand-rolled sorting
 medians instead of numpy, and exhaustive active-set enumeration instead of
 an iterative dual solver.  select_c_cold is the per-C cold-start loop that
-the warm-started C path in pipeline.select_C must reproduce.
+the warm-started C path in pipeline.select_C must reproduce;
+sample_pairs_one_at_a_time and outlyingness_np_median are the scalar sampler
+and the np.median chunk loop that sdsvm.outlyingness must match bit for bit.
 """
 
 import itertools
@@ -12,8 +14,10 @@ import math
 
 import numpy as np
 
-from sdsvm.errors import ConvergenceError
+from sdsvm.errors import ConvergenceError, NoValidDirections
+from sdsvm.outlyingness import DEGENERACY_TOL
 from sdsvm.pipeline import CvSelection, _fold_assignment
+from sdsvm.rng import Stream, derive_key
 from sdsvm.svm import decision_values, sign_labels, solve_dual
 
 
@@ -83,6 +87,66 @@ def sd_outlyingness_kernel_brute(omega, pairs):
             if contribution > r[l]:
                 r[l] = contribution
     return np.array(r)
+
+
+def sample_pairs_one_at_a_time(k, count, seed, entries):
+    """(pairs, draws) of the sampled direction policy, one stream draw per pair.
+
+    Rejects i == j, repeated and degenerate pairs and gives up after
+    100 * count rejections; draws counts every candidate pair drawn.
+    """
+    stream = Stream(derive_key(seed, "directions"))
+    pairs = []
+    seen = set()
+    rejections = 0
+    draws = 0
+    limit = 100 * count
+    while len(pairs) < count and rejections <= limit:
+        i, j = (int(v) for v in stream.integers(2, k))
+        draws += 1
+        if i == j:
+            rejections += 1
+            continue
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            rejections += 1
+            continue
+        if (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j] <= DEGENERACY_TOL:
+            rejections += 1
+            continue
+        seen.add((i, j))
+        pairs.append((i, j))
+    if not pairs:
+        raise NoValidDirections("no non-degenerate direction found while sampling")
+    return pairs, draws
+
+
+def outlyingness_np_median(entries, pairs, chunk=1024):
+    """(r, degenerate pairs) from np.median over chunks of projections."""
+    k = entries.shape[0]
+    i_all = np.array([p[0] for p in pairs], dtype=np.intp)
+    j_all = np.array([p[1] for p in pairs], dtype=np.intp)
+    diag = np.diag(entries)
+    r = np.zeros(k)
+    degenerate = 0
+    for start in range(0, len(pairs), chunk):
+        i_idx = i_all[start : start + chunk]
+        j_idx = j_all[start : start + chunk]
+        sq = (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
+        ok = sq > DEGENERACY_TOL
+        degenerate += int(np.count_nonzero(~ok))
+        if not np.any(ok):
+            continue
+        v = (entries[i_idx[ok]] - entries[j_idx[ok]]) / np.sqrt(sq[ok])[:, None]
+        med = np.median(v, axis=1, keepdims=True)
+        dev = np.abs(v - med)
+        mad = np.median(dev, axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = dev / mad
+        ratio = np.where(mad > 0.0, ratio, np.where(dev == 0.0, 0.0, np.inf))
+        r = np.maximum(r, ratio.max(axis=0))
+    return r, degenerate
 
 
 def dual_qp_oracle(kernel, labels, c):

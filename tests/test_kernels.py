@@ -240,6 +240,30 @@ class TestExactRecipe:
         expected = kernel_block_recipe(kind, raw[:25], raw[25:], **self.PARAMS[kind])
         assert np.array_equal(cross, expected)
 
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513])
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial", "spectrum"])
+    def test_row_blocks_match_recipe(self, kind, n):
+        # Sizes on both sides of the row-block edges of the in-place passes.
+        spec = KernelSpec(kind=kind, **self.PARAMS[kind])
+        rng = np.random.default_rng(n)
+        if kind == "spectrum":
+            x = ["".join(rng.choice(list("ACGT"), size=m)) for m in rng.integers(1, 12, size=n)]
+        else:
+            x = rng.normal(size=(n, 5)) * 3.0
+        square = kernel_matrix(spec, x).entries
+        assert np.array_equal(square, kernel_block_recipe(kind, x, **self.PARAMS[kind]))
+        cross = kernel_cross(spec, x, x[:3])
+        assert np.array_equal(cross, kernel_block_recipe(kind, x, x[:3], **self.PARAMS[kind]))
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513])
+    def test_mirror_keeps_upper_triangle(self, n):
+        # Kernel blocks come out of BLAS exactly symmetric, so only an
+        # asymmetric input shows what the row-block mirroring copies.
+        m = np.random.default_rng(n).normal(size=(n, n))
+        m[0, -1] = -0.0
+        expected = np.triu(m) + np.triu(m, 1).T
+        assert sdsvm.kernels._mirror_upper(m.copy()).tobytes() == expected.tobytes()
+
     def test_sparse_kmer_counts_match_dense(self, monkeypatch):
         spec = KernelSpec(kind="spectrum", **self.PARAMS["spectrum"])
         words, _ = self._inputs("spectrum")

@@ -3,6 +3,7 @@ import pytest
 
 from sdsvm import (
     DirectionPolicy,
+    KernelMatrix,
     KernelSpec,
     default_policy,
     enumerate_directions,
@@ -21,7 +22,14 @@ from sdsvm.errors import (
 )
 
 from conftest import make_vectors
-from oracles import sd_outlyingness_kernel_brute
+from oracles import (
+    outlyingness_np_median,
+    sample_pairs_one_at_a_time,
+    sd_outlyingness_kernel_brute,
+)
+
+
+EXHAUSTIVE = DirectionPolicy(mode="exhaustive")
 
 
 def linear_matrix(rows):
@@ -187,3 +195,120 @@ class TestOutlyingness:
         report = outlyingness(linear_matrix(rows), policy)
         assert report.policy == policy
         assert report.k == 6
+
+
+def _random_matrix(k, seed, duplicates=0):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, 3))
+    rows[k - duplicates :] = rows[0]
+    return linear_matrix(rows)
+
+
+def _unchecked(entries):
+    om = object.__new__(KernelMatrix)
+    object.__setattr__(om, "entries", np.asarray(entries, dtype=np.float64))
+    return om
+
+
+def _overflowing_matrix(k):
+    rng = np.random.default_rng(4)
+    entries = rng.choice([1e308, -1e308, 1.0, 0.0], size=(k, k))
+    return _unchecked(np.triu(entries) + np.triu(entries, 1).T)
+
+
+class TestSampledPairsMatchOneAtATime:
+    """Block draws give the pairs of the one-pair-per-draw loop, in order."""
+
+    @staticmethod
+    def _check(k, count, seed, om):
+        expected, draws = sample_pairs_one_at_a_time(k, count, seed, om.entries)
+        pairs = enumerate_directions(k, DirectionPolicy(mode="sampled", count=count, seed=seed), om)
+        assert pairs == expected
+        assert pairs.draws == draws
+
+    @pytest.mark.parametrize(
+        "k, count",
+        [(3, 1), (3, 3), (3, 4), (5, 1), (5, 10), (5, 11), (50, 1), (50, 10), (50, 1225)]
+        + [(300, 1), (300, 10), (300, 2000)],
+    )
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_counts_up_to_and_past_all_pairs(self, k, count, seed):
+        self._check(k, count, seed, _random_matrix(k, seed=k))
+
+    def test_duplicate_points_are_rejected_as_degenerate(self):
+        # 6 of 20 points coincide: 15 of the 190 pairs are degenerate, so
+        # asking for all 190 runs into the rejection limit.
+        om = _random_matrix(20, seed=1, duplicates=6)
+        for count in (10, 175, 190):
+            self._check(20, count, 9, om)
+
+    def test_rejection_limit(self):
+        # 3 pairs exist; the loop stops after 100 * 2000 rejections.
+        self._check(3, 2000, 5, _random_matrix(3, seed=2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_norm_is_accepted(self):
+        # The squared norm of (0, 1) is (1e308 + 1e308) - 2e308 = inf - inf,
+        # nan, which is not <= the degeneracy floor: the loop accepts it.
+        entries = np.eye(5)
+        entries[:2, :2] = 1e308
+        self._check(5, 10, 3, _unchecked(entries))
+
+
+class TestMediansMatchNumpy:
+    """r equals the np.median chunk loop bit for bit."""
+
+    @staticmethod
+    def _check(om, policy):
+        pairs = enumerate_directions(om.k, policy, om)
+        expected, degenerate = outlyingness_np_median(om.entries, pairs)
+        report = outlyingness(om, policy)
+        assert report.r.tobytes() == expected.tobytes()
+        assert report.degenerate_pairs == degenerate
+        assert report.directions == len(pairs)
+        assert report.draws == pairs.draws
+        return report
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 8, 33, 64])
+    def test_odd_and_even_k(self, k):
+        self._check(_random_matrix(k, seed=k), EXHAUSTIVE)
+
+    @pytest.mark.parametrize("k", [9, 10])
+    def test_ties_and_mad_zero(self, k):
+        # Integer coordinates on a small grid give tied projections; more
+        # than half of the points at the origin give directions with mad 0.
+        rows = np.random.default_rng(k).integers(-1, 2, size=(k, 2))
+        rows[: k // 2 + 1] = 0
+        report = self._check(linear_matrix(rows), EXHAUSTIVE)
+        assert np.isinf(report.r).any()
+
+    def test_signed_zeros(self):
+        entries = np.array(
+            [
+                [1.0, -0.0, 0.0, -0.0, 2.0],
+                [-0.0, 1.0, -0.0, 0.0, -0.0],
+                [0.0, -0.0, 1.0, -0.0, 0.0],
+                [-0.0, 0.0, -0.0, 1.0, -0.0],
+                [2.0, -0.0, 0.0, -0.0, 5.0],
+            ]
+        )
+        self._check(_unchecked(entries), EXHAUSTIVE)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_overflowing_entries(self, k):
+        # Differences of 1e308 entries overflow to inf and their norms to
+        # inf or nan; every sample ends at r = inf.
+        report = self._check(_overflowing_matrix(k), EXHAUSTIVE)
+        assert np.all(report.r == np.inf)
+
+    def test_sampled_chunks(self):
+        om = _random_matrix(300, seed=3, duplicates=4)
+        report = self._check(om, DirectionPolicy(mode="sampled", count=2000, seed=8))
+        assert report.directions == 2000
+        assert report.draws > 2000
+
+    def test_exhaustive_report_counts(self):
+        report = outlyingness(_random_matrix(12, seed=0, duplicates=2), EXHAUSTIVE)
+        # 3 coinciding points: 3 degenerate pairs
+        assert (report.directions, report.degenerate_pairs, report.draws) == (66, 3, 0)

@@ -310,6 +310,24 @@ class TestFitSdsvm:
         assert fit.decision_values.shape == (66,)
         assert np.all(np.isfinite(fit.decision_values))
 
+    @pytest.mark.parametrize(
+        "policy", [None, DirectionPolicy(mode="sampled", count=200, seed=4)]
+    )
+    def test_outlyingness_reports_kept(self, policy):
+        fit = fit_sdsvm(gen_toy(3), LINEAR, policy=policy)
+        minus, plus = fit.reports
+        assert (minus.policy, plus.policy) == (fit.policy_minus, fit.policy_plus)
+        assert np.array_equal(fit.plan.outlyingness[fit.labels < 0], minus.r)
+        assert np.array_equal(fit.plan.outlyingness[fit.labels > 0], plus.r)
+        for report in (minus, plus):
+            if policy is None:
+                assert report.directions == report.k * (report.k - 1) // 2
+                assert report.draws == 0
+            else:
+                assert report.directions == 200
+                assert report.draws >= 200
+        assert fit_from_text(fit_to_text(fit)).reports == ()
+
 
 class TestFitReport:
     def test_round_trip(self):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,8 +108,10 @@ class TestSolveDual:
     def test_nan_violation_raises_convergence_error(self):
         entries = np.eye(3)
         entries[1, 1] = np.inf
-        with pytest.raises(ConvergenceError) as excinfo:
-            solve_dual(KernelMatrix(entries), [-1.0, 1.0, 1.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as excinfo:
+                solve_dual(KernelMatrix(entries), [-1.0, 1.0, 1.0], 1.0)
         assert math.isnan(excinfo.value.max_violation)
 
 

@@ -1,0 +1,83 @@
+"""Every parser is total: any text either parses or raises SdsvmError.
+
+Inputs are arbitrary text and valid documents with one random splice, which
+reaches the checks behind the headers that random text rarely passes.
+"""
+
+import io
+
+import pytest
+from hypothesis import given, strategies as st
+
+from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load_fasta, parse_csv
+from sdsvm.errors import SdsvmError
+from sdsvm.kernels import KernelSpec
+from sdsvm.outliermap import build_map, map_to_csv
+from sdsvm.svm import model_from_text, model_to_text
+
+CSV_LAST = "1.0,2.0,1\n0.5,-1.0,-1\n3,4e-3,1\n-2,0,-1\n"
+CSV_FIRST = "1,1.0,2.0\n-1,0.5,-1.0\n1,3,4e-3\n-1,-2,0\n"
+FASTA = ">a first\nACGT\nAC\n>b\nGGATT\n>c\nTTGA\n"
+FASTA_LABELS = "a 1\nb -1\nc -1\n"
+_FIT = fit_sdsvm(gen_toy(seed=1), KernelSpec())
+FIT_TEXT = fit_to_text(_FIT)
+MODEL_TEXT = model_to_text(_FIT.model)
+MAP_CSV = map_to_csv(build_map(_FIT))
+
+
+def text_like(valid):
+    """Arbitrary text, or `valid` with one span replaced by arbitrary text."""
+    spliced = st.tuples(
+        st.integers(0, len(valid)), st.integers(0, 12), st.text(max_size=12)
+    ).map(lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
+    return st.one_of(st.text(), spliced)
+
+
+def parses_or_raises_sdsvm_error(parse, *args, **kwargs):
+    try:
+        parse(*args, **kwargs)
+    except SdsvmError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("totality")
+
+
+def write(path, text):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    return path
+
+
+@given(text_like(CSV_LAST))
+def test_load_csv_label_last(workdir, text):
+    parses_or_raises_sdsvm_error(load_csv, write(workdir / "last.csv", text))
+
+
+@given(text_like(CSV_FIRST))
+def test_load_csv_label_first(workdir, text):
+    parses_or_raises_sdsvm_error(load_csv, write(workdir / "first.csv", text), label_col="first")
+
+
+@given(text_like(FASTA), text_like(FASTA_LABELS))
+def test_load_fasta(workdir, fasta, labels):
+    parses_or_raises_sdsvm_error(
+        load_fasta, write(workdir / "seq.fa", fasta), write(workdir / "labels.txt", labels)
+    )
+
+
+@given(text_like(MAP_CSV))
+def test_parse_csv(text):
+    parses_or_raises_sdsvm_error(parse_csv, io.StringIO(text))
+
+
+@given(text_like(FIT_TEXT))
+def test_fit_from_text(text):
+    parses_or_raises_sdsvm_error(fit_from_text, text)
+
+
+@given(text_like(MODEL_TEXT))
+def test_model_from_text(text):
+    parses_or_raises_sdsvm_error(model_from_text, text)

@@ -8,6 +8,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
@@ -141,6 +142,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Float flags that must be finite wherever a command has them.
+_FINITE_FLAGS = ("gamma", "coef0", "C", "shift", "threshold")
+
+
+def _check_numbers(parser, args):
+    """Reject a non-finite float flag or a seed outside [0, 2^64) before any work."""
+    for dest in _FINITE_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and not math.isfinite(value):
+            parser.error(f"--{dest} must be a finite number, got {value}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and not 0 <= seed < 2**64:
+        parser.error(f"--seed must be in [0, 2^64), got {seed}")
+
+
 def _kernel_from_args(parser, args) -> KernelSpec:
     if args.gamma is not None and args.gamma <= 0:
         parser.error(f"--gamma must be positive, got {args.gamma}")
@@ -191,8 +207,8 @@ def _cv_from_args(parser, args) -> CvConfig:
                 grid = tuple(float(tok) for tok in args.cv_grid.split(","))
             except ValueError:
                 parser.error(f"--cv-grid must be a comma list of numbers, got {args.cv_grid!r}")
-            if any(c <= 0 for c in grid):
-                parser.error("--cv-grid values must be positive")
+            if not all(0 < c < math.inf for c in grid):
+                parser.error(f"--cv-grid values must be positive and finite, got {args.cv_grid!r}")
     else:
         grid = (DEFAULT_C,)
     return CvConfig(folds=args.folds, grid=grid, seed=args.seed)
@@ -276,8 +292,14 @@ def _cmd_simulate(parser, args) -> int:
         parser.error("--kappas must list at least one value")
     for kappa in kappas:
         _validate_kappa(parser, kappa)
-    if args.runs < 1:
-        parser.error(f"--runs must be >= 1, got {args.runs}")
+    for flag, value, least in (
+        ("--runs", args.runs, 1),
+        ("--n", args.n, 1),
+        ("--d", args.d, 1),
+        ("--test-size", args.test_size, 2),
+    ):
+        if value < least:
+            parser.error(f"{flag} must be >= {least}, got {value}")
     spec = SimulationSpec(
         n_per_group=args.n,
         dim=args.d,
@@ -321,6 +343,7 @@ def main(argv=None) -> int:
         "toy": _cmd_toy,
     }
     try:
+        _check_numbers(parser, args)
         return handlers[args.command](parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)

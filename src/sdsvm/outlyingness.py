@@ -138,9 +138,12 @@ def robust_scale(v) -> float:
 
 def _squared_norms(entries, i_idx, j_idx):
     # (d_i + d_j) first: addition commutes exactly, so the value does not
-    # depend on pair orientation.
+    # depend on pair orientation.  Huge hand-built entries overflow to an inf
+    # or nan norm, which the callers' degeneracy tests handle; the warning
+    # would only repeat it.
     diag = np.diag(entries)
-    return (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
 
 
 def projection_vector(omega: KernelMatrix, i: int, j: int) -> ProjectionVector:
@@ -205,7 +208,6 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
     would stop (count accepted, or more than 100 * count rejections).
     """
     stream = Stream(derive_key(policy.seed, "directions"))
-    diag = np.diag(entries)
     count = policy.count
     limit = 100 * count
     seen = np.empty(0, dtype=np.int64)  # lo * k + hi of every accepted pair
@@ -217,7 +219,7 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
         lo = np.minimum(ij[0::2], ij[1::2])
         hi = np.maximum(ij[0::2], ij[1::2])
         code = lo * k + hi
-        sq = (diag[lo] + diag[hi]) - 2.0 * entries[lo, hi]
+        sq = _squared_norms(entries, lo, hi)
         # ~(sq <= tol), not sq > tol: a nan norm is accepted, as in the loop.
         candidate = np.flatnonzero((lo != hi) & ~(sq <= DEGENERACY_TOL))
         _, first = np.unique(code[candidate], return_index=True)
@@ -283,16 +285,19 @@ def outlyingness(omega: KernelMatrix, policy: DirectionPolicy | None = None) -> 
         degenerate += int(np.count_nonzero(~ok))
         if not np.any(ok):
             continue
-        v = entries[i_idx[ok]]
-        v -= entries[j_idx[ok]]
-        v /= np.sqrt(sq[ok])[:, None]
-        # v becomes |v - med|, then |v - med| / mad, in place.
-        v -= _row_medians(v)[:, None]
-        np.abs(v, out=v)
-        mad = _row_medians(v)
-        no_spread = np.flatnonzero(~(mad > 0.0))  # mad 0 or nan
-        repaired = np.where(v[no_spread] == 0.0, 0.0, np.inf)
+        # Huge hand-built entries overflow to inf and nan here, and those
+        # samples end at r = inf; mad == 0 rows divide by zero and are
+        # repaired below.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            v = entries[i_idx[ok]]
+            v -= entries[j_idx[ok]]
+            v /= np.sqrt(sq[ok])[:, None]
+            # v becomes |v - med|, then |v - med| / mad, in place.
+            v -= _row_medians(v)[:, None]
+            np.abs(v, out=v)
+            mad = _row_medians(v)
+            no_spread = np.flatnonzero(~(mad > 0.0))  # mad 0 or nan
+            repaired = np.where(v[no_spread] == 0.0, 0.0, np.inf)
             v /= mad[:, None]
         v[no_spread] = repaired
         np.maximum(r, v.max(axis=0), out=r)

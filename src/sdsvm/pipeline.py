@@ -255,8 +255,8 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
                 failures[t] = exc
                 continue
             start = model.alpha
-            f_vals = decision_values(model, cross)
-            rates[t].append(float(np.mean(sign_labels(f_vals) != y_test)))
+            wrong = np.count_nonzero(sign_labels(decision_values(model, cross)) != y_test)
+            rates[t].append(wrong / y_test.shape[0])
 
     table = []
     best = None

@@ -35,6 +35,7 @@ _MIX2 = 0x94D049BB133111EB
 _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 def _mix64(x: int) -> int:
@@ -72,31 +73,44 @@ class Stream:
         self._counter = 0
 
     def _raw(self, n: int) -> np.ndarray:
-        counters = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        x = np.uint64(self.key) + counters * _U_GOLDEN
-        x ^= x >> np.uint64(30)
-        x = x * _U_MIX1
-        x ^= x >> np.uint64(27)
-        x = x * _U_MIX2
-        x ^= x >> np.uint64(31)
+        # mix64(key + c * GOLDEN) in place, with one shift buffer; uint64
+        # arithmetic wraps mod 2**64.
+        x *= _U_GOLDEN
+        x += np.uint64(self.key)
+        shifted = np.empty_like(x)
+        np.right_shift(x, _U30, shifted)
+        x ^= shifted
+        x *= _U_MIX1
+        np.right_shift(x, _U27, shifted)
+        x ^= shifted
+        x *= _U_MIX2
+        np.right_shift(x, _U31, shifted)
+        x ^= shifted
         return x
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        top = self._raw(n)
+        top >>= _U11
+        # Converted and scaled in top's own memory.
+        return np.multiply(top, 2.0**-53, top.view(np.float64))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller on uniform pairs."""
         pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        u0 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
-        u1 = u[1::2]
-        radius = np.sqrt(-2.0 * np.log(u0))
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(2.0 * np.pi * u1)
-        z[1::2] = radius * np.sin(2.0 * np.pi * u1)
-        return z[:n]
+        u = self.uniforms(2 * pairs).reshape(pairs, 2)
+        radius = np.log(1.0 - u[:, 0])  # 1 - u0 in (0, 1]: keeps log() finite
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle = (2.0 * np.pi) * u[:, 1]
+        # u is spent: the pairs (z0, z1) overwrite it.
+        trig = np.cos(angle)
+        np.multiply(radius, trig, out=u[:, 0])
+        np.sin(angle, out=trig)
+        np.multiply(radius, trig, out=u[:, 1])
+        return u.reshape(-1)[:n]
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound); bias < bound * 2**-53 is ignored."""

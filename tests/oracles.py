@@ -6,7 +6,11 @@ medians instead of numpy, and exhaustive active-set enumeration instead of
 an iterative dual solver.  select_c_cold is the per-C cold-start loop that
 the warm-started C path in pipeline.select_C must reproduce;
 sample_pairs_one_at_a_time and outlyingness_np_median are the scalar sampler
-and the np.median chunk loop that sdsvm.outlyingness must match bit for bit.
+and the np.median chunk loop that sdsvm.outlyingness must match bit for bit;
+solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
+match bit for bit, and stream_uniforms_reference/stream_normals_reference the
+fresh-array forms of the counter stream that sdsvm.rng must match byte for
+byte.
 """
 
 import itertools
@@ -14,11 +18,20 @@ import math
 
 import numpy as np
 
-from sdsvm.errors import ConvergenceError, NoValidDirections
+from sdsvm.errors import ConvergenceError, DimensionError, NoValidDirections, SingleClassError
 from sdsvm.outlyingness import DEGENERACY_TOL
 from sdsvm.pipeline import CvSelection, _fold_assignment
 from sdsvm.rng import Stream, derive_key
-from sdsvm.svm import decision_values, sign_labels, solve_dual
+from sdsvm.svm import (
+    _CURVATURE_FLOOR,
+    _INTERIOR_TOL,
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    SvmModel,
+    decision_values,
+    sign_labels,
+    solve_dual,
+)
 
 
 def median_sorted(values):
@@ -112,7 +125,9 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
         if (i, j) in seen:
             rejections += 1
             continue
-        if (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j] <= DEGENERACY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge test matrices
+            sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
+        if sq <= DEGENERACY_TOL:
             rejections += 1
             continue
         seen.add((i, j))
@@ -130,23 +145,50 @@ def outlyingness_np_median(entries, pairs, chunk=1024):
     diag = np.diag(entries)
     r = np.zeros(k)
     degenerate = 0
-    for start in range(0, len(pairs), chunk):
-        i_idx = i_all[start : start + chunk]
-        j_idx = j_all[start : start + chunk]
-        sq = (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
-        ok = sq > DEGENERACY_TOL
-        degenerate += int(np.count_nonzero(~ok))
-        if not np.any(ok):
-            continue
-        v = (entries[i_idx[ok]] - entries[j_idx[ok]]) / np.sqrt(sq[ok])[:, None]
-        med = np.median(v, axis=1, keepdims=True)
-        dev = np.abs(v - med)
-        mad = np.median(dev, axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # Huge test matrices overflow to inf and nan; mad == 0 divides by zero.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start in range(0, len(pairs), chunk):
+            i_idx = i_all[start : start + chunk]
+            j_idx = j_all[start : start + chunk]
+            sq = (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
+            ok = sq > DEGENERACY_TOL
+            degenerate += int(np.count_nonzero(~ok))
+            if not np.any(ok):
+                continue
+            v = (entries[i_idx[ok]] - entries[j_idx[ok]]) / np.sqrt(sq[ok])[:, None]
+            med = np.median(v, axis=1, keepdims=True)
+            dev = np.abs(v - med)
+            mad = np.median(dev, axis=1, keepdims=True)
             ratio = dev / mad
-        ratio = np.where(mad > 0.0, ratio, np.where(dev == 0.0, 0.0, np.inf))
-        r = np.maximum(r, ratio.max(axis=0))
+            ratio = np.where(mad > 0.0, ratio, np.where(dev == 0.0, 0.0, np.inf))
+            r = np.maximum(r, ratio.max(axis=0))
     return r, degenerate
+
+
+def stream_uniforms_reference(key, counter, n):
+    """Stream.uniforms(n) from a stream whose counter stands at `counter`,
+    with one fresh array per mix64 step."""
+    counters = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
+    x = np.uint64(key) + counters * np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x = x * np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x = x * np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def stream_normals_reference(key, counter, n):
+    """Stream.normals(n) at `counter`: Box-Muller over strided slices."""
+    pairs = (n + 1) // 2
+    u = stream_uniforms_reference(key, counter, 2 * pairs)
+    u0 = 1.0 - u[0::2]
+    u1 = u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u0))
+    z = np.empty(2 * pairs)
+    z[0::2] = radius * np.cos(2.0 * np.pi * u1)
+    z[1::2] = radius * np.sin(2.0 * np.pi * u1)
+    return z[:n]
 
 
 def dual_qp_oracle(kernel, labels, c):
@@ -223,6 +265,93 @@ def select_c_cold(omega_t, labels_t, cv):
         if best is None or mean_rate < best[0] or (mean_rate == best[0] and c < best[1]):
             best = (mean_rate, c)
     return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
+
+
+def solve_dual_reference(
+    omega_t, labels, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, spec=None, ids=None, start=None
+):
+    """svm.solve_dual as whole-vector numpy steps: every pair update rebuilds
+    y * g and both masked candidate vectors.  The library's loop must give
+    the same model bit for bit (alpha, bias, updates, gap) or raise the same
+    exception."""
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    n = y.shape[0]
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise ValueError("labels must be -1 or +1")
+    if omega_t.k != n:
+        raise DimensionError(f"kernel matrix is {omega_t.k}x{omega_t.k} but {n} labels given")
+    n_minus = int(np.count_nonzero(y < 0))
+    if n_minus == 0 or n_minus == n:
+        raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
+    if not c > 0:
+        raise ValueError(f"C must be positive, got {c}")
+    kk = omega_t.entries
+    if start is None:
+        beta = np.zeros(n)
+        g = np.ones(n)
+    else:
+        alpha0 = np.asarray(start, dtype=np.float64)
+        if alpha0.shape != (n,):
+            raise ValueError(f"start has shape {alpha0.shape}, expected ({n},)")
+        if not np.all((alpha0 >= 0.0) & (alpha0 <= c)):
+            raise ValueError(f"start must lie in [0, C] with C={c}")
+        if abs(float(alpha0 @ y)) > 1e-9 * c:
+            raise ValueError("start violates sum alpha_i y_i = 0")
+        beta = y * alpha0
+        g = 1.0 - y * (kk @ beta)
+    upper = np.where(y > 0, c, 0.0)
+    lower = np.where(y > 0, 0.0, -c)
+
+    iterations = 0
+    gap = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        while iterations < max_iter:
+            iterations += 1
+            yg = y * g
+            up_vals = np.where(beta < upper, yg, -np.inf)
+            low_vals = np.where(beta > lower, yg, np.inf)
+            i = int(np.argmax(up_vals))
+            j = int(np.argmin(low_vals))
+            gap = up_vals[i] - low_vals[j]
+            if not gap > tol:
+                if np.isnan(gap):
+                    raise ConvergenceError(
+                        f"KKT violation became nan after {iterations - 1} pair updates",
+                        max_violation=float(gap),
+                    )
+                break
+            quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], _CURVATURE_FLOOR)
+            lam = min(upper[i] - beta[i], beta[j] - lower[j], gap / quad)
+            beta[i] = min(upper[i], beta[i] + lam)
+            beta[j] = max(lower[j], beta[j] - lam)
+            g += y * lam * (kk[j] - kk[i])
+        else:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} pair updates (KKT violation {gap:.3e})",
+                max_violation=float(gap),
+            )
+
+    alpha = y * beta
+    yg = y * g
+    free = (alpha > _INTERIOR_TOL) & (alpha < c - _INTERIOR_TOL)
+    if np.any(free):
+        bias = float(np.mean(yg[free]))
+    else:
+        lo = float(np.max(np.where(beta < upper, yg, -np.inf)))
+        hi = float(np.min(np.where(beta > lower, yg, np.inf)))
+        bias = 0.5 * (lo + hi)
+
+    return SvmModel(
+        alpha=alpha,
+        labels=y,
+        bias=bias,
+        ids=range(n) if ids is None else ids,
+        c=float(c),
+        tol=float(tol),
+        spec=spec,
+        updates=iterations - 1,
+        gap=float(gap),
+    )
 
 
 def kmer_counts_brute(text, k):

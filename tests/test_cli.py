@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from sdsvm import gen_toy, save_csv
 from sdsvm.cli import build_parser, main
 
 
@@ -90,6 +91,42 @@ class TestValidation:
         got, _, err = run_cli(capsys, *argv)
         assert got == code
         assert stage in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "{toy}", "--C", "nan"], "--C"),
+            (["fit", "{toy}", "--C", "inf"], "--C"),
+            (["fit", "{toy}", "--C", "inf", "--kappa", "1"], "--C"),
+            (["fit", "{toy}", "--cv-grid", "nan,1"], "--cv-grid"),
+            (["fit", "{toy}", "--cv-grid", "1,nan"], "--cv-grid"),
+            (["fit", "{toy}", "--cv-grid", "inf,1"], "--cv-grid"),
+            (["fit", "{toy}", "--kernel", "rbf", "--gamma", "nan"], "--gamma"),
+            (["fit", "{toy}", "--kernel", "rbf", "--gamma", "inf"], "--gamma"),
+            (["fit", "{toy}", "--kernel", "polynomial", "--coef0", "nan"], "--coef0"),
+            (["fit", "{toy}", "--directions", "10", "--seed", "-1"], "--seed"),
+            (["fit", "{toy}", "--seed", "-1"], "--seed"),
+            (["fit", "{toy}", "--seed", str(2**64)], "--seed"),
+            (["toy", "--threshold", "nan"], "--threshold"),
+            (["simulate", "--runs", "1", "--shift", "nan"], "--shift"),
+            (["simulate", "--runs", "1", "--n", "0"], "--n"),
+            (["simulate", "--runs", "1", "--d", "0"], "--d"),
+            (["simulate", "--runs", "1", "--test-size", "1"], "--test-size"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_number_exits_1(self, tmp_path, capsys, argv, flag):
+        save_csv(gen_toy(1), tmp_path / "toy.csv")
+        argv = [tok.format(toy=tmp_path / "toy.csv") for tok in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"error: {flag} " in err
+        assert "Traceback" not in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "toy", "--seed", str(2**64 - 1))
+        assert code == 0
+        assert len(out.splitlines()) == 67
 
     def test_python_dash_m_runs_the_cli(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["sdsvm", "--help"])

@@ -246,7 +246,6 @@ class TestSampledPairsMatchOneAtATime:
         # 3 pairs exist; the loop stops after 100 * 2000 rejections.
         self._check(3, 2000, 5, _random_matrix(3, seed=2))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_norm_is_accepted(self):
         # The squared norm of (0, 1) is (1e308 + 1e308) - 2e308 = inf - inf,
         # nan, which is not <= the degeneracy floor: the loop accepts it.
@@ -294,7 +293,6 @@ class TestMediansMatchNumpy:
         )
         self._check(_unchecked(entries), EXHAUSTIVE)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("k", [5, 6])
     def test_overflowing_entries(self, k):
         # Differences of 1e308 entries overflow to inf and their norms to

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from hypothesis.extra import numpy as npst
 
 import sdsvm.pipeline
 from sdsvm import (
@@ -25,6 +27,7 @@ from sdsvm import (
 from sdsvm.data import SimulationSpec
 from sdsvm.errors import (
     ConvergenceError,
+    SdsvmError,
     GroupEmptyAfterTrim,
     PipelineError,
     SerializationError,
@@ -329,7 +332,43 @@ class TestFitSdsvm:
         assert fit_from_text(fit_to_text(fit)).reports == ()
 
 
+@st.composite
+def small_fit(draw):
+    """A fit of a small random dataset, kernel, kappa, C or C grid and ids."""
+    n_minus, n_plus, d = draw(st.integers(3, 6)), draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    n = n_minus + n_plus
+    values = st.floats(-10.0, 10.0, width=64) | st.sampled_from([0.0, -0.0, 1e-300, 5e-324, 0.1])
+    x = draw(npst.arrays(np.float64, (n, d), elements=values))
+    labels = np.concatenate([-np.ones(n_minus), np.ones(n_plus)])
+    id_text = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+    ids = draw(st.none() | st.lists(id_text, min_size=n, max_size=n, unique=True))
+    spec = draw(
+        st.sampled_from(
+            [
+                LINEAR,
+                KernelSpec(kind="rbf", gamma=0.3),
+                KernelSpec(kind="polynomial", gamma=0.5, degree=2, coef0=1.0),
+            ]
+        )
+    )
+    kappa = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    cv = draw(
+        st.sampled_from(
+            [CvConfig(grid=(0.1,)), CvConfig(grid=(2.0**-3,)), CvConfig(folds=2, grid=(0.01, 1.0), seed=3)]
+        )
+    )
+    try:
+        return fit_sdsvm(Dataset(x=x, labels=labels, ids=ids), spec, kappa=kappa, cv=cv)
+    except SdsvmError:
+        assume(False)
+
+
 class TestFitReport:
+    @given(small_fit())
+    def test_report_reserializes_byte_identically(self, fit):
+        text = fit_to_text(fit)
+        assert fit_to_text(fit_from_text(text)) == text
+
     def test_round_trip(self):
         fit = fit_sdsvm(gen_toy(5), LINEAR)
         text = fit_to_text(fit)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as npst
 
 from sdsvm import (
     KernelMatrix,
@@ -17,10 +19,11 @@ from sdsvm import (
     solve_dual,
 )
 from sdsvm.errors import ConvergenceError, DimensionError, SingleClassError
+from sdsvm.pipeline import DEFAULT_C_GRID
 from sdsvm.rng import Stream, derive_key
 
 from conftest import make_vectors
-from oracles import dual_qp_oracle
+from oracles import dual_qp_oracle, solve_dual_reference
 
 LINEAR = KernelSpec(kind="linear")
 
@@ -112,6 +115,17 @@ class TestSolveDual:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError) as excinfo:
                 solve_dual(KernelMatrix(entries), [-1.0, 1.0, 1.0], 1.0)
+        assert math.isnan(excinfo.value.max_violation)
+
+    def test_nan_start_gradient_raises_convergence_error(self):
+        # inf * 0 in K @ beta makes the warm start's gradient nan.
+        entries = np.eye(3)
+        entries[2, 2] = np.inf
+        start = np.array([0.5, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as excinfo:
+                solve_dual(KernelMatrix(entries), [-1.0, 1.0, 1.0], 1.0, start=start)
         assert math.isnan(excinfo.value.max_violation)
 
 
@@ -219,3 +233,84 @@ class TestSerialization:
         back = model_from_text(model_to_text(model))
         assert back.spec.kind == "rbf"
         assert back.spec.gamma == 0.37
+
+
+def solve_outcome(solve, *args, **kwargs):
+    """A solve's model fields as bytes and reprs, or its exception."""
+    try:
+        model = solve(*args, **kwargs)
+    except (ConvergenceError, ValueError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "max_violation", None))
+    return model.alpha.tobytes(), repr(model.bias), model.updates, repr(model.gap)
+
+
+@st.composite
+def dual_instance(draw, nonfinite=True):
+    """(kernel matrix, labels): float, tie-heavy integer, duplicated or non-finite."""
+    n = draw(st.integers(2, 10))
+    d = draw(st.integers(1, 3))
+    kinds = ["float", "integer", "duplicates"] + (["nonfinite"] if nonfinite else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "integer":
+        values = st.integers(-2, 2).map(float)
+    else:
+        values = st.floats(-5.0, 5.0, allow_nan=False, width=64)
+    rows = draw(npst.arrays(np.float64, (n, d), elements=values))
+    if kind == "duplicates":
+        rows = rows[draw(st.lists(st.integers(0, n // 2), min_size=n, max_size=n))]
+    entries = rows @ rows.T
+    entries = np.triu(entries) + np.triu(entries, 1).T
+    if kind == "nonfinite":
+        # One entry and its mirror, or a whole row and column.
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        if draw(st.booleans()):
+            entries[a, :] = entries[:, a] = value
+        else:
+            entries[a, b] = entries[b, a] = value
+    labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    labels[:2] = (-1.0, 1.0)
+    return KernelMatrix._wrap(entries), labels
+
+
+class TestMatchesReferenceLoop:
+    """solve_dual gives the whole-vector loop's model bit for bit."""
+
+    @given(
+        dual_instance(),
+        st.sampled_from(DEFAULT_C_GRID[:6] + (0.37, 1e-9, math.inf)),
+        st.sampled_from([1e-1, 1e-3, 1e-6, 0.0, -1e-3]),
+        st.sampled_from([0, 1, 2, 7, 2000]),
+    )
+    def test_cold_start(self, instance, c, tol, max_iter):
+        om, y = instance
+        args = (om, y, c, tol, max_iter)
+        assert solve_outcome(solve_dual, *args) == solve_outcome(solve_dual_reference, *args)
+
+    @pytest.mark.parametrize(
+        "x, y, field",
+        [
+            ([1.0, 0.0, 1.0], [-1.0, 1.0, -1.0], "bias"),
+            ([1.0, 0.0, 2.0, 1.0], [-1.0, 1.0, -1.0, -1.0], "bias"),
+            ([0.0, -1.0, -2.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0, -1.0], "gap"),
+        ],
+    )
+    def test_signed_zero_bias_and_gap(self, x, y, field):
+        # Integer data where the reference ends at -0.0, a zero whose sign a
+        # running y * g can lose.
+        om = kernel_matrix(LINEAR, make_vectors(np.array(x)[:, None]))
+        expected = solve_dual_reference(om, y, 1.0)
+        assert repr(getattr(expected, field)) == "-0.0"
+        assert solve_outcome(solve_dual, om, y, 1.0) == solve_outcome(solve_dual_reference, om, y, 1.0)
+
+    @given(dual_instance(nonfinite=False), st.sampled_from([1e-3, 1e-6]))
+    def test_ascending_c_path(self, instance, tol):
+        om, y = instance
+        start = None
+        for c in DEFAULT_C_GRID:
+            args = (om, y, c, tol, 3000)
+            got = solve_outcome(solve_dual, *args, start=start)
+            assert got == solve_outcome(solve_dual_reference, *args, start=start)
+            if not isinstance(got[0], bytes):
+                break
+            start = np.frombuffer(got[0])

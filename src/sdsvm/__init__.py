@@ -23,21 +23,19 @@ from .outliermap import (
 from .outlyingness import (
     DirectionPolicy,
     OutlyingnessReport,
-    ProjectionVector,
     default_policy,
     enumerate_directions,
     outlyingness,
-    projection_vector,
-    robust_location,
-    robust_scale,
 )
 from .pipeline import (
     CvConfig,
     FitResult,
     TrimPlan,
     fit_from_text,
+    fit_ranked,
     fit_sdsvm,
     fit_to_text,
+    rank,
     select_C,
     trim,
 )
@@ -64,7 +62,6 @@ __all__ = [
     "MapStyle",
     "OutlierMapPoint",
     "OutlyingnessReport",
-    "ProjectionVector",
     "SdsvmError",
     "SimulationSpec",
     "SvmModel",
@@ -79,6 +76,7 @@ __all__ = [
     "enumerate_directions",
     "eval_kernel",
     "fit_from_text",
+    "fit_ranked",
     "fit_sdsvm",
     "fit_to_text",
     "gen_simulation",
@@ -92,9 +90,7 @@ __all__ = [
     "outlyingness",
     "parse_csv",
     "predict",
-    "projection_vector",
-    "robust_location",
-    "robust_scale",
+    "rank",
     "run_simulation",
     "save_csv",
     "select_C",

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, kernel_cross
 from .outlyingness import DirectionPolicy
-from .pipeline import CvConfig, fit_sdsvm
+from .pipeline import CvConfig, fit_ranked, rank
 from .rng import Stream, derive_key
 from .svm import decision_values, sign_labels
 
@@ -203,10 +203,14 @@ class SimulationResult:
 def _evaluate_run(spec, kernel, cv, policy, run, tol):
     train, test = gen_simulation(spec, run)
     rows = []
-    cross = None
+    ranking = cross = None
     for kappa in spec.kappas:
         try:
-            fit = fit_sdsvm(train, kernel, kappa=kappa, cv=cv, policy=policy, tol=tol)
+            # The ranking does not depend on kappa; a failed one is retried
+            # on the next kappa and fails the same way.
+            if ranking is None:
+                ranking = rank(train, kernel, policy)
+            fit = fit_ranked(ranking, kappa, cv, tol)
             if cross is None:
                 cross = kernel_cross(kernel, train.x, test.x)
             retained = np.array(fit.plan.retained, dtype=np.intp)
@@ -229,6 +233,8 @@ def run_simulation(
     tol: float = 1e-3,
 ) -> SimulationResult:
     """Fit every (run, kappa) cell and summarize test error per kappa.
+
+    Each run's train set is ranked once and then fitted at every kappa.
 
     Failures inside a run are recorded as nan rows instead of aborting the
     sweep.  Each run's data comes from its own (seed, run)-derived streams.

@@ -24,14 +24,6 @@ class EmptyInput(SdsvmError):
     """An operation that needs at least one value received none."""
 
 
-class InvalidPair(SdsvmError):
-    """A projection direction was requested through a single point (i == j)."""
-
-
-class DegenerateDirection(SdsvmError):
-    """The two chosen samples coincide in feature space (zero norm)."""
-
-
 class NoValidDirections(SdsvmError):
     """No non-degenerate projection direction exists for the data set."""
 

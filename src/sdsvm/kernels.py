@@ -15,14 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInput, KernelTypeError
 
 KINDS = ("linear", "rbf", "polynomial", "spectrum", "precomputed")
 
-# Above this many distinct k-mers the dense count table is replaced by
-# sparse dictionaries.
-_DENSE_KMER_LIMIT = 2**20
+# Vocabulary columns per k-mer count chunk: a chunk is n x this many
+# float64s.  At 600 strings, 512 and 2048 took the same time; 512 peaked
+# lower.
+_KMER_CHUNK = 512
 
 # Rows per block in the in-place passes over an n x n block (RBF distances,
 # mirroring): the temporaries stay this many rows instead of n.  256 and 512
@@ -142,43 +144,38 @@ class KernelMatrix:
         return out
 
 
-def _kmer_vocabulary(strings, kmer):
-    """Sorted tuple of every distinct k-mer occurring in the strings."""
-    vocab = set()
-    for s in strings:
-        for i in range(len(s) - kmer + 1):
-            vocab.add(s[i : i + kmer])
-    return tuple(sorted(vocab))
+def _spectrum_block(a: list, b: list | None, kmer: int) -> np.ndarray:
+    """Shared k-mer counts between strings a_i and b_j (b=None: a with itself).
 
-
-def _kmer_count_rows(strings, kmer):
-    """Count matrix (n_strings x n_distinct_kmers) over the joint vocabulary.
-
-    A dense table is used while the vocabulary stays small (the usual case for
-    biological alphabets); beyond _DENSE_KMER_LIMIT distinct k-mers the counts
-    go through per-string dictionaries instead.
+    Every k-mer occurrence becomes its string's row and its k-mer's column in
+    the sorted joint vocabulary, and the block accumulates C C^T over chunks
+    of _KMER_CHUNK columns of the count table C.  Counts are integers, so
+    every entry is exact below 2**53 however the columns are chunked.
     """
-    vocab = _kmer_vocabulary(strings, kmer)
-    if len(vocab) <= _DENSE_KMER_LIMIT:
-        index = {w: i for i, w in enumerate(vocab)}
-        rows = np.zeros((len(strings), max(len(vocab), 1)))
-        for r, s in enumerate(strings):
-            for i in range(len(s) - kmer + 1):
-                rows[r, index[s[i : i + kmer]]] += 1.0
-        return rows
-    counts = []
-    for s in strings:
-        d = {}
-        for i in range(len(s) - kmer + 1):
-            w = s[i : i + kmer]
-            d[w] = d.get(w, 0) + 1
-        counts.append(d)
-    return counts
-
-
-def _kmer_dot(c1, c2) -> float:
-    small, large = (c1, c2) if len(c1) <= len(c2) else (c2, c1)
-    return float(sum(v * large.get(w, 0) for w, v in small.items()))
+    strings = a if b is None else a + b
+    na = len(a)
+    out = np.zeros((na, na if b is None else len(b)))
+    lengths = np.array([len(s) for s in strings])
+    spans = np.maximum(lengths - kmer + 1, 0)
+    rows = np.repeat(np.arange(len(strings)), spans)
+    if not rows.size:
+        return out
+    offsets = np.cumsum(lengths) - lengths  # of each string in the joined strings
+    firsts = np.cumsum(spans) - spans  # index of each string's first occurrence
+    starts = offsets[rows] + np.arange(rows.size) - firsts[rows]
+    # One uint32 code point per character; each k-mer's kmer code points
+    # are read back as one fixed-width numpy string.
+    codes = np.array("".join(strings)).reshape(1).view(np.uint32)
+    words = sliding_window_view(codes, kmer)[starts].view(f"U{kmer}").ravel()
+    vocab, cols = np.unique(words, return_inverse=True)
+    order = np.argsort(cols)
+    rows, cols = rows[order], cols[order]
+    for start in range(0, vocab.size, _KMER_CHUNK):
+        lo, hi = np.searchsorted(cols, (start, start + _KMER_CHUNK))
+        counts = np.zeros((len(strings), _KMER_CHUNK))
+        np.add.at(counts, (rows[lo:hi], cols[lo:hi] - start), 1.0)
+        out += counts @ counts.T if b is None else counts[:na] @ counts[na:].T
+    return out
 
 
 def _mirror_upper(m: np.ndarray) -> np.ndarray:
@@ -250,23 +247,14 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     The single place that branches on the kernel kind.  The square block
     keeps the arithmetic its exactness rests on: one x @ x.T product (the
     symmetric BLAS path), RBF norms read from the Gram diagonal with the
-    distance diagonal pinned to zero (so exp(0) == 1 exactly), and one k-mer
-    count table for spectrum.  The inputs are never written to.
+    distance diagonal pinned to zero (so exp(0) == 1 exactly), and exact
+    integer k-mer counts for spectrum.  The inputs are never written to.
     """
     square = b is None
     if len(a) == 0 or (not square and len(b) == 0):
         raise EmptyInput("a kernel block needs at least one sample on each side")
     if spec.kind == "spectrum":
-        na = len(a)
-        rows = _kmer_count_rows(_strings(a) if square else _strings(a) + _strings(b), spec.kmer)
-        if isinstance(rows, np.ndarray):
-            return rows @ rows.T if square else rows[:na] @ rows[na:].T
-        rows_b = rows if square else rows[na:]
-        out = np.zeros((na, len(rows_b)))
-        for i in range(na):
-            for j in range(len(rows_b)):
-                out[i, j] = _kmer_dot(rows[i], rows_b[j])
-        return out
+        return _spectrum_block(_strings(a), None if square else _strings(b), spec.kmer)
     if spec.kind == "precomputed":
         ia = _matrix_rows(spec, a)
         ib = ia if square else _matrix_rows(spec, b)

@@ -16,18 +16,11 @@ seeded random subset otherwise.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirection,
-    EmptyInput,
-    InvalidPair,
-    NoValidDirections,
-    TooFewSamples,
-)
+from .errors import NoValidDirections, TooFewSamples
 from .kernels import KernelMatrix
 from .rng import Stream, derive_key
 
@@ -87,7 +80,7 @@ class OutlyingnessReport:
     policy: DirectionPolicy
     degenerate_pairs: int = 0
     directions: int = 0  # pairs scanned, degenerate ones included
-    draws: int = 0  # candidate pairs the sampler drew; 0 when exhaustive
+    draws: int = 0  # candidates the sampler drew up to its stop; 0 when exhaustive
 
     def __post_init__(self):
         arr = np.asarray(self.r, dtype=np.float64)
@@ -105,37 +98,6 @@ class OutlyingnessReport:
         return self.r.shape[0]
 
 
-@dataclass(frozen=True)
-class ProjectionVector:
-    """Projections of all samples onto the direction through one pair."""
-
-    values: np.ndarray
-    pair: tuple
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
-
-
-def robust_location(v) -> float:
-    """Median; for even length the mean of the two middle order statistics."""
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptyInput("robust_location of empty vector")
-    return float(np.median(arr))
-
-
-def robust_scale(v) -> float:
-    """Median absolute deviation from the median, without consistency factor."""
-    arr = np.asarray(v, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise EmptyInput("robust_scale of empty vector")
-    return float(np.median(np.abs(arr - np.median(arr))))
-
-
 def _squared_norms(entries, i_idx, j_idx):
     # (d_i + d_j) first: addition commutes exactly, so the value does not
     # depend on pair orientation.  Huge hand-built entries overflow to an inf
@@ -146,24 +108,10 @@ def _squared_norms(entries, i_idx, j_idx):
         return (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
 
 
-def projection_vector(omega: KernelMatrix, i: int, j: int) -> ProjectionVector:
-    """Unit-direction projections for the pair (i, j) of sample indices."""
-    if i == j:
-        raise InvalidPair(f"projection direction needs two distinct samples, got ({i}, {j})")
-    entries = omega.entries
-    sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
-    if sq <= DEGENERACY_TOL:
-        raise DegenerateDirection(
-            f"samples {i} and {j} coincide in feature space (squared norm {sq:.3e})"
-        )
-    values = (entries[i] - entries[j]) / math.sqrt(sq)
-    return ProjectionVector(values=values, pair=(i, j))
-
-
 class DirectionList(list):
     """The (i, j) index pairs to scan, i < j, in scan order.
 
-    `draws` is how many candidate pairs the sampler drew to find them,
+    `draws` is how many candidate pairs the sampler drew up to its stop,
     rejected ones included; 0 for an exhaustive list.
     """
 
@@ -179,7 +127,7 @@ def enumerate_directions(k: int, policy: DirectionPolicy | None, omega: KernelMa
     skips and counts them).  Sampled mode yields the pairs that a loop
     drawing one pair at a time from the ("directions",) stream would accept:
     it rejects i == j, repeated and degenerate draws, and gives up after
-    100 * count rejections.
+    100 * count rejections or once no non-degenerate pair is left to accept.
     """
     if k < 2:
         raise ValueError(f"need at least 2 samples to form a direction, got {k}")
@@ -205,16 +153,23 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
     are exactly those of one-pair-at-a-time draws.  A candidate is accepted
     when i != j, the pair is not degenerate and it is the pair's first
     non-degenerate occurrence; the block is cut where the one-at-a-time loop
-    would stop (count accepted, or more than 100 * count rejections).
+    would stop: count accepted, more than 100 * count rejections, or, when
+    count reaches the k(k-1)/2 pairs that exist, every non-degenerate pair
+    accepted.  draws counts the candidates up to that stop.
     """
     stream = Stream(derive_key(policy.seed, "directions"))
-    count = policy.count
+    count = target = policy.count
     limit = 100 * count
+    if count >= k * (k - 1) // 2:
+        # Every pair can be accepted: stop once the non-degenerate ones are.
+        # ~(sq <= tol), not sq > tol: a nan norm is accepted, as below.
+        sq = _squared_norms(entries, *np.triu_indices(k, 1))
+        target = int(np.count_nonzero(~(sq <= DEGENERACY_TOL)))
     seen = np.empty(0, dtype=np.int64)  # lo * k + hi of every accepted pair
-    lo_parts, hi_parts = [], []
+    lo_parts, hi_parts = [seen], [seen]  # start empty, so a target of 0 yields no pairs
     accepted = rejections = draws = 0
-    while accepted < count and rejections <= limit:
-        block = min(max(count - accepted, _MIN_DRAW_BLOCK), _MAX_DRAW_BLOCK)
+    while accepted < target and rejections <= limit:
+        block = min(max(target - accepted, _MIN_DRAW_BLOCK), _MAX_DRAW_BLOCK)
         ij = stream.integers(2 * block, k)
         lo = np.minimum(ij[0::2], ij[1::2])
         hi = np.maximum(ij[0::2], ij[1::2])
@@ -228,7 +183,7 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
         fresh[first[~np.isin(code[first], seen)]] = True
         accepted_after = accepted + np.cumsum(fresh)
         rejected_after = rejections + np.cumsum(~fresh)
-        stops = np.flatnonzero((accepted_after >= count) | (rejected_after > limit))
+        stops = np.flatnonzero((accepted_after >= target) | (rejected_after > limit))
         end = int(stops[0]) + 1 if stops.size else block
         keep = np.flatnonzero(fresh[:end])
         lo_parts.append(lo[keep])

@@ -1,10 +1,11 @@
 """Trimmed-SVM training pipeline.
 
-Fitting proceeds in stages: per-group outlyingness on each group's own kernel
-submatrix, retention of the floor(kappa * group size) least outlying samples
-per group, optional cross-validated choice of the box constraint C, a dual
-solve on the retained union, and finally decision values for every sample
-(trimmed ones included, since the outlier map plots them all).
+Fitting proceeds in stages.  rank builds the kernel matrix and the per-group
+outlyingness on each group's own kernel submatrix; neither depends on kappa.
+fit_ranked then retains the floor(kappa * group size) least outlying samples
+per group, optionally cross-validates the box constraint C, solves the dual
+on the retained union, and finally scores every sample (trimmed ones
+included, since the outlier map plots them all).
 """
 
 from __future__ import annotations
@@ -25,12 +26,7 @@ from .errors import (
     run_stage,
 )
 from .kernels import KernelMatrix, KernelSpec, kernel_matrix, parse_spec
-from .outlyingness import (
-    DirectionPolicy,
-    OutlyingnessReport,
-    default_policy,
-    outlyingness,
-)
+from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, derive_key
 from .svm import (
     DEFAULT_TOL,
@@ -277,24 +273,23 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
 
 
-def fit_sdsvm(
-    dataset,
-    spec: KernelSpec,
-    kappa: float = 0.5,
-    cv: CvConfig | None = None,
-    policy: DirectionPolicy | None = None,
-    tol: float = DEFAULT_TOL,
-) -> FitResult:
-    """Run the full trimmed-SVM fit on a labeled dataset.
+@dataclass(frozen=True)
+class Ranking:
+    """The kappa-independent part of a fit: the kernel matrix of the dataset
+    and the (minus, plus) outlyingness reports of its two groups."""
 
-    With a single-point C grid (the default {0.1}) the fold evaluation is
-    skipped and the value used directly.  A policy of None means the
-    per-group default: exhaustive pairs up to 100 samples, else 2000 sampled.
+    dataset: object
+    spec: KernelSpec
+    omega: KernelMatrix
+    reports: tuple
+
+
+def rank(dataset, spec: KernelSpec, policy: DirectionPolicy | None = None) -> Ranking:
+    """Kernel matrix and per-group outlyingness (stages validate, kernel, outlyingness).
+
+    A policy of None means the per-group default: exhaustive pairs up to 100
+    samples, else 2000 sampled.
     """
-    if not 0.5 <= kappa <= 1.0:
-        raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
-    if cv is None:
-        cv = CvConfig()
     labels = np.asarray(dataset.labels, dtype=np.float64)
     minus_idx = np.flatnonzero(labels < 0)
     plus_idx = np.flatnonzero(labels > 0)
@@ -308,20 +303,29 @@ def fit_sdsvm(
         )
 
     omega = run_stage("kernel", kernel_matrix, spec, dataset.x)
-
-    def per_group_reports():
-        reports = []
-        policies = []
-        for group in (minus_idx, plus_idx):
-            sub = omega.take(group)
-            group_policy = policy if policy is not None else default_policy(sub.k)
-            reports.append(outlyingness(sub, group_policy))
-            policies.append(group_policy)
-        return reports, policies
-
-    (report_minus, report_plus), (policy_minus, policy_plus) = run_stage(
-        "outlyingness", per_group_reports
+    reports = run_stage(
+        "outlyingness",
+        lambda: tuple(outlyingness(omega.take(group), policy) for group in (minus_idx, plus_idx)),
     )
+    return Ranking(dataset=dataset, spec=spec, omega=omega, reports=reports)
+
+
+def fit_ranked(
+    ranking: Ranking,
+    kappa: float = 0.5,
+    cv: CvConfig | None = None,
+    tol: float = DEFAULT_TOL,
+) -> FitResult:
+    """Trim, select C, train and score every sample on a ranked dataset.
+
+    With a single-point C grid (the default {0.1}) the fold evaluation is
+    skipped and the value used directly.
+    """
+    if cv is None:
+        cv = CvConfig()
+    dataset, omega = ranking.dataset, ranking.omega
+    report_minus, report_plus = ranking.reports
+    labels = np.asarray(dataset.labels, dtype=np.float64)
     plan = run_stage("trim", trim, report_minus, report_plus, labels, kappa)
 
     retained = np.array(plan.retained, dtype=np.intp)
@@ -345,7 +349,7 @@ def fit_sdsvm(
         labels_t,
         chosen_c,
         tol,
-        spec=spec,
+        spec=ranking.spec,
         ids=tuple(dataset.ids[i] for i in retained),
     )
     del omega_t  # freed before the n_retained x n decision block is gathered
@@ -359,12 +363,26 @@ def fit_sdsvm(
         decision_values=decision_values(model, omega.entries[retained]),
         ids=dataset.ids,
         labels=labels,
-        spec=spec,
+        spec=ranking.spec,
         kappa=float(kappa),
-        policy_minus=policy_minus,
-        policy_plus=policy_plus,
-        reports=(report_minus, report_plus),
+        policy_minus=report_minus.policy,
+        policy_plus=report_plus.policy,
+        reports=ranking.reports,
     )
+
+
+def fit_sdsvm(
+    dataset,
+    spec: KernelSpec,
+    kappa: float = 0.5,
+    cv: CvConfig | None = None,
+    policy: DirectionPolicy | None = None,
+    tol: float = DEFAULT_TOL,
+) -> FitResult:
+    """Run the full trimmed-SVM fit on a labeled dataset: rank, then fit_ranked."""
+    if not 0.5 <= kappa <= 1.0:
+        raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
+    return fit_ranked(rank(dataset, spec, policy), kappa, cv, tol)
 
 
 _FIT_HEADER = "sdsvm-fit-v1"

@@ -119,9 +119,14 @@ class Stream:
         return np.minimum((self.uniforms(n) * bound).astype(np.int64), bound - 1)
 
     def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle of a copy of items."""
+        """Fisher-Yates shuffle of a copy of items.
+
+        Position t = n-1, ..., 1 swaps with integers(1, t + 1); all n - 1
+        uniforms are drawn in one call, which consumes the same counters.
+        """
         out = list(items)
-        for t in range(len(out) - 1, 0, -1):
-            s = int(self.integers(1, t + 1)[0])
+        bounds = np.arange(len(out), 1, -1)  # t + 1 for t = n-1, ..., 1
+        swaps = np.minimum((self.uniforms(bounds.size) * bounds).astype(np.int64), bounds - 1)
+        for t, s in zip(range(len(out) - 1, 0, -1), swaps.tolist()):
             out[t], out[s] = out[s], out[t]
         return out

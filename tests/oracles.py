@@ -8,17 +8,27 @@ the warm-started C path in pipeline.select_C must reproduce;
 sample_pairs_one_at_a_time and outlyingness_np_median are the scalar sampler
 and the np.median chunk loop that sdsvm.outlyingness must match bit for bit;
 solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
-match bit for bit, and stream_uniforms_reference/stream_normals_reference the
-fresh-array forms of the counter stream that sdsvm.rng must match byte for
-byte.
+match bit for bit, and stream_uniforms_reference/stream_normals_reference and
+shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
+stream that sdsvm.rng must match byte for byte.  robust_location,
+robust_scale and projection_vector, with the two errors it raises, are
+helpers that only the tests use.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from sdsvm.errors import ConvergenceError, DimensionError, NoValidDirections, SingleClassError
+from sdsvm.errors import (
+    ConvergenceError,
+    DimensionError,
+    EmptyInput,
+    NoValidDirections,
+    SdsvmError,
+    SingleClassError,
+)
 from sdsvm.outlyingness import DEGENERACY_TOL
 from sdsvm.pipeline import CvSelection, _fold_assignment
 from sdsvm.rng import Stream, derive_key
@@ -32,6 +42,59 @@ from sdsvm.svm import (
     sign_labels,
     solve_dual,
 )
+
+
+class InvalidPair(SdsvmError):
+    """A projection direction was requested through a single point (i == j)."""
+
+
+class DegenerateDirection(SdsvmError):
+    """The two chosen samples coincide in feature space (zero norm)."""
+
+
+@dataclass(frozen=True)
+class ProjectionVector:
+    """Projections of all samples onto the direction through one pair."""
+
+    values: np.ndarray
+    pair: tuple
+
+    def __post_init__(self):
+        arr = np.asarray(self.values, dtype=np.float64)
+        arr = arr.copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "pair", (int(self.pair[0]), int(self.pair[1])))
+
+
+def robust_location(v) -> float:
+    """Median; for even length the mean of the two middle order statistics."""
+    arr = np.asarray(v, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise EmptyInput("robust_location of empty vector")
+    return float(np.median(arr))
+
+
+def robust_scale(v) -> float:
+    """Median absolute deviation from the median, without consistency factor."""
+    arr = np.asarray(v, dtype=np.float64).ravel()
+    if arr.size == 0:
+        raise EmptyInput("robust_scale of empty vector")
+    return float(np.median(np.abs(arr - np.median(arr))))
+
+
+def projection_vector(omega, i: int, j: int) -> ProjectionVector:
+    """Unit-direction projections for the pair (i, j) of sample indices."""
+    if i == j:
+        raise InvalidPair(f"projection direction needs two distinct samples, got ({i}, {j})")
+    entries = omega.entries
+    sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
+    if sq <= DEGENERACY_TOL:
+        raise DegenerateDirection(
+            f"samples {i} and {j} coincide in feature space (squared norm {sq:.3e})"
+        )
+    values = (entries[i] - entries[j]) / math.sqrt(sq)
+    return ProjectionVector(values=values, pair=(i, j))
 
 
 def median_sorted(values):
@@ -106,7 +169,9 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
     """(pairs, draws) of the sampled direction policy, one stream draw per pair.
 
     Rejects i == j, repeated and degenerate pairs and gives up after
-    100 * count rejections; draws counts every candidate pair drawn.
+    100 * count rejections; draws counts every candidate pair drawn.  When
+    count reaches the k(k-1)/2 pairs that exist, it stops as soon as every
+    non-degenerate pair is accepted, and raises at once if there is none.
     """
     stream = Stream(derive_key(seed, "directions"))
     pairs = []
@@ -114,7 +179,15 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
     rejections = 0
     draws = 0
     limit = 100 * count
-    while len(pairs) < count and rejections <= limit:
+    target = count
+    if count >= k * (k - 1) // 2:
+        target = 0
+        for i, j in itertools.combinations(range(k), 2):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
+            if not sq <= DEGENERACY_TOL:
+                target += 1
+    while len(pairs) < target and rejections <= limit:
         i, j = (int(v) for v in stream.integers(2, k))
         draws += 1
         if i == j:
@@ -163,6 +236,15 @@ def outlyingness_np_median(entries, pairs, chunk=1024):
             ratio = np.where(mad > 0.0, ratio, np.where(dev == 0.0, 0.0, np.inf))
             r = np.maximum(r, ratio.max(axis=0))
     return r, degenerate
+
+
+def shuffled_one_at_a_time(stream, items):
+    """Stream.shuffled as a Fisher-Yates loop with one integers draw per position."""
+    out = list(items)
+    for t in range(len(out) - 1, 0, -1):
+        s = int(stream.integers(1, t + 1)[0])
+        out[t], out[s] = out[s], out[t]
+    return out
 
 
 def stream_uniforms_reference(key, counter, n):

@@ -29,7 +29,6 @@ from sdsvm import (
     kernel_matrix,
     outlyingness,
     parse_csv,
-    projection_vector,
     run_simulation,
     solve_dual,
     trim,
@@ -37,7 +36,12 @@ from sdsvm import (
 from sdsvm.errors import NoValidDirections
 from sdsvm.outliermap import OutlierMapPoint, map_to_csv
 
-from oracles import dual_qp_oracle, sd_outlyingness_input_space, spectrum_dot_brute
+from oracles import (
+    dual_qp_oracle,
+    projection_vector,
+    sd_outlyingness_input_space,
+    spectrum_dot_brute,
+)
 
 LINEAR = KernelSpec(kind="linear")
 

@@ -123,6 +123,13 @@ class TestValidation:
         assert f"error: {flag} " in err
         assert "Traceback" not in err
 
+    def test_direction_count_beyond_all_pairs_finishes(self, capsys):
+        # The sampler stops once every valid pair is accepted instead of
+        # drawing until 100 * count rejections.
+        code, out, _ = run_cli(capsys, "toy", "--seed", "1", "--directions", "1000000000000")
+        assert code == 0
+        assert len(out.splitlines()) == 67
+
     def test_largest_seed_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "toy", "--seed", str(2**64 - 1))
         assert code == 0

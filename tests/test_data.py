@@ -223,13 +223,15 @@ class TestRunSimulation:
 
     def test_failures_marked_not_fatal(self):
         # a group of 3 at kappa 0.5 floors to h = 1 which trains fine, but
-        # with 2 samples per group the pipeline refuses; errors become nan rows
-        spec = SimulationSpec(n_per_group=2, dim=4, shift=1.0, test_size=4, runs=1, kappas=(0.5,))
+        # with 2 samples per group the pipeline refuses; errors become nan
+        # rows, and the ranking is retried and fails alike at every kappa
+        spec = SimulationSpec(n_per_group=2, dim=4, shift=1.0, test_size=4, runs=1, kappas=(0.5, 1.0))
         result = run_simulation(spec, LINEAR)
-        assert len(result.rows) == 1
-        assert math.isnan(result.rows[0].error)
-        assert result.rows[0].failure == "TooFewSamples"
-        assert math.isnan(result.summary[0].median)
+        assert len(result.rows) == 2
+        for row, summary in zip(result.rows, result.summary):
+            assert math.isnan(row.error)
+            assert row.failure == "TooFewSamples"
+            assert math.isnan(summary.median)
 
 
 class TestDatasetValidation:

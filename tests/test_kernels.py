@@ -264,14 +264,34 @@ class TestExactRecipe:
         expected = np.triu(m) + np.triu(m, 1).T
         assert sdsvm.kernels._mirror_upper(m.copy()).tobytes() == expected.tobytes()
 
-    def test_sparse_kmer_counts_match_dense(self, monkeypatch):
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_kmer_chunk_width_does_not_change_entries(self, monkeypatch, width):
         spec = KernelSpec(kind="spectrum", **self.PARAMS["spectrum"])
         words, _ = self._inputs("spectrum")
         square = kernel_matrix(spec, words).entries
         cross = kernel_cross(spec, words[:25], words[25:])
-        monkeypatch.setattr(sdsvm.kernels, "_DENSE_KMER_LIMIT", 0)
+        monkeypatch.setattr(sdsvm.kernels, "_KMER_CHUNK", width)
         assert np.array_equal(kernel_matrix(spec, words).entries, square)
         assert np.array_equal(kernel_cross(spec, words[:25], words[25:]), cross)
+
+    def test_vocabulary_above_a_million_kmers(self):
+        # About 1.2 million distinct 8-mers, over the 2**20 columns a dense
+        # count table was once limited to; shared stretches make the
+        # off-diagonal entries large.
+        rng = np.random.default_rng(8)
+        letters = np.array(list("ACDEFGHIKLMNPQRSTVWY"))
+
+        def residues(n):
+            return "".join(rng.choice(letters, size=n))
+
+        s0 = residues(500_000)
+        s1 = s0[:100_000] + residues(400_000)
+        s2 = s1[50_000:250_000] + residues(300_000)
+        strings = [s0, s1, s2]
+        square = kernel_matrix(KernelSpec(kind="spectrum", kmer=8), strings).entries
+        for i, j in [(0, 1), (1, 2), (2, 2)]:
+            assert square[i, j] == square[j, i] == spectrum_dot_brute(strings[i], strings[j], 8)
+        assert square[0, 1] > 0 and square[1, 2] > 0
 
     def test_precomputed_matches_recipe(self):
         rng = np.random.default_rng(4)

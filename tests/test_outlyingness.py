@@ -9,21 +9,17 @@ from sdsvm import (
     enumerate_directions,
     kernel_matrix,
     outlyingness,
-    projection_vector,
-    robust_location,
-    robust_scale,
 )
-from sdsvm.errors import (
-    DegenerateDirection,
-    EmptyInput,
-    InvalidPair,
-    NoValidDirections,
-    TooFewSamples,
-)
+from sdsvm.errors import EmptyInput, NoValidDirections, TooFewSamples
 
 from conftest import make_vectors
 from oracles import (
+    DegenerateDirection,
+    InvalidPair,
     outlyingness_np_median,
+    projection_vector,
+    robust_location,
+    robust_scale,
     sample_pairs_one_at_a_time,
     sd_outlyingness_kernel_brute,
 )
@@ -225,6 +221,7 @@ class TestSampledPairsMatchOneAtATime:
         pairs = enumerate_directions(k, DirectionPolicy(mode="sampled", count=count, seed=seed), om)
         assert pairs == expected
         assert pairs.draws == draws
+        return pairs
 
     @pytest.mark.parametrize(
         "k, count",
@@ -236,15 +233,34 @@ class TestSampledPairsMatchOneAtATime:
         self._check(k, count, seed, _random_matrix(k, seed=k))
 
     def test_duplicate_points_are_rejected_as_degenerate(self):
-        # 6 of 20 points coincide: 15 of the 190 pairs are degenerate, so
-        # asking for all 190 runs into the rejection limit.
+        # Row 0 and its 6 copies coincide: 21 of the 190 pairs are
+        # degenerate, so asking for 175 runs into the rejection limit.
         om = _random_matrix(20, seed=1, duplicates=6)
         for count in (10, 175, 190):
             self._check(20, count, 9, om)
 
     def test_rejection_limit(self):
-        # 3 pairs exist; the loop stops after 100 * 2000 rejections.
-        self._check(3, 2000, 5, _random_matrix(3, seed=2))
+        # 169 of the 190 pairs are valid: asking for 180 draws on until
+        # 100 * 180 rejections are exceeded.
+        pairs = self._check(20, 180, 9, _random_matrix(20, seed=1, duplicates=6))
+        assert len(pairs) == 169
+        assert pairs.draws == 169 + 100 * 180 + 1
+
+    @pytest.mark.parametrize("k, count", [(3, 2000), (30, 10**12)])
+    def test_stops_once_every_valid_pair_is_accepted(self, k, count):
+        # count covers every pair, so the draw that accepts the last one
+        # ends the loop, long before the rejection limit.
+        pairs = self._check(k, count, 5, _random_matrix(k, seed=2))
+        assert len(pairs) == k * (k - 1) // 2
+        assert pairs.draws < 100 * k * k
+
+    def test_no_valid_pair_raises_without_drawing(self):
+        om = linear_matrix([[1.0, 1.0]] * 4)
+        policy = DirectionPolicy(mode="sampled", count=10**12)
+        with pytest.raises(NoValidDirections):
+            enumerate_directions(4, policy, om)
+        with pytest.raises(NoValidDirections):
+            sample_pairs_one_at_a_time(4, policy.count, policy.seed, om.entries)
 
     def test_nan_norm_is_accepted(self):
         # The squared norm of (0, 1) is (1e308 + 1e308) - 2e308 = inf - inf,

@@ -15,11 +15,14 @@ from sdsvm import (
     OutlyingnessReport,
     decision_values,
     fit_from_text,
+    fit_ranked,
     fit_sdsvm,
     fit_to_text,
     gen_simulation,
     gen_toy,
     kernel_matrix,
+    rank,
+    run_simulation,
     select_C,
     solve_dual,
     trim,
@@ -244,6 +247,41 @@ class TestWarmCPath:
         assert len(starts) == 2 * 3 + 1
         assert starts[0] is None and starts[1] is not None  # the fold's second C is seeded
         assert starts[-1] is None
+
+
+class TestRankOnce:
+    """rank is kappa-independent: fit_ranked on one ranking is fit_sdsvm."""
+
+    def test_one_ranking_fits_every_kappa_like_fit_sdsvm(self):
+        ds = gen_toy(4)
+        cv = CvConfig(folds=3, grid=(0.01, 0.1, 1.0))
+        policy = DirectionPolicy(mode="sampled", count=300, seed=6)
+        ranking = rank(ds, LINEAR, policy)
+        for kappa in (0.5, 0.75, 1.0):
+            expected = fit_to_text(fit_sdsvm(ds, LINEAR, kappa=kappa, cv=cv, policy=policy))
+            assert fit_to_text(fit_ranked(ranking, kappa, cv)) == expected
+
+    def test_simulation_ranks_each_run_once(self, monkeypatch):
+        calls = {"kernel_matrix": 0, "outlyingness": 0}
+
+        def counting(name):
+            original = getattr(sdsvm.pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sdsvm.pipeline, name, counting(name))
+        spec = SimulationSpec(
+            n_per_group=8, dim=10, outliers_per_group=2, test_size=10, runs=2,
+            kappas=(0.5, 0.7, 0.9, 1.0),
+        )
+        result = run_simulation(spec, LINEAR)
+        assert all(row.failure is None for row in result.rows)
+        assert calls == {"kernel_matrix": 2, "outlyingness": 4}
 
 
 class TestFitSdsvm:

@@ -3,7 +3,7 @@ import pytest
 
 from sdsvm.rng import Stream, derive_key
 
-from oracles import stream_normals_reference, stream_uniforms_reference
+from oracles import shuffled_one_at_a_time, stream_normals_reference, stream_uniforms_reference
 
 SIZES = [1, 2, 7, 8, 25_000, 600_001]
 
@@ -49,3 +49,17 @@ class TestStreamMatchesReference:
                 )
                 counter += n
             assert got.tobytes() == expected.tobytes(), (kind, n)
+
+
+class TestShuffledMatchesOneDrawPerPosition:
+    """One uniforms call gives the swaps of one integers draw per position."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 29, 1001])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_same_order_and_stream_continues_alike(self, n, seed):
+        key = derive_key(seed, "rng-test")
+        fast, slow = Stream(key), Stream(key)
+        items = [f"item{i}" for i in range(n)]
+        assert fast.shuffled(items) == shuffled_one_at_a_time(slow, items)
+        assert fast.shuffled(items[::-1]) == shuffled_one_at_a_time(slow, items[::-1])
+        assert fast.uniforms(3).tobytes() == slow.uniforms(3).tobytes()

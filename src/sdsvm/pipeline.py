@@ -29,6 +29,7 @@ from .kernels import KernelMatrix, KernelSpec, kernel_matrix, parse_spec
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, derive_key
 from .svm import (
+    _INTERIOR_TOL,
     DEFAULT_TOL,
     SvmModel,
     decision_values,
@@ -218,6 +219,17 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     that fold (alpha seeding).  Grid points whose folds fail to converge are
     recorded as nan and skipped; if every point fails the ConvergenceError
     propagates.
+
+    A fold stops solving once a solve at C_t makes 0 pair updates and leaves
+    every alpha below C_t - _INTERIOR_TOL (on separable data the path stops
+    moving once no alpha is at its bound): every larger C of that fold gets
+    C_t's error rate.  This is exact.  With 0 updates the solve returned its
+    start, so a solve at C' >= C_t from that alpha validates its start,
+    recomputes the same beta and g, builds the same rise/fall candidates (no
+    alpha is at C_t, so none is at C'), finds the same gap and again makes 0
+    updates, and takes its bias over the same free set (alpha < C_t - tol
+    <= C' - tol) or from the same candidates.  The model differs only in c,
+    so the rate is the same.
     """
     y = np.asarray(labels_t, dtype=np.float64)
     n_minus = int(np.count_nonzero(y < 0))
@@ -241,9 +253,12 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
         test_idx = np.flatnonzero(test_mask)
         omega_f, y_train, y_test = omega_t.take(train_idx), y[train_idx], y[test_idx]
         cross = entries[np.ix_(train_idx, test_idx)]
-        start = None
+        start = fixed_rate = None
         for t in ascending:
             if t in failures:
+                continue
+            if fixed_rate is not None:
+                rates[t].append(fixed_rate)
                 continue
             try:
                 model = solve_dual(omega_f, y_train, cv.grid[t], start=start)
@@ -253,6 +268,8 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
             start = model.alpha
             wrong = np.count_nonzero(sign_labels(decision_values(model, cross)) != y_test)
             rates[t].append(wrong / y_test.shape[0])
+            if model.updates == 0 and start.max() < model.c - _INTERIOR_TOL:
+                fixed_rate = rates[t][-1]
 
     table = []
     best = None

@@ -37,6 +37,9 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
+# Box-Muller pairs per block of Stream.normals.
+_NORMAL_BLOCK = 16_384
+
 
 def _mix64(x: int) -> int:
     x &= _MASK64
@@ -98,19 +101,26 @@ class Stream:
         return np.multiply(top, 2.0**-53, top.view(np.float64))
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard normal doubles via Box-Muller on uniform pairs."""
+        """n standard normal doubles via Box-Muller on uniform pairs.
+
+        The pairs are made _NORMAL_BLOCK at a time, so the temporaries of a
+        block stay in cache; the counters run on across blocks, so the
+        values are those of one pass over all pairs.
+        """
         pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs).reshape(pairs, 2)
-        radius = np.log(1.0 - u[:, 0])  # 1 - u0 in (0, 1]: keeps log() finite
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle = (2.0 * np.pi) * u[:, 1]
-        # u is spent: the pairs (z0, z1) overwrite it.
-        trig = np.cos(angle)
-        np.multiply(radius, trig, out=u[:, 0])
-        np.sin(angle, out=trig)
-        np.multiply(radius, trig, out=u[:, 1])
-        return u.reshape(-1)[:n]
+        z = np.empty((pairs, 2))
+        for first in range(0, pairs, _NORMAL_BLOCK):
+            block = z[first : first + _NORMAL_BLOCK]
+            u = self.uniforms(2 * block.shape[0]).reshape(-1, 2)
+            radius = np.log(1.0 - u[:, 0])  # 1 - u0 in (0, 1]: keeps log() finite
+            radius *= -2.0
+            np.sqrt(radius, out=radius)
+            angle = (2.0 * np.pi) * u[:, 1]
+            trig = np.cos(angle)
+            np.multiply(radius, trig, out=block[:, 0])
+            np.sin(angle, out=trig)
+            np.multiply(radius, trig, out=block[:, 1])
+        return z.reshape(-1)[:n]
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound); bias < bound * 2**-53 is ignored."""

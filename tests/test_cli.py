@@ -1,7 +1,11 @@
+import contextlib
+import io
 import runpy
+import signal
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdsvm import gen_toy, save_csv
 from sdsvm.cli import build_parser, main
@@ -274,3 +278,119 @@ class TestDeterminism:
             assert code == 0
             outputs.append((csv_path.read_bytes(), svg_path.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Each flag draws a valid value or a bad one (non-finite, negative, out of
+# range or not a number).  Sizes that scale work (--runs, --n, --d,
+# --test-size) stay small, and a valid C above 1 appears only on linearly
+# separable simulations: a large C on non-separable data is the known slow
+# case of the cold solver.
+_BAD = ["nan", "inf", "-inf", "-1", "0", "-1e308"]
+_HUGE = str(10**20)
+_SMALL_C = ["1e-300", "0.01", "0.5"]
+_SEPARABLE_C = _SMALL_C + ["1e308", "1e15", "8"]
+_FLAG_VALUES = {  # flag: (valid, bad)
+    "--gamma": (["1e-308", "0.5", "1e308"], _BAD),
+    "--coef0": (["-1", "0", "1", "1e308"], ["nan", "inf", "-inf"]),
+    "--kappa": (["0.5", "0.75", "1"], _BAD + ["0.49", "1.01", "1e308"]),
+    "--folds": (["2", "3", _HUGE], ["-1", "0", "1", "nan", "1.5"]),
+    "--directions": (["1", "7", _HUGE, "exhaustive", "auto"], ["-1", "0", "nan", "abc"]),
+    "--seed": (["0", "7", str(2**64 - 1)], ["-1", str(2**64), "1e3", "nan"]),
+    "--label-top": (["-1", "0", "3", _HUGE], ["nan", "1.5"]),
+    "--threshold": (["-1e308", "0", "2.5", "1e308"], ["nan", "inf", "-inf"]),
+    "--shift": (["-1e308", "0", "3", "1e308"], ["nan", "inf", "-inf"]),
+    "--runs": (["1", "2"], ["-1", "0"]),
+    "--n": (["2", "3", "6"], ["-1", "0"]),  # 2 leaves too few samples to rank
+    "--d": (["40"], ["-1", "0"]),  # 40 keeps 2 x (6 + 4) samples separable
+    "--test-size": (["2", "10"], ["-1", "1"]),
+}
+_TARGETS = ["{tmp}/no/dir/out", "{tmp}", "{tmp}/out"]
+_FIT_FLAGS = ["--gamma", "--coef0", "--kappa", "--folds", "--directions", "--seed"]
+_COMMAND_FLAGS = {
+    "fit": _FIT_FLAGS,
+    "map": _FIT_FLAGS + ["--label-top", "--threshold"],
+    "toy": _FIT_FLAGS + ["--label-top", "--threshold"],
+    "simulate": ["--gamma", "--coef0", "--folds", "--directions", "--seed", "--shift"],
+}
+_COMMAND_TARGETS = {
+    "fit": ["--out-fit"],
+    "map": ["--out-csv", "--out-svg"],
+    "toy": ["--out-fit", "--out-csv", "--out-svg"],
+    "simulate": ["--out-csv"],
+}
+
+
+def valid_or_bad(valid, bad):
+    """A valid value three times in four, so that most argv get past validation."""
+    return st.tuples(st.integers(0, 3), st.sampled_from(valid), st.sampled_from(bad)).map(
+        lambda t: t[2] if t[0] == 3 else t[1]
+    )
+
+
+@st.composite
+def perturbed_argv(draw):
+    """argv of one command with perturbed numbers and output targets ({tmp} unfilled)."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    sometimes = st.integers(0, 3).map(lambda k: k == 0)  # most flags keep their default
+    argv = [command]
+    if command in ("fit", "map"):
+        argv.append(draw(st.sampled_from(["{tmp}/toy.csv", "{tmp}/missing.csv"])))
+    if command == "simulate":
+        argv += ["--runs=1", "--n=4", "--d=40", "--test-size=10", "--kernel=linear"]
+        for flag in ("--runs", "--n", "--d", "--test-size"):
+            if draw(st.booleans()):
+                argv.append(f"{flag}={draw(valid_or_bad(*_FLAG_VALUES[flag]))}")
+        if draw(st.booleans()):
+            argv.append("--contaminated")
+        c_values = valid_or_bad(_SEPARABLE_C, _BAD)
+    else:
+        argv.append(f"--kernel={draw(st.sampled_from(['linear', 'rbf', 'polynomial']))}")
+        c_values = valid_or_bad(_SMALL_C, _BAD)
+    box = draw(st.sampled_from(["none", "C", "grid", "both"]))
+    if box in ("C", "both"):
+        argv.append(f"--C={draw(c_values)}")
+    if box in ("grid", "both"):
+        tokens = draw(st.lists(c_values | st.just("abc"), min_size=1, max_size=4))
+        argv.append(f"--cv-grid={','.join(tokens)}")
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(sometimes):
+            argv.append(f"{flag}={draw(valid_or_bad(*_FLAG_VALUES[flag]))}")
+    for flag in _COMMAND_TARGETS[command]:
+        if draw(sometimes):
+            argv.append(f"{flag}={draw(st.sampled_from(_TARGETS))}")
+    return argv
+
+
+@contextlib.contextmanager
+def wall_limit(seconds):
+    """Turn an example that runs past `seconds` into a failure instead of a hang."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"example ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    save_csv(gen_toy(1), tmp / "toy.csv")
+    return tmp
+
+
+class TestPerturbedArgv:
+    @settings(deadline=5000)
+    @given(perturbed_argv())
+    def test_exits_0_1_or_2_and_never_raises(self, argv_dir, argv):
+        argv = [tok.format(tmp=argv_dir) for tok in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with wall_limit(60), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()

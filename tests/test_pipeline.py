@@ -249,6 +249,78 @@ class TestWarmCPath:
         assert starts[-1] is None
 
 
+def sim_retained(seed, kappa):
+    """Kernel matrix and labels of the set a clean paper-simulation fit trains on."""
+    train, _ = gen_simulation(SimulationSpec(seed=seed), 0)
+    ranking = rank(train, LINEAR)
+    keep = np.array(trim(*ranking.reports, train.labels, kappa).retained)
+    return ranking.omega.take(keep), train.labels[keep]
+
+
+def counting_solves(monkeypatch):
+    """Record the C of every solve_dual call select_C makes."""
+    calls = []
+
+    def counting(omega, labels, c, start=None):
+        calls.append(c)
+        return solve_dual(omega, labels, c, start=start)
+
+    monkeypatch.setattr(sdsvm.pipeline, "solve_dual", counting)
+    return calls
+
+
+@st.composite
+def cv_problem(draw):
+    """A small separable or overlapping problem and an unsorted C grid with repeats."""
+    n_minus, n_plus, d = draw(st.integers(3, 8)), draw(st.integers(3, 8)), draw(st.integers(1, 4))
+    x = draw(npst.arrays(np.float64, (n_minus + n_plus, d), elements=st.floats(-3.0, 3.0)))
+    x[n_minus:, 0] += draw(st.sampled_from([0.0, 1.0, 20.0]))  # 20 separates the groups
+    labels = np.concatenate([-np.ones(n_minus), np.ones(n_plus)])
+    spec = draw(st.sampled_from([LINEAR, KernelSpec(kind="rbf", gamma=0.5)]))
+    grid = tuple(draw(st.lists(st.sampled_from(DEFAULT_C_GRID[:6]), min_size=1, max_size=6)))
+    cv = CvConfig(
+        folds=draw(st.integers(2, 4)), grid=grid, seed=draw(st.integers(0, 3)),
+        stratified=draw(st.booleans()),
+    )
+    return kernel_matrix(spec, x), labels, cv
+
+
+class TestFixedPointRate:
+    """Once a seeded solve is a fixed point, larger C in its fold reuse its rate."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kappa", [0.5, 0.7, 0.9, 1.0])
+    def test_separable_simulation_matches_cold_start_loop(self, seed, kappa):
+        om, y = sim_retained(seed, kappa)
+        cv = CvConfig(folds=10, grid=DEFAULT_C_GRID)
+        assert select_C(om, y, cv) == select_c_cold(om, y, cv)
+
+    def test_separable_fold_solves_once_seeded(self, monkeypatch):
+        om, y = sim_retained(0, 1.0)
+        calls = counting_solves(monkeypatch)
+        selection = select_C(om, y, CvConfig(folds=10, grid=DEFAULT_C_GRID))
+        assert selection.folds_used == 10
+        assert calls == [DEFAULT_C_GRID[0], DEFAULT_C_GRID[1]] * 10  # cold, then one seeded
+
+    def test_non_separable_toy_solves_every_c(self, monkeypatch):
+        ds = gen_toy(1)
+        grid = (10.0, 0.01, 1.0, 0.1)
+        calls = counting_solves(monkeypatch)
+        select_C(kernel_matrix(LINEAR, ds.x), ds.labels, CvConfig(folds=5, grid=grid))
+        assert calls == sorted(grid) * 5
+
+    @given(cv_problem())
+    def test_matches_cold_start_loop_on_random_problems(self, problem):
+        om, y, cv = problem
+        try:
+            expected = select_c_cold(om, y, cv)
+        except SdsvmError as exc:  # an unstratified fold left one class out
+            with pytest.raises(type(exc)):
+                select_C(om, y, cv)
+            return
+        assert select_C(om, y, cv) == expected
+
+
 class TestRankOnce:
     """rank is kappa-independent: fit_ranked on one ranking is fit_sdsvm."""
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sdsvm.rng import Stream, derive_key
+from sdsvm.rng import _NORMAL_BLOCK, Stream, derive_key
 
 from oracles import shuffled_one_at_a_time, stream_normals_reference, stream_uniforms_reference
 
@@ -49,6 +49,22 @@ class TestStreamMatchesReference:
                 )
                 counter += n
             assert got.tobytes() == expected.tobytes(), (kind, n)
+
+
+class TestNormalBlocks:
+    """Box-Muller block by block gives the bytes of one pass, and the stream
+    continues past the last pair."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "n", [2 * _NORMAL_BLOCK + k for k in (-3, -2, -1, 0, 1, 2)] + [4 * _NORMAL_BLOCK + 1]
+    )
+    def test_across_block_boundaries(self, seed, n):
+        key = derive_key(seed, "rng-test")
+        stream = Stream(key)
+        assert stream.normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
+        counter = n + n % 2
+        assert stream.uniforms(3).tobytes() == stream_uniforms_reference(key, counter, 3).tobytes()
 
 
 class TestShuffledMatchesOneDrawPerPosition:

@@ -37,6 +37,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _add_data_flags(parser):
+    parser.add_argument(
+        "--format", choices=("auto", "csv", "fasta"), default="auto", help="input file format"
+    )
+    parser.add_argument("--labels", default=None, help="labels file (FASTA input)")
+    parser.add_argument("--label-col", default="last", help="CSV label column: first/last/index")
+    parser.add_argument("--coding", default=None, help="two-value label coding NEG,POS")
+
+
 def _add_kernel_flags(parser):
     parser.add_argument(
         "--kernel",
@@ -87,12 +96,7 @@ def build_parser() -> _Parser:
         formatter_class=formatter,
     )
     fit.add_argument("data", help="dataset path (CSV vectors or FASTA strings)")
-    fit.add_argument(
-        "--format", choices=("auto", "csv", "fasta"), default="auto", help="input file format"
-    )
-    fit.add_argument("--labels", default=None, help="labels file (FASTA input)")
-    fit.add_argument("--label-col", default="last", help="CSV label column: first/last/index")
-    fit.add_argument("--coding", default=None, help="two-value label coding NEG,POS")
+    _add_data_flags(fit)
     _add_kernel_flags(fit)
     _add_fit_flags(fit)
     fit.add_argument("--out-fit", default="-", help="fit report path ('-' for stdout)")
@@ -104,12 +108,7 @@ def build_parser() -> _Parser:
     )
     map_cmd.add_argument("data", nargs="?", default=None, help="dataset path (omit with --fit)")
     map_cmd.add_argument("--fit", dest="fit_report", default=None, help="saved fit report to re-render")
-    map_cmd.add_argument(
-        "--format", choices=("auto", "csv", "fasta"), default="auto", help="input file format"
-    )
-    map_cmd.add_argument("--labels", default=None, help="labels file (FASTA input)")
-    map_cmd.add_argument("--label-col", default="last", help="CSV label column: first/last/index")
-    map_cmd.add_argument("--coding", default=None, help="two-value label coding NEG,POS")
+    _add_data_flags(map_cmd)
     _add_kernel_flags(map_cmd)
     _add_fit_flags(map_cmd)
     _add_map_output_flags(map_cmd)

@@ -213,8 +213,7 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
             fit = fit_ranked(ranking, kappa, cv, tol)
             if cross is None:
                 cross = kernel_cross(kernel, train.x, test.x)
-            retained = np.array(fit.plan.retained, dtype=np.intp)
-            f_vals = decision_values(fit.model, cross[retained])
+            f_vals = decision_values(fit.model, cross[fit.plan.retained])
             error = float(np.mean(sign_labels(f_vals) != test.labels))
             rows.append(RunRow(run=run, kappa=kappa, error=error))
         except SdsvmError as exc:

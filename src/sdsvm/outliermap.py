@@ -33,7 +33,7 @@ class OutlierMapPoint:
     def __post_init__(self):
         if self.label not in (-1, 1):
             raise ValueError(f"label must be -1 or +1, got {self.label}")
-        if not (self.r >= 0.0 or math.isinf(self.r)):
+        if not self.r >= 0.0:
             raise ValueError(f"outlyingness must be nonnegative, got {self.r}")
 
 
@@ -145,9 +145,9 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
         return ml + (f + x_max) / (2.0 * x_max) * (w - ml - mr)
 
     def py(r):
-        if math.isinf(r):
-            return float(mt)  # sentinel: clamp to the top margin
-        return (h - mb) - r / y_max * (h - mb - mt)
+        # An infinite r, or a threshold whose pixel overflows, clamps to the top margin.
+        y = (h - mb) - r / y_max * (h - mb - mt)
+        return y if math.isfinite(y) else float(mt)
 
     out = io.StringIO()
     out.write(

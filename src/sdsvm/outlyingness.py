@@ -86,8 +86,7 @@ class OutlyingnessReport:
         arr = np.asarray(self.r, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("r must be a 1-D array")
-        finite = arr[np.isfinite(arr)]
-        if finite.size and finite.min() < 0:
+        if np.any(arr < 0):
             raise ValueError("outlyingness values must be nonnegative")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
     run_stage,
 )
-from .kernels import KernelMatrix, KernelSpec, kernel_matrix, parse_spec
+from .kernels import KernelMatrix, KernelSpec, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, derive_key
 from .svm import (
@@ -52,10 +52,6 @@ class TrimPlan:
     """Which samples survive trimming, and the outlyingness that decided it."""
 
     kappa: float
-    h_minus: int
-    h_plus: int
-    retained_minus: tuple
-    retained_plus: tuple
     outlyingness: np.ndarray  # within-own-group value, aligned with the dataset
     trimmed: np.ndarray  # bool, aligned with the dataset
 
@@ -66,12 +62,11 @@ class TrimPlan:
         t.flags.writeable = False
         object.__setattr__(self, "outlyingness", r)
         object.__setattr__(self, "trimmed", t)
-        object.__setattr__(self, "retained_minus", tuple(int(i) for i in self.retained_minus))
-        object.__setattr__(self, "retained_plus", tuple(int(i) for i in self.retained_plus))
 
     @property
-    def retained(self) -> tuple:
-        return tuple(sorted(self.retained_minus + self.retained_plus))
+    def retained(self) -> np.ndarray:
+        """Ascending dataset indices of the samples kept."""
+        return np.flatnonzero(~self.trimmed)
 
 
 @dataclass(frozen=True)
@@ -109,14 +104,11 @@ class FitResult:
 
     model: SvmModel
     plan: TrimPlan
-    chosen_c: float
     cv_table: tuple
     folds_used: int
     decision_values: np.ndarray
     ids: tuple
     labels: np.ndarray
-    spec: KernelSpec
-    kappa: float
     policy_minus: DirectionPolicy
     policy_plus: DirectionPolicy
     # (minus, plus) outlyingness reports of the fit; not serialized, so a
@@ -173,25 +165,13 @@ def trim(
 
     r_full = np.zeros(y.shape[0])
     trimmed = np.ones(y.shape[0], dtype=bool)
-    retained = {}
-    for group_idx, report, h, key in (
-        (minus_idx, report_minus, h_minus, "minus"),
-        (plus_idx, report_plus, h_plus, "plus"),
+    for group_idx, report, h in (
+        (minus_idx, report_minus, h_minus),
+        (plus_idx, report_plus, h_plus),
     ):
         r_full[group_idx] = report.r
-        order = np.lexsort((group_idx, report.r))
-        keep = group_idx[order[:h]]
-        trimmed[keep] = False
-        retained[key] = tuple(int(i) for i in np.sort(keep))
-    return TrimPlan(
-        kappa=float(kappa),
-        h_minus=h_minus,
-        h_plus=h_plus,
-        retained_minus=retained["minus"],
-        retained_plus=retained["plus"],
-        outlyingness=r_full,
-        trimmed=trimmed,
-    )
+        trimmed[group_idx[np.lexsort((group_idx, report.r))[:h]]] = False
+    return TrimPlan(kappa=float(kappa), outlyingness=r_full, trimmed=trimmed)
 
 
 def _fold_assignment(labels: np.ndarray, folds: int, seed: int, stratified: bool):
@@ -345,7 +325,7 @@ def fit_ranked(
     labels = np.asarray(dataset.labels, dtype=np.float64)
     plan = run_stage("trim", trim, report_minus, report_plus, labels, kappa)
 
-    retained = np.array(plan.retained, dtype=np.intp)
+    retained = plan.retained
     labels_t = labels[retained]
     omega_t = omega.take(retained)
 
@@ -374,14 +354,11 @@ def fit_ranked(
     return FitResult(
         model=model,
         plan=plan,
-        chosen_c=float(chosen_c),
         cv_table=tuple(cv_table),
         folds_used=folds_used,
         decision_values=decision_values(model, omega.entries[retained]),
         ids=dataset.ids,
         labels=labels,
-        spec=ranking.spec,
-        kappa=float(kappa),
         policy_minus=report_minus.policy,
         policy_plus=report_plus.policy,
         reports=ranking.reports,
@@ -418,12 +395,12 @@ def fit_to_text(fit: FitResult) -> str:
     """Single plain-text report: provenance, CV table, model block, samples."""
     lines = [
         _FIT_HEADER,
-        f"kappa {fit.kappa!r}",
-        f"chosen-c {fit.chosen_c!r}",
+        f"kappa {fit.plan.kappa!r}",
+        f"chosen-c {float(fit.model.c)!r}",
         f"folds-used {fit.folds_used}",
         f"policy-minus {_policy_to_text(fit.policy_minus)}",
         f"policy-plus {_policy_to_text(fit.policy_plus)}",
-        f"kernel {fit.spec.describe()}",
+        f"kernel {fit.model.spec.describe()}",
         f"cv-table {len(fit.cv_table)}",
     ]
     for c, err in fit.cv_table:
@@ -447,7 +424,8 @@ def fit_to_text(fit: FitResult) -> str:
 def fit_from_text(text: str) -> FitResult:
     """Rebuild a FitResult from its report (samples are not serialized).
 
-    Raises SerializationError, and nothing else, on a malformed report.
+    Raises SerializationError, and nothing else, on a malformed report or
+    one whose chosen-c or kernel line disagrees with its model block.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -473,7 +451,7 @@ def fit_from_text(text: str) -> FitResult:
         folds_used = int(keyed("folds-used"))
         policy_minus = _policy_from_text(keyed("policy-minus"))
         policy_plus = _policy_from_text(keyed("policy-plus"))
-        spec = parse_spec(keyed("kernel"))
+        kernel = keyed("kernel")
         cv_rows = int(keyed("cv-table"))
         cv_table = []
         for _ in range(cv_rows):
@@ -482,6 +460,8 @@ def fit_from_text(text: str) -> FitResult:
         model_lines = int(keyed("model"))
         model = model_from_text("\n".join(lines[pos : pos + model_lines]))
         pos += model_lines
+        if chosen_c != model.c or kernel != model.spec.describe():
+            raise SerializationError("chosen-c or kernel line disagrees with the model block")
         n = int(keyed("samples"))
         if take() != "id label outlyingness trimmed f":
             raise SerializationError("fit report missing sample table header")
@@ -495,32 +475,14 @@ def fit_from_text(text: str) -> FitResult:
             r_vals.append(float(parts[2]))
             trimmed.append(parts[3] == "true")
             f_vals.append(float(parts[4]))
-        labels_arr = np.array(labels)
-        trimmed_arr = np.array(trimmed, dtype=bool)
-        retained_minus = tuple(
-            int(i) for i in np.flatnonzero((labels_arr < 0) & ~trimmed_arr)
-        )
-        retained_plus = tuple(int(i) for i in np.flatnonzero((labels_arr > 0) & ~trimmed_arr))
-        plan = TrimPlan(
-            kappa=kappa,
-            h_minus=len(retained_minus),
-            h_plus=len(retained_plus),
-            retained_minus=retained_minus,
-            retained_plus=retained_plus,
-            outlyingness=np.array(r_vals),
-            trimmed=trimmed_arr,
-        )
         return FitResult(
             model=model,
-            plan=plan,
-            chosen_c=chosen_c,
+            plan=TrimPlan(kappa, r_vals, trimmed),
             cv_table=tuple(cv_table),
             folds_used=folds_used,
-            decision_values=np.array(f_vals),
-            ids=tuple(ids),
-            labels=labels_arr,
-            spec=spec,
-            kappa=kappa,
+            decision_values=f_vals,
+            ids=ids,
+            labels=labels,
             policy_minus=policy_minus,
             policy_plus=policy_plus,
         )

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import runpy
 import signal
 import sys
@@ -38,6 +39,16 @@ class TestToy:
         code, _, _ = run_cli(capsys, "toy", "--seed", "2", "--out-fit", str(target))
         assert code == 0
         assert target.read_text().startswith("sdsvm-fit-v1\n")
+
+    def test_threshold_too_large_to_map_leaves_svg_numeric(self, tmp_path, capsys):
+        target = tmp_path / "t.svg"
+        code, _, _ = run_cli(capsys, "toy", "--threshold=1e308", "--out-svg", str(target))
+        assert code == 0
+        text = target.read_text()
+        assert not {"inf", "-inf", "nan"} & {t.lower() for t in re.split(r'[\s"<>=]+', text)}
+        # drawn at the top margin, where an infinite r is drawn
+        dashed = [ln for ln in text.splitlines() if "stroke-dasharray" in ln][0]
+        assert 'y1="24.00"' in dashed and 'y2="24.00"' in dashed
 
 
 class TestValidation:

@@ -100,6 +100,16 @@ class TestCsv:
         ids = [p.split(",")[0] for p in map_to_csv(build_map(toy_fit)).splitlines()[1:]]
         assert ids == [str(i) for i in range(1, 67)]
 
+    def test_negative_infinite_r_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            point(r=-math.inf)
+
+    def test_parse_rejects_negative_infinite_r(self):
+        text = map_to_csv([point(id="a")]).replace(",1.0,", ",-inf,")
+        with pytest.raises(ParseError) as info:
+            parse_csv(text)
+        assert info.value.line == 2
+
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ParseError):
             parse_csv("id,label\n1,-1\n")

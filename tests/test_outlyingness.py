@@ -5,6 +5,7 @@ from sdsvm import (
     DirectionPolicy,
     KernelMatrix,
     KernelSpec,
+    OutlyingnessReport,
     default_policy,
     enumerate_directions,
     kernel_matrix,
@@ -184,6 +185,13 @@ class TestOutlyingness:
         pairs = enumerate_directions(7, DirectionPolicy(mode="exhaustive"), om)
         expected = sd_outlyingness_kernel_brute(om.entries, pairs)
         np.testing.assert_allclose(report.r, expected, rtol=1e-12)
+
+    def test_report_rejects_negative_values_and_keeps_nan(self):
+        for bad in ([0.0, -1.0], [0.0, -np.inf]):
+            with pytest.raises(ValueError, match="nonnegative"):
+                OutlyingnessReport(r=np.array(bad), policy=EXHAUSTIVE)
+        report = OutlyingnessReport(r=np.array([np.nan, np.inf, 0.0]), policy=EXHAUSTIVE)
+        assert np.isnan(report.r[0]) and report.r[1] == np.inf
 
     def test_report_records_policy(self):
         rows = np.arange(12.0).reshape(6, 2)

@@ -52,15 +52,13 @@ class TestTrim:
     def test_half_of_four(self):
         labels = [-1, -1, -1, -1, 1, 1, 1, 1]
         plan = trim(report([3.0, 1.0, 2.0, 4.0]), report([1.0, 2.0, 3.0, 4.0]), labels, 0.5)
-        assert plan.h_minus == 2 and plan.h_plus == 2
-        assert plan.retained_minus == (1, 2)
-        assert plan.retained_plus == (4, 5)
-        assert plan.retained == (1, 2, 4, 5)
+        assert plan.retained.dtype == np.intp
+        assert plan.retained.tolist() == [1, 2, 4, 5]
 
     def test_kappa_one_keeps_everything(self):
         labels = [-1, -1, -1, 1, 1, 1]
         plan = trim(report([5.0, 1.0, 9.0]), report([2.0, 2.0, 2.0]), labels, 1.0)
-        assert plan.retained == (0, 1, 2, 3, 4, 5)
+        assert plan.retained.tolist() == [0, 1, 2, 3, 4, 5]
         assert not plan.trimmed.any()
 
     def test_tie_at_cut_broken_by_index(self):
@@ -71,15 +69,14 @@ class TestTrim:
             labels,
             0.75,
         )
-        assert plan.h_plus == 3
         # positive group sits at dataset indices 0-3; the lower-index 5 stays
-        assert plan.retained_plus == (0, 1, 2)
+        assert plan.retained[plan.retained < 4].tolist() == [0, 1, 2]
         assert plan.trimmed[3]
 
     def test_infinite_outlyingness_trimmed_first(self):
         labels = [-1, -1, -1, 1, 1, 1]
         plan = trim(report([np.inf, 0.5, 1.0]), report([1.0, 1.0, 1.0]), labels, 0.5)
-        assert 0 not in plan.retained_minus
+        assert 0 not in plan.retained.tolist()
 
     def test_empty_group_after_floor(self):
         labels = [-1, 1, 1]
@@ -99,7 +96,7 @@ class TestTrim:
     def test_floor_counts(self, kappa, n, expected):
         labels = [-1] * n + [1] * n
         plan = trim(report(np.arange(n)), report(np.arange(n)), labels, kappa)
-        assert plan.h_minus == expected
+        assert np.count_nonzero(~plan.trimmed[:n]) == expected
 
 
 def wide_margin_dataset():
@@ -367,7 +364,7 @@ class TestFitSdsvm:
         np.testing.assert_allclose(
             fit.decision_values, decision_values(plain, om.entries), atol=1e-8
         )
-        assert fit.chosen_c == 0.25
+        assert fit.model.c == 0.25
         assert fit.folds_used == 0
 
     def test_contaminated_outliers_all_trimmed(self):
@@ -483,8 +480,8 @@ class TestFitReport:
         fit = fit_sdsvm(gen_toy(5), LINEAR)
         text = fit_to_text(fit)
         back = fit_from_text(text)
-        assert back.kappa == fit.kappa
-        assert back.chosen_c == fit.chosen_c
+        assert back.plan.kappa == fit.plan.kappa
+        assert back.model.c == fit.model.c
         assert back.folds_used == fit.folds_used
         assert back.ids == tuple(str(i) for i in fit.ids)
         assert np.array_equal(back.labels, fit.labels)
@@ -510,6 +507,9 @@ class TestFitReport:
             (4, "policy-minus exhaustive"),
             (6, "kernel gamma"),
             (10, "sdsvm-model-v1 kind=linear C=x tol=0.001"),
+            # well-formed lines that contradict the model block
+            (2, "chosen-c 0.2"),
+            (6, "kernel kind=rbf gamma=1.0"),
         ],
     )
     def test_malformed_report_raises_serialization_error(self, line, replacement):

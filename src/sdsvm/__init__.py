@@ -13,7 +13,6 @@ from .data import (
 from .errors import SdsvmError
 from .kernels import KernelMatrix, KernelSpec, eval_kernel, kernel_cross, kernel_matrix
 from .outliermap import (
-    MapStyle,
     OutlierMapPoint,
     build_map,
     emit_csv,
@@ -59,7 +58,6 @@ __all__ = [
     "FitResult",
     "KernelMatrix",
     "KernelSpec",
-    "MapStyle",
     "OutlierMapPoint",
     "OutlyingnessReport",
     "SdsvmError",

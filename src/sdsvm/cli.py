@@ -23,7 +23,7 @@ from .data import (
 )
 from .errors import PipelineError, SdsvmError, read_text, run_stage, write_text
 from .kernels import KernelSpec
-from .outliermap import MapStyle, build_map, emit_csv, emit_svg
+from .outliermap import build_map, emit_csv, emit_svg
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, DEFAULT_C, fit_from_text, fit_sdsvm, fit_to_text
 
@@ -71,7 +71,7 @@ def _add_fit_flags(parser):
     parser.add_argument(
         "--directions",
         default="auto",
-        help="'auto' (exhaustive up to 100 samples, else 2000 sampled), "
+        help="'auto' (exhaustive up to 100 samples, else 2000 pairs sampled from --seed), "
         "'exhaustive', or a sampled pair count",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -146,11 +146,15 @@ _FINITE_FLAGS = ("gamma", "coef0", "C", "shift", "threshold")
 
 
 def _check_numbers(parser, args):
-    """Reject a non-finite float flag or a seed outside [0, 2^64) before any work."""
+    """Reject a non-finite float flag, a negative threshold or a seed outside
+    [0, 2^64) before any work."""
     for dest in _FINITE_FLAGS:
         value = getattr(args, dest, None)
         if value is not None and not math.isfinite(value):
             parser.error(f"--{dest} must be a finite number, got {value}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and threshold < 0:
+        parser.error(f"--threshold must be >= 0 (outlyingness is never negative), got {threshold}")
     seed = getattr(args, "seed", None)
     if seed is not None and not 0 <= seed < 2**64:
         parser.error(f"--seed must be in [0, 2^64), got {seed}")
@@ -172,10 +176,10 @@ def _kernel_from_args(parser, args) -> KernelSpec:
     )
 
 
-def _policy_from_args(parser, args) -> DirectionPolicy | None:
+def _policy_from_args(parser, args) -> DirectionPolicy:
     text = args.directions
     if text == "auto":
-        return None
+        return DirectionPolicy(seed=args.seed)
     if text == "exhaustive":
         return DirectionPolicy(mode="exhaustive", seed=args.seed)
     try:
@@ -244,13 +248,12 @@ def _load_dataset(parser, args):
 
 def _emit_map_outputs(args, fit):
     points = build_map(fit)
-    style = MapStyle(label_top=args.label_top, threshold=args.threshold)
     wrote = False
     if args.out_csv is not None:
         emit_csv(points, args.out_csv)
         wrote = True
     if args.out_svg is not None:
-        emit_svg(points, style, args.out_svg)
+        emit_svg(points, args.out_svg, args.label_top, args.threshold)
         wrote = True
     if not wrote:
         emit_csv(points, "-")

@@ -31,7 +31,7 @@ from .svm import decision_values, sign_labels
 
 @dataclass(frozen=True)
 class Dataset:
-    """Samples x with aligned -1/+1 labels, sample ids and provenance.
+    """Samples x with aligned -1/+1 labels and sample ids.
 
     x is an (n, d) float64 array (stored read-only, without a copy), a tuple
     of strings (spectrum kernel), or a tuple of precomputed-kernel keys.
@@ -41,7 +41,6 @@ class Dataset:
     x: object
     labels: np.ndarray
     ids: tuple | None = None
-    provenance: str = ""
 
     def __post_init__(self):
         if isinstance(self.x, np.ndarray):
@@ -68,6 +67,12 @@ class Dataset:
         return len(self.x)
 
 
+# The paper's planted-outlier means: each group's outliers lie far out on the
+# other group's side.
+OUTLIER_MEAN_MINUS = 3.0  # appended to the negative group
+OUTLIER_MEAN_PLUS = -3.0  # appended to the positive group
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Constants of the two-Gaussian benchmark."""
@@ -76,8 +81,6 @@ class SimulationSpec:
     dim: int = 1000
     shift: float = 0.18
     outliers_per_group: int = 0
-    outlier_mean_minus: float = 3.0  # appended to the negative group
-    outlier_mean_plus: float = -3.0  # appended to the positive group
     test_size: int = 600
     runs: int = 50
     kappas: tuple = (0.5, 0.7, 0.9, 1.0)
@@ -103,8 +106,8 @@ def gen_simulation(spec: SimulationSpec, run_index: int):
     """(train, test) datasets for one run.
 
     Negative group ~ N(0, I), positive group ~ N(shift, I); the contaminated
-    variant appends outliers_per_group samples at mean outlier_mean_minus
-    labeled -1 and as many at outlier_mean_plus labeled +1.  The test set is
+    variant appends outliers_per_group samples at mean OUTLIER_MEAN_MINUS
+    labeled -1 and as many at OUTLIER_MEAN_PLUS labeled +1.  The test set is
     clean, split evenly between groups.
     """
     n, d = spec.n_per_group, spec.dim
@@ -115,19 +118,11 @@ def gen_simulation(spec: SimulationSpec, run_index: int):
     labels = [-np.ones(n), np.ones(n)]
     if spec.outliers_per_group:
         m = spec.outliers_per_group
-        blocks.append(
-            _normal_rows(spec.seed, run_index, "outliers-minus", m, d) + spec.outlier_mean_minus
-        )
+        blocks.append(_normal_rows(spec.seed, run_index, "outliers-minus", m, d) + OUTLIER_MEAN_MINUS)
         labels.append(-np.ones(m))
-        blocks.append(
-            _normal_rows(spec.seed, run_index, "outliers-plus", m, d) + spec.outlier_mean_plus
-        )
+        blocks.append(_normal_rows(spec.seed, run_index, "outliers-plus", m, d) + OUTLIER_MEAN_PLUS)
         labels.append(np.ones(m))
-    train = Dataset(
-        x=np.vstack(blocks),
-        labels=np.concatenate(labels),
-        provenance=f"simulation(seed={spec.seed},run={run_index})/train",
-    )
+    train = Dataset(x=np.vstack(blocks), labels=np.concatenate(labels))
     n_test_minus = spec.test_size // 2
     n_test_plus = spec.test_size - n_test_minus
     test = Dataset(
@@ -138,7 +133,6 @@ def gen_simulation(spec: SimulationSpec, run_index: int):
             ]
         ),
         labels=np.concatenate([-np.ones(n_test_minus), np.ones(n_test_plus)]),
-        provenance=f"simulation(seed={spec.seed},run={run_index})/test",
     )
     return train, test
 
@@ -169,11 +163,7 @@ def gen_toy(seed: int = 0) -> Dataset:
             np.array([[0.0, 0.0]]),
         ]
     )
-    return Dataset(
-        x=x,
-        labels=np.concatenate([-np.ones(30), np.ones(36)]),
-        provenance=f"toy(seed={seed})",
-    )
+    return Dataset(x=x, labels=np.concatenate([-np.ones(30), np.ones(36)]))
 
 
 @dataclass(frozen=True)
@@ -228,7 +218,7 @@ def run_simulation(
     spec: SimulationSpec,
     kernel: KernelSpec | None = None,
     cv: CvConfig | None = None,
-    policy: DirectionPolicy | None = None,
+    policy: DirectionPolicy = DirectionPolicy(),
     tol: float = 1e-3,
 ) -> SimulationResult:
     """Fit every (run, kappa) cell and summarize test error per kappa.
@@ -328,7 +318,7 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
         labels.append(label)
     if not rows:
         raise ParseError("no data rows", line=1)
-    return Dataset(x=np.array(rows), labels=np.array(labels), provenance=str(path))
+    return Dataset(x=np.array(rows), labels=np.array(labels))
 
 
 def save_csv(dataset: Dataset, destination) -> None:
@@ -399,4 +389,4 @@ def load_fasta(path, labels_path) -> Dataset:
         if rid not in label_of:
             raise MissingLabel(rid)
     labels = np.array([label_of[rid] for rid in ids])
-    return Dataset(x=sequences, labels=labels, ids=ids, provenance=str(path))
+    return Dataset(x=sequences, labels=labels, ids=ids)

@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, ParseError, read_text, write_text
+from .errors import EmptyInput, ParseError, write_text
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
@@ -35,17 +35,6 @@ class OutlierMapPoint:
             raise ValueError(f"label must be -1 or +1, got {self.label}")
         if not self.r >= 0.0:
             raise ValueError(f"outlyingness must be nonnegative, got {self.r}")
-
-
-@dataclass(frozen=True)
-class MapStyle:
-    """Rendering knobs for emit_svg."""
-
-    width: int = 640
-    height: int = 480
-    label_top: int = 5  # ids printed for this many largest-r points
-    threshold: float | None = None  # optional dashed horizontal line
-    marker: float = 4.0
 
 
 def build_map(fit) -> list:
@@ -87,14 +76,8 @@ def emit_csv(points, destination) -> None:
     write_text(destination, map_to_csv(points))
 
 
-def parse_csv(source) -> list:
-    """Inverse of emit_csv.  Accepts a path, stream, or the text itself."""
-    if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" in source:
-        text = source
-    else:
-        text = read_text(source)
+def parse_csv(text: str) -> list:
+    """Inverse of map_to_csv: the points of a map CSV's text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
@@ -127,12 +110,15 @@ def _svg_num(x: float) -> str:
     return f"{x:.2f}"
 
 
-def map_to_svg(points, style: MapStyle | None = None) -> str:
-    """Self-contained SVG 1.1 text; byte-stable for fixed inputs."""
+def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> str:
+    """Self-contained SVG 1.1 text; byte-stable for fixed inputs.
+
+    Ids are printed for the label_top largest-r points and every
+    misclassified one; a threshold adds a dashed horizontal line.
+    """
     if not points:
         raise EmptyInput("cannot render an empty outlier map")
-    style = style or MapStyle()
-    w, h = style.width, style.height
+    w, h, m = 640, 480, 4.0  # canvas size and marker radius
     ml, mr, mt, mb = 64, 20, 24, 48
 
     max_abs_f = max((abs(p.f) for p in points), default=0.0)
@@ -169,8 +155,8 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
         f'<line x1="{zero_x}" y1="{mt}" x2="{zero_x}" y2="{h - mb}" '
         f'stroke="black" stroke-width="1.5"/>\n'
     )
-    if style.threshold is not None:
-        ty = _svg_num(py(style.threshold))
+    if threshold is not None:
+        ty = _svg_num(py(threshold))
         out.write(
             f'<line x1="{ml}" y1="{ty}" x2="{w - mr}" y2="{ty}" '
             f'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>\n'
@@ -198,7 +184,6 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
         f"Stahel–Donoho outlyingness</text>\n"
     )
     # markers
-    m = style.marker
     for p in points:
         x, y = px(p.f), py(p.r)
         if math.isinf(p.r):
@@ -222,7 +207,7 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
     # id labels: top-N by outlyingness plus every misclassified point,
     # offset above-right (no collision layout; determinism wins).
     order = sorted(range(len(points)), key=lambda i: (-points[i].r, i))
-    labeled = set(order[: max(style.label_top, 0)])
+    labeled = set(order[: max(label_top, 0)])
     labeled.update(i for i, p in enumerate(points) if p.misclassified)
     for i in sorted(labeled):
         p = points[i]
@@ -235,6 +220,6 @@ def map_to_svg(points, style: MapStyle | None = None) -> str:
     return out.getvalue()
 
 
-def emit_svg(points, style: MapStyle | None = None, destination="-") -> None:
+def emit_svg(points, destination="-", label_top: int = 5, threshold: float | None = None) -> None:
     """Render and write the SVG map."""
-    write_text(destination, map_to_svg(points, style))
+    write_text(destination, map_to_svg(points, label_top, threshold))

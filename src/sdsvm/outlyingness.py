@@ -45,30 +45,30 @@ _MAX_DRAW_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class DirectionPolicy:
-    """How projection directions are chosen."""
+    """How projection directions are chosen.
 
-    mode: str = "exhaustive"
+    "auto" (the default) is resolved per group by default_policy from the
+    group size and seed; "exhaustive" scans every pair; "sampled" draws
+    count pairs from seed.
+    """
+
+    mode: str = "auto"
     count: int = DEFAULT_SAMPLED_COUNT
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"mode must be 'exhaustive' or 'sampled', got {self.mode!r}")
+        if self.mode not in ("auto", "exhaustive", "sampled"):
+            raise ValueError(f"mode must be 'auto', 'exhaustive' or 'sampled', got {self.mode!r}")
         if self.mode == "sampled" and self.count < 1:
             raise ValueError(f"sampled mode needs count >= 1, got {self.count}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
-    def describe(self) -> str:
-        if self.mode == "exhaustive":
-            return "exhaustive"
-        return f"sampled count={self.count} seed={self.seed}"
-
 
 def default_policy(k: int, seed: int = 0) -> DirectionPolicy:
-    """Exhaustive for k <= 100, otherwise 2000 sampled pairs."""
+    """Exhaustive (seed 0) for k <= 100, otherwise 2000 pairs sampled from seed."""
     if k <= EXHAUSTIVE_LIMIT:
-        return DirectionPolicy(mode="exhaustive", seed=seed)
+        return DirectionPolicy(mode="exhaustive")
     return DirectionPolicy(mode="sampled", count=DEFAULT_SAMPLED_COUNT, seed=seed)
 
 
@@ -119,19 +119,22 @@ class DirectionList(list):
         self.draws = draws
 
 
-def enumerate_directions(k: int, policy: DirectionPolicy | None, omega: KernelMatrix) -> DirectionList:
-    """Materialize the unordered index pairs the outlyingness will scan.
+def enumerate_directions(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy()) -> DirectionList:
+    """Materialize the unordered index pairs of omega's samples that the
+    outlyingness will scan.
 
+    Auto mode resolves through default_policy(omega.k, policy.seed).
     Exhaustive mode returns every pair (degenerate ones included; the caller
     skips and counts them).  Sampled mode yields the pairs that a loop
     drawing one pair at a time from the ("directions",) stream would accept:
     it rejects i == j, repeated and degenerate draws, and gives up after
     100 * count rejections or once no non-degenerate pair is left to accept.
     """
+    k = omega.k
     if k < 2:
         raise ValueError(f"need at least 2 samples to form a direction, got {k}")
-    if policy is None:
-        policy = default_policy(k)
+    if policy.mode == "auto":
+        policy = default_policy(k, policy.seed)
     entries = omega.entries
     if policy.mode == "exhaustive":
         i_idx, j_idx = np.triu_indices(k, 1)
@@ -214,7 +217,7 @@ def _row_medians(v: np.ndarray) -> np.ndarray:
     return (part[:, m] + part[:, m + 1 :].min(axis=1)) / 2.0
 
 
-def outlyingness(omega: KernelMatrix, policy: DirectionPolicy | None = None) -> OutlyingnessReport:
+def outlyingness(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy()) -> OutlyingnessReport:
     """Stahel-Donoho outlyingness of every sample from the kernel matrix.
 
     Directions with mad(v) == 0 contribute 0 to samples sitting exactly at
@@ -223,9 +226,9 @@ def outlyingness(omega: KernelMatrix, policy: DirectionPolicy | None = None) -> 
     k = omega.k
     if k < 3:
         raise TooFewSamples(f"outlyingness needs at least 3 samples, got {k}")
-    if policy is None:
-        policy = default_policy(k)
-    pairs = enumerate_directions(k, policy, omega)
+    if policy.mode == "auto":
+        policy = default_policy(k, policy.seed)
+    pairs = enumerate_directions(omega, policy)
     entries = omega.entries
     i_all = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
     j_all = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))

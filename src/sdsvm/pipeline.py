@@ -76,7 +76,6 @@ class CvConfig:
     folds: int = 10
     grid: tuple = (DEFAULT_C,)
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self):
         if self.folds < 2:
@@ -174,15 +173,11 @@ def trim(
     return TrimPlan(kappa=float(kappa), outlyingness=r_full, trimmed=trimmed)
 
 
-def _fold_assignment(labels: np.ndarray, folds: int, seed: int, stratified: bool):
-    """fold id per position, dealt round-robin after a seeded shuffle."""
+def _fold_assignment(labels: np.ndarray, folds: int, seed: int):
+    """fold id per position, each class dealt round-robin after a seeded shuffle."""
     stream = Stream(derive_key(seed, "cv-folds"))
     assignment = np.zeros(labels.shape[0], dtype=np.intp)
-    if stratified:
-        groups = [np.flatnonzero(labels < 0).tolist(), np.flatnonzero(labels > 0).tolist()]
-    else:
-        groups = [list(range(labels.shape[0]))]
-    for members in groups:
+    for members in (np.flatnonzero(labels < 0).tolist(), np.flatnonzero(labels > 0).tolist()):
         for t, pos in enumerate(stream.shuffled(members)):
             assignment[pos] = t % folds
     return assignment
@@ -193,7 +188,7 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
 
     labels_t is the -1/+1 label array of the retained set.
 
-    Folds are stratified from the seed by default and clamped down to the
+    Folds are stratified by class from the seed and clamped down to the
     smaller class size when necessary.  Each fold solves the grid in
     ascending C, every solve starting from the last converged solution of
     that fold (alpha seeding).  Grid points whose folds fail to converge are
@@ -221,7 +216,7 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
         raise SingleClassError(
             f"smallest class has {min(n_minus, n_plus)} samples; cannot form 2 folds"
         )
-    assignment = _fold_assignment(y, folds, cv.seed, cv.stratified)
+    assignment = _fold_assignment(y, folds, cv.seed)
     entries = omega_t.entries
     ascending = sorted(range(len(cv.grid)), key=lambda t: cv.grid[t])
 
@@ -281,11 +276,11 @@ class Ranking:
     reports: tuple
 
 
-def rank(dataset, spec: KernelSpec, policy: DirectionPolicy | None = None) -> Ranking:
+def rank(dataset, spec: KernelSpec, policy: DirectionPolicy = DirectionPolicy()) -> Ranking:
     """Kernel matrix and per-group outlyingness (stages validate, kernel, outlyingness).
 
-    A policy of None means the per-group default: exhaustive pairs up to 100
-    samples, else 2000 sampled.
+    The default auto policy resolves per group: exhaustive pairs up to 100
+    samples, else 2000 pairs sampled from the policy's seed.
     """
     labels = np.asarray(dataset.labels, dtype=np.float64)
     minus_idx = np.flatnonzero(labels < 0)
@@ -370,7 +365,7 @@ def fit_sdsvm(
     spec: KernelSpec,
     kappa: float = 0.5,
     cv: CvConfig | None = None,
-    policy: DirectionPolicy | None = None,
+    policy: DirectionPolicy = DirectionPolicy(),
     tol: float = DEFAULT_TOL,
 ) -> FitResult:
     """Run the full trimmed-SVM fit on a labeled dataset: rank, then fit_ranked."""
@@ -388,6 +383,8 @@ def _policy_to_text(policy: DirectionPolicy) -> str:
 
 def _policy_from_text(text: str) -> DirectionPolicy:
     mode, count, seed = text.split()
+    if mode == "auto":  # a report records the policy auto resolved to
+        raise ValueError("policy line must name a resolved mode, got 'auto'")
     return DirectionPolicy(mode=mode, count=int(count), seed=int(seed))
 
 

@@ -67,11 +67,14 @@ class SvmModel:
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=np.float64).copy()
         y = np.asarray(self.labels, dtype=np.float64).copy()
+        ids = tuple(self.ids)
+        if y.shape != a.shape or a.shape != (len(ids),):
+            raise DimensionError(f"{len(ids)} ids and {y.size} labels for alpha of shape {a.shape}")
         a.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", ids)
 
     @property
     def n_retained(self) -> int:

@@ -325,7 +325,7 @@ def select_c_cold(omega_t, labels_t, cv):
     """pipeline.select_C as one cold-start solve per (C, fold), in grid order."""
     y = np.asarray(labels_t, dtype=np.float64)
     folds = min(cv.folds, int(np.sum(y < 0)), int(np.sum(y > 0)))
-    assignment = _fold_assignment(y, folds, cv.seed, cv.stratified)
+    assignment = _fold_assignment(y, folds, cv.seed)
     entries = omega_t.entries
     table = []
     best = None

@@ -146,7 +146,7 @@ def prop_outly_kernel_trick_matches_input_space(rows):
     om = kernel_matrix(LINEAR, samples_of(rows))
     assume(_directions_well_conditioned(om))
     report = outlyingness(om, DirectionPolicy(mode="exhaustive"))
-    pairs = enumerate_directions(om.k, DirectionPolicy(mode="exhaustive"), om)
+    pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
     expected = sd_outlyingness_input_space(rows, pairs)
     np.testing.assert_allclose(report.r, expected, rtol=1e-10, atol=1e-12)
 
@@ -284,7 +284,7 @@ def dataset_st(n_group_min=3, n_group_max=6, d_max=3):
         n_minus, n_plus, d, seed_rows = args
         rows = seed_rows[: n_minus + n_plus]
         labels = np.concatenate([-np.ones(n_minus), np.ones(n_plus)])
-        return Dataset(x=rows, labels=labels, provenance="hyp")
+        return Dataset(x=rows, labels=labels)
 
     return st.tuples(
         st.integers(n_group_min, n_group_max),
@@ -310,11 +310,7 @@ def _fit_quietly(ds, kappa, c=0.5, tol=1e-10):
 def prop_pipeline_trim_idempotent(ds, kappa):
     fit1 = _fit_quietly(ds, kappa)
     retained = list(fit1.plan.retained)
-    reduced = Dataset(
-        x=ds.x[retained],
-        labels=ds.labels[retained],
-        provenance="reduced",
-    )
+    reduced = Dataset(x=ds.x[retained], labels=ds.labels[retained])
     fit2 = _fit_quietly(reduced, 1.0, c=fit1.model.c)
     assert not fit2.plan.trimmed.any()
     assert np.all(np.abs(fit2.decision_values - fit1.decision_values[retained]) < 1e-6)
@@ -329,11 +325,7 @@ def prop_pipeline_trim_is_within_group(ds, rng, kappa):
     reordered = list(range(len(ds)))
     for original, new in zip(plus_positions, shuffled):
         reordered[original] = new
-    ds2 = Dataset(
-        x=ds.x[reordered],
-        labels=ds.labels[np.array(reordered)],
-        provenance="perm",
-    )
+    ds2 = Dataset(x=ds.x[reordered], labels=ds.labels[np.array(reordered)])
     fit2 = _fit_quietly(ds2, kappa)
     # the untouched negative group keeps its exact retained set and values
     minus_positions = np.array([i for i in range(len(ds)) if ds.labels[i] < 0])

@@ -159,7 +159,7 @@ def test_criterion_5_kernel_trick_equivalence():
         rows = stream.normals(k * d).reshape(k, d)
         om = kernel_matrix(LINEAR, rows)
         report = outlyingness(om, DirectionPolicy(mode="exhaustive"))
-        pairs = enumerate_directions(k, DirectionPolicy(mode="exhaustive"), om)
+        pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
         expected = sd_outlyingness_input_space(rows, pairs)
         relative = np.abs(report.r - expected) / np.maximum(np.abs(expected), 1e-300)
         worst = max(worst, float(relative.max()))

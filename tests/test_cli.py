@@ -5,10 +5,11 @@ import runpy
 import signal
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdsvm import gen_toy, save_csv
+from sdsvm import Dataset, gen_toy, save_csv
 from sdsvm.cli import build_parser, main
 
 
@@ -127,6 +128,7 @@ class TestValidation:
             (["simulate", "--runs", "1", "--n", "0"], "--n"),
             (["simulate", "--runs", "1", "--d", "0"], "--d"),
             (["simulate", "--runs", "1", "--test-size", "1"], "--test-size"),
+            (["toy", "--threshold=-1", "--out-svg", "{toy}.svg"], "--threshold"),
         ],
     )
     def test_non_finite_or_out_of_range_number_exits_1(self, tmp_path, capsys, argv, flag):
@@ -291,6 +293,33 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+class TestAutoDirectionsSeed:
+    """--directions auto samples the pairs of a group over 100 from --seed."""
+
+    @staticmethod
+    def _fit(capsys, tmp_path, *argv):
+        """(policy lines, outlyingness column) of the fit report argv writes."""
+        target = tmp_path / "fit.txt"
+        code, _, _ = run_cli(capsys, *argv, "--out-fit", str(target))
+        assert code == 0
+        lines = target.read_text().splitlines()
+        rows = lines[lines.index("id label outlyingness trimmed f") + 1 :]
+        return [ln for ln in lines if ln.startswith("policy-")], [row.split()[2] for row in rows]
+
+    def test_large_groups_sample_from_seed(self, tmp_path, capsys):
+        data = tmp_path / "large.csv"
+        x = np.random.default_rng(0).normal(size=(300, 2))
+        save_csv(Dataset(x=x, labels=np.repeat([-1.0, 1.0], 150)), data)
+        fits = {seed: self._fit(capsys, tmp_path, "fit", str(data), "--seed", seed) for seed in "12"}
+        for seed, (policies, _) in fits.items():
+            assert policies == [f"policy-minus sampled 2000 {seed}", f"policy-plus sampled 2000 {seed}"]
+        assert fits["1"][1] != fits["2"][1]
+
+    def test_small_groups_stay_exhaustive_with_seed_0(self, tmp_path, capsys):
+        policies, _ = self._fit(capsys, tmp_path, "toy", "--seed", "5")
+        assert policies == ["policy-minus exhaustive 2000 0", "policy-plus exhaustive 2000 0"]
+
+
 # Each flag draws a valid value or a bad one (non-finite, negative, out of
 # range or not a number).  Sizes that scale work (--runs, --n, --d,
 # --test-size) stay small, and a valid C above 1 appears only on linearly
@@ -308,7 +337,7 @@ _FLAG_VALUES = {  # flag: (valid, bad)
     "--directions": (["1", "7", _HUGE, "exhaustive", "auto"], ["-1", "0", "nan", "abc"]),
     "--seed": (["0", "7", str(2**64 - 1)], ["-1", str(2**64), "1e3", "nan"]),
     "--label-top": (["-1", "0", "3", _HUGE], ["nan", "1.5"]),
-    "--threshold": (["-1e308", "0", "2.5", "1e308"], ["nan", "inf", "-inf"]),
+    "--threshold": (["0", "2.5", "1e308"], ["nan", "inf", "-inf", "-1e308"]),
     "--shift": (["-1e308", "0", "3", "1e308"], ["nan", "inf", "-inf"]),
     "--runs": (["1", "2"], ["-1", "0"]),
     "--n": (["2", "3", "6"], ["-1", "0"]),  # 2 leaves too few samples to rank

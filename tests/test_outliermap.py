@@ -5,7 +5,6 @@ import pytest
 
 from sdsvm import (
     KernelSpec,
-    MapStyle,
     OutlierMapPoint,
     build_map,
     emit_csv,
@@ -110,6 +109,9 @@ class TestCsv:
             parse_csv(text)
         assert info.value.line == 2
 
+    def test_parse_header_only_text_without_newline(self):
+        assert parse_csv("id,label,f,outlyingness,trimmed,misclassified") == []
+
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ParseError):
             parse_csv("id,label\n1,-1\n")
@@ -148,7 +150,7 @@ class TestSvg:
         assert text.count("marker-minus") == 1
 
     def test_threshold_renders_dashed_line(self):
-        text = map_to_svg([point()], MapStyle(threshold=0.5))
+        text = map_to_svg([point()], threshold=0.5)
         assert "stroke-dasharray" in text
         assert "stroke-dasharray" not in map_to_svg([point()])
 
@@ -160,7 +162,7 @@ class TestSvg:
     def test_misclassified_points_always_labeled(self):
         points = [point(id=f"p{i}", r=float(i)) for i in range(10)]
         points.append(point(id="bad", f=-1.0, r=0.0, label=1, misclassified=True))
-        text = map_to_svg(points, MapStyle(label_top=2))
+        text = map_to_svg(points, label_top=2)
         assert ">bad</text>" in text
         assert ">p9</text>" in text and ">p8</text>" in text
         assert ">p3</text>" not in text
@@ -171,7 +173,7 @@ class TestSvg:
 
     def test_unwritable_destination(self):
         with pytest.raises(IoError):
-            emit_svg([point()], MapStyle(), "/nonexistent-dir/x.svg")
+            emit_svg([point()], "/nonexistent-dir/x.svg")
 
 
 class TestInvariants:

@@ -92,7 +92,7 @@ class TestProjectionVector:
 class TestEnumerateDirections:
     def test_exhaustive_counts_all_pairs(self):
         om = linear_matrix(np.eye(4))
-        pairs = enumerate_directions(4, DirectionPolicy(mode="exhaustive"), om)
+        pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
         assert len(pairs) == 6
         assert pairs == sorted(set(pairs))
 
@@ -104,7 +104,7 @@ class TestEnumerateDirections:
     def test_default_policy_samples_2000_pairs(self):
         rows = np.arange(101.0 * 2).reshape(101, 2)
         om = linear_matrix(rows)
-        pairs = enumerate_directions(101, None, om)
+        pairs = enumerate_directions(om)
         assert len(pairs) == 2000
         assert len(set(pairs)) == 2000
 
@@ -112,20 +112,20 @@ class TestEnumerateDirections:
         rows = np.arange(40.0).reshape(20, 2)
         om = linear_matrix(rows)
         policy = DirectionPolicy(mode="sampled", count=30, seed=7)
-        assert enumerate_directions(20, policy, om) == enumerate_directions(20, policy, om)
+        assert enumerate_directions(om, policy) == enumerate_directions(om, policy)
 
     def test_all_identical_samples(self):
         om = linear_matrix([[1.0, 1.0]] * 4)
         with pytest.raises(NoValidDirections):
-            enumerate_directions(4, DirectionPolicy(mode="exhaustive"), om)
+            enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
         with pytest.raises(NoValidDirections):
-            enumerate_directions(4, DirectionPolicy(mode="sampled", count=3), om)
+            enumerate_directions(om, DirectionPolicy(mode="sampled", count=3))
 
     def test_sampling_skips_degenerate_pairs(self):
         rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         om = linear_matrix(rows)
         policy = DirectionPolicy(mode="sampled", count=5, seed=3)
-        pairs = enumerate_directions(4, policy, om)
+        pairs = enumerate_directions(om, policy)
         assert (0, 1) not in pairs
         assert len(pairs) == len(set(pairs)) == 5
 
@@ -160,7 +160,7 @@ class TestOutlyingness:
         assert report.r[deepest] == 0.0
         # full agreement with independent per-pair recomputation
         om2 = linear_matrix(augmented)
-        pairs = enumerate_directions(len(augmented), DirectionPolicy(mode="exhaustive"), om2)
+        pairs = enumerate_directions(om2, DirectionPolicy(mode="exhaustive"))
         expected = sd_outlyingness_kernel_brute(om2.entries, pairs)
         np.testing.assert_allclose(report.r, expected, rtol=1e-12)
 
@@ -182,7 +182,7 @@ class TestOutlyingness:
         rows = np.cos(np.arange(0.0, 21.0)).reshape(7, 3) * 2.0 + 0.3
         om = linear_matrix(rows)
         report = outlyingness(om)
-        pairs = enumerate_directions(7, DirectionPolicy(mode="exhaustive"), om)
+        pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
         expected = sd_outlyingness_kernel_brute(om.entries, pairs)
         np.testing.assert_allclose(report.r, expected, rtol=1e-12)
 
@@ -226,7 +226,7 @@ class TestSampledPairsMatchOneAtATime:
     @staticmethod
     def _check(k, count, seed, om):
         expected, draws = sample_pairs_one_at_a_time(k, count, seed, om.entries)
-        pairs = enumerate_directions(k, DirectionPolicy(mode="sampled", count=count, seed=seed), om)
+        pairs = enumerate_directions(om, DirectionPolicy(mode="sampled", count=count, seed=seed))
         assert pairs == expected
         assert pairs.draws == draws
         return pairs
@@ -266,7 +266,7 @@ class TestSampledPairsMatchOneAtATime:
         om = linear_matrix([[1.0, 1.0]] * 4)
         policy = DirectionPolicy(mode="sampled", count=10**12)
         with pytest.raises(NoValidDirections):
-            enumerate_directions(4, policy, om)
+            enumerate_directions(om, policy)
         with pytest.raises(NoValidDirections):
             sample_pairs_one_at_a_time(4, policy.count, policy.seed, om.entries)
 
@@ -283,7 +283,7 @@ class TestMediansMatchNumpy:
 
     @staticmethod
     def _check(om, policy):
-        pairs = enumerate_directions(om.k, policy, om)
+        pairs = enumerate_directions(om, policy)
         expected, degenerate = outlyingness_np_median(om.entries, pairs)
         report = outlyingness(om, policy)
         assert report.r.tobytes() == expected.tobytes()

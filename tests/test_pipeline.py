@@ -106,7 +106,7 @@ def wide_margin_dataset():
     pos = offsets + [5.0, 0.0]
     rows = np.vstack([neg, pos])
     labels = np.concatenate([-np.ones(9), np.ones(9)])
-    return Dataset(x=rows, labels=labels, provenance="wide-margin")
+    return Dataset(x=rows, labels=labels)
 
 
 class TestSelectC:
@@ -148,12 +148,6 @@ class TestSelectC:
         selection = select_C(om, ds.labels, CvConfig(folds=10, grid=(0.1, 1.0)))
         assert selection.folds_used == 9
 
-    def test_unstratified_folds_still_deterministic(self):
-        ds = wide_margin_dataset()
-        om = kernel_matrix(LINEAR, ds.x)
-        cv = CvConfig(folds=3, grid=(0.1, 1.0), seed=2, stratified=False)
-        assert select_C(om, ds.labels, cv) == select_C(om, ds.labels, cv)
-
 
 def toy_retained(spec):
     """Kernel matrix and labels of the set a kappa=0.5 toy fit trains on."""
@@ -171,7 +165,7 @@ class TestWarmCPath:
             (LINEAR, CvConfig(folds=5, grid=(10.0, 0.5, 2.0))),
             (LINEAR, CvConfig(folds=5, grid=DEFAULT_C_GRID)),
             (KernelSpec(kind="rbf", gamma=0.5), CvConfig(folds=5, grid=DEFAULT_C_GRID)),
-            (LINEAR, CvConfig(folds=4, grid=(0.01, 0.1, 1.0, 10.0), seed=3, stratified=False)),
+            (LINEAR, CvConfig(folds=4, grid=(0.01, 0.1, 1.0, 10.0), seed=3)),
         ],
     )
     def test_matches_cold_start_loop(self, spec, cv):
@@ -275,10 +269,7 @@ def cv_problem(draw):
     labels = np.concatenate([-np.ones(n_minus), np.ones(n_plus)])
     spec = draw(st.sampled_from([LINEAR, KernelSpec(kind="rbf", gamma=0.5)]))
     grid = tuple(draw(st.lists(st.sampled_from(DEFAULT_C_GRID[:6]), min_size=1, max_size=6)))
-    cv = CvConfig(
-        folds=draw(st.integers(2, 4)), grid=grid, seed=draw(st.integers(0, 3)),
-        stratified=draw(st.booleans()),
-    )
+    cv = CvConfig(folds=draw(st.integers(2, 4)), grid=grid, seed=draw(st.integers(0, 3)))
     return kernel_matrix(spec, x), labels, cv
 
 
@@ -309,13 +300,7 @@ class TestFixedPointRate:
     @given(cv_problem())
     def test_matches_cold_start_loop_on_random_problems(self, problem):
         om, y, cv = problem
-        try:
-            expected = select_c_cold(om, y, cv)
-        except SdsvmError as exc:  # an unstratified fold left one class out
-            with pytest.raises(type(exc)):
-                select_C(om, y, cv)
-            return
-        assert select_C(om, y, cv) == expected
+        assert select_C(om, y, cv) == select_c_cold(om, y, cv)
 
 
 class TestRankOnce:
@@ -421,7 +406,8 @@ class TestFitSdsvm:
         assert np.all(np.isfinite(fit.decision_values))
 
     @pytest.mark.parametrize(
-        "policy", [None, DirectionPolicy(mode="sampled", count=200, seed=4)]
+        "policy",
+        [pytest.param(DirectionPolicy(), id="auto"), DirectionPolicy(mode="sampled", count=200, seed=4)],
     )
     def test_outlyingness_reports_kept(self, policy):
         fit = fit_sdsvm(gen_toy(3), LINEAR, policy=policy)
@@ -430,7 +416,7 @@ class TestFitSdsvm:
         assert np.array_equal(fit.plan.outlyingness[fit.labels < 0], minus.r)
         assert np.array_equal(fit.plan.outlyingness[fit.labels > 0], plus.r)
         for report in (minus, plus):
-            if policy is None:
+            if policy.mode == "auto":
                 assert report.directions == report.k * (report.k - 1) // 2
                 assert report.draws == 0
             else:
@@ -510,6 +496,7 @@ class TestFitReport:
             # well-formed lines that contradict the model block
             (2, "chosen-c 0.2"),
             (6, "kernel kind=rbf gamma=1.0"),
+            (4, "policy-minus auto 2000 0"),  # a fit records the resolved policy
         ],
     )
     def test_malformed_report_raises_serialization_error(self, line, replacement):

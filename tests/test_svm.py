@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as npst
 from sdsvm import (
     KernelMatrix,
     KernelSpec,
+    SvmModel,
     decision_value,
     decision_values,
     dual_objective,
@@ -99,6 +100,13 @@ class TestSolveDual:
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             solve_dual(om, [-1.0, 1.0], 0.0)
+
+    def test_ids_and_labels_must_match_alpha(self):
+        om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0], [2.0], [3.0]]))
+        with pytest.raises(DimensionError):
+            solve_dual(om, [-1.0, -1.0, 1.0, 1.0], 1.0, spec=LINEAR, ids=("a",))
+        with pytest.raises(DimensionError):
+            SvmModel(alpha=[0.5, 0.5], labels=[-1.0], bias=0.0, ids=("a", "b"), c=1.0, tol=1e-3)
 
     def test_iteration_cap_raises_convergence_error(self):
         x, y, _ = random_instance(2, n_max=10)

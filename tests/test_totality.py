@@ -4,8 +4,6 @@ Inputs are arbitrary text and valid documents with one random splice, which
 reaches the checks behind the headers that random text rarely passes.
 """
 
-import io
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,7 +68,7 @@ def test_load_fasta(workdir, fasta, labels):
 
 @given(text_like(MAP_CSV))
 def test_parse_csv(text):
-    parses_or_raises_sdsvm_error(parse_csv, io.StringIO(text))
+    parses_or_raises_sdsvm_error(parse_csv, text)
 
 
 @given(text_like(FIT_TEXT))

@@ -8,10 +8,9 @@ from .data import (
     load_csv,
     load_fasta,
     run_simulation,
-    save_csv,
 )
 from .errors import SdsvmError
-from .kernels import KernelMatrix, KernelSpec, eval_kernel, kernel_cross, kernel_matrix
+from .kernels import KernelMatrix, KernelSpec, kernel_cross, kernel_matrix
 from .outliermap import (
     OutlierMapPoint,
     build_map,
@@ -40,12 +39,10 @@ from .pipeline import (
 )
 from .svm import (
     SvmModel,
-    decision_value,
     decision_values,
     dual_objective,
     model_from_text,
     model_to_text,
-    predict,
     solve_dual,
 )
 
@@ -65,14 +62,12 @@ __all__ = [
     "SvmModel",
     "TrimPlan",
     "build_map",
-    "decision_value",
     "decision_values",
     "default_policy",
     "dual_objective",
     "emit_csv",
     "emit_svg",
     "enumerate_directions",
-    "eval_kernel",
     "fit_from_text",
     "fit_ranked",
     "fit_sdsvm",
@@ -87,10 +82,8 @@ __all__ = [
     "model_to_text",
     "outlyingness",
     "parse_csv",
-    "predict",
     "rank",
     "run_simulation",
-    "save_csv",
     "select_C",
     "solve_dual",
     "trim",

@@ -100,6 +100,7 @@ def build_parser() -> _Parser:
     _add_kernel_flags(fit)
     _add_fit_flags(fit)
     fit.add_argument("--out-fit", default="-", help="fit report path ('-' for stdout)")
+    fit.set_defaults(handler=_cmd_fit, parser=fit)
 
     map_cmd = sub.add_parser(
         "map",
@@ -112,6 +113,7 @@ def build_parser() -> _Parser:
     _add_kernel_flags(map_cmd)
     _add_fit_flags(map_cmd)
     _add_map_output_flags(map_cmd)
+    map_cmd.set_defaults(handler=_cmd_map, parser=map_cmd)
 
     sim = sub.add_parser(
         "simulate",
@@ -128,6 +130,7 @@ def build_parser() -> _Parser:
     _add_kernel_flags(sim)
     _add_fit_flags(sim)
     sim.add_argument("--out-csv", default="-", help="per-run table path ('-' for stdout)")
+    sim.set_defaults(handler=_cmd_simulate, parser=sim)
 
     toy = sub.add_parser(
         "toy",
@@ -138,6 +141,7 @@ def build_parser() -> _Parser:
     _add_fit_flags(toy)
     _add_map_output_flags(toy)
     toy.add_argument("--out-fit", default=None, help="fit report path")
+    toy.set_defaults(handler=_cmd_toy, parser=toy)
     return parser
 
 
@@ -338,15 +342,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {
-        "fit": _cmd_fit,
-        "map": _cmd_map,
-        "simulate": _cmd_simulate,
-        "toy": _cmd_toy,
-    }
     try:
-        _check_numbers(parser, args)
-        return handlers[args.command](parser, args)
+        # Flag errors found after parsing print the subcommand's usage, as
+        # argparse's own errors do.
+        _check_numbers(args.parser, args)
+        return args.handler(args.parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except PipelineError as exc:

@@ -20,13 +20,12 @@ from .errors import (
     PipelineError,
     SdsvmError,
     read_text,
-    write_text,
 )
-from .kernels import KernelSpec, kernel_cross
+from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, fit_ranked, rank
 from .rng import Stream, derive_key
-from .svm import decision_values, sign_labels
+from .svm import DEFAULT_TOL, decision_values, sign_labels
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class Dataset:
             x.flags.writeable = False
         else:
             x = tuple(self.x)
-        labels = np.asarray(self.labels, dtype=np.float64).ravel().copy()
+        labels = _frozen(self.labels).ravel()
         if len(x) != labels.shape[0]:
             raise ValueError(f"{len(x)} samples vs {labels.shape[0]} labels")
         if labels.size and not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -58,7 +57,6 @@ class Dataset:
         ids = tuple(range(1, len(x) + 1)) if self.ids is None else tuple(self.ids)
         if len(ids) != len(x):
             raise ValueError(f"{len(ids)} ids vs {len(x)} samples")
-        labels.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", ids)
@@ -216,10 +214,10 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
 
 def run_simulation(
     spec: SimulationSpec,
-    kernel: KernelSpec | None = None,
-    cv: CvConfig | None = None,
+    kernel: KernelSpec = KernelSpec(),
+    cv: CvConfig = CvConfig(),
     policy: DirectionPolicy = DirectionPolicy(),
-    tol: float = 1e-3,
+    tol: float = DEFAULT_TOL,
 ) -> SimulationResult:
     """Fit every (run, kappa) cell and summarize test error per kappa.
 
@@ -228,8 +226,6 @@ def run_simulation(
     Failures inside a run are recorded as nan rows instead of aborting the
     sweep.  Each run's data comes from its own (seed, run)-derived streams.
     """
-    kernel = kernel or KernelSpec(kind="linear")
-    cv = cv or CvConfig()
     rows = tuple(
         row for run in range(spec.runs) for row in _evaluate_run(spec, kernel, cv, policy, run, tol)
     )
@@ -319,17 +315,6 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
     if not rows:
         raise ParseError("no data rows", line=1)
     return Dataset(x=np.array(rows), labels=np.array(labels))
-
-
-def save_csv(dataset: Dataset, destination) -> None:
-    """Write the rows of x plus a trailing label column (load_csv inverse)."""
-    if not isinstance(dataset.x, np.ndarray):
-        raise SdsvmError("save_csv requires a vector dataset")
-    lines = []
-    for row, label in zip(dataset.x, dataset.labels):
-        cells = [repr(float(v)) for v in row] + [str(int(label))]
-        lines.append(",".join(cells))
-    write_text(destination, "\n".join(lines) + "\n")
 
 
 def load_fasta(path, labels_path) -> Dataset:

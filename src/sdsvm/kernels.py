@@ -32,6 +32,17 @@ _KMER_CHUNK = 512
 _ROW_BLOCK = 512
 
 
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only, C-ordered copy of values as a dtype array.
+
+    The frozen dataclasses store their array fields through this, so a
+    caller's later writes to its own array never reach a stored field.
+    """
+    arr = np.array(values, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Which kernel to use and its hyperparameters.
@@ -59,18 +70,15 @@ class KernelSpec:
         if self.kind == "spectrum" and (int(self.kmer) != self.kmer or self.kmer < 1):
             raise ValueError(f"spectrum kernel requires integer kmer >= 1, got {self.kmer}")
         if self.kind == "precomputed":
-            m = self.matrix
-            if m is None:
+            if self.matrix is None:
                 raise ValueError("precomputed kernel requires a matrix")
-            m = np.asarray(m, dtype=np.float64)
+            m = _frozen(self.matrix)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"precomputed matrix must be square, got shape {m.shape}")
             if not np.all(np.isfinite(m)):
                 raise ValueError("precomputed matrix must be finite")
             if not np.array_equal(m, m.T):
                 raise ValueError("precomputed matrix must be symmetric")
-            m = m.copy()
-            m.flags.writeable = False
             object.__setattr__(self, "matrix", m)
             if self.ids is not None and len(self.ids) != m.shape[0]:
                 raise ValueError("ids length must match matrix size")
@@ -113,13 +121,11 @@ class KernelMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
+        arr = _frozen(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"kernel matrix must be square, got shape {arr.shape}")
         if not np.array_equal(arr, arr.T):
             raise DimensionError("kernel matrix must be exactly symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -316,8 +322,3 @@ def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
     Raises DimensionError when an entry is not finite.
     """
     return _finite_block(spec, a, b)
-
-
-def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """K(a, b) for a single pair of samples, through the square block."""
-    return float(kernel_matrix(spec, [a, b]).entries[0, 1])

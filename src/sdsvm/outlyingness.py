@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoValidDirections, TooFewSamples
-from .kernels import KernelMatrix
+from .kernels import KernelMatrix, _frozen
 from .rng import Stream, derive_key
 
 # Squared feature-space norms at or below this are treated as coincident
@@ -83,13 +83,11 @@ class OutlyingnessReport:
     draws: int = 0  # candidates the sampler drew up to its stop; 0 when exhaustive
 
     def __post_init__(self):
-        arr = np.asarray(self.r, dtype=np.float64)
+        arr = _frozen(self.r)
         if arr.ndim != 1:
             raise ValueError("r must be a 1-D array")
         if np.any(arr < 0):
             raise ValueError("outlyingness values must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "r", arr)
 
     @property

@@ -25,7 +25,7 @@ from .errors import (
     TooFewSamples,
     run_stage,
 )
-from .kernels import KernelMatrix, KernelSpec, kernel_matrix
+from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, derive_key
 from .svm import (
@@ -56,12 +56,8 @@ class TrimPlan:
     trimmed: np.ndarray  # bool, aligned with the dataset
 
     def __post_init__(self):
-        r = np.asarray(self.outlyingness, dtype=np.float64).copy()
-        t = np.asarray(self.trimmed, dtype=bool).copy()
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "outlyingness", r)
-        object.__setattr__(self, "trimmed", t)
+        object.__setattr__(self, "outlyingness", _frozen(self.outlyingness))
+        object.__setattr__(self, "trimmed", _frozen(self.trimmed, bool))
 
     @property
     def retained(self) -> np.ndarray:
@@ -115,12 +111,8 @@ class FitResult:
     reports: tuple = ()
 
     def __post_init__(self):
-        f = np.asarray(self.decision_values, dtype=np.float64).copy()
-        y = np.asarray(self.labels, dtype=np.float64).copy()
-        f.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "decision_values", f)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "decision_values", _frozen(self.decision_values))
+        object.__setattr__(self, "labels", _frozen(self.labels))
         object.__setattr__(self, "ids", tuple(self.ids))
 
     @property
@@ -305,7 +297,7 @@ def rank(dataset, spec: KernelSpec, policy: DirectionPolicy = DirectionPolicy())
 def fit_ranked(
     ranking: Ranking,
     kappa: float = 0.5,
-    cv: CvConfig | None = None,
+    cv: CvConfig = CvConfig(),
     tol: float = DEFAULT_TOL,
 ) -> FitResult:
     """Trim, select C, train and score every sample on a ranked dataset.
@@ -313,8 +305,6 @@ def fit_ranked(
     With a single-point C grid (the default {0.1}) the fold evaluation is
     skipped and the value used directly.
     """
-    if cv is None:
-        cv = CvConfig()
     dataset, omega = ranking.dataset, ranking.omega
     report_minus, report_plus = ranking.reports
     labels = np.asarray(dataset.labels, dtype=np.float64)
@@ -364,7 +354,7 @@ def fit_sdsvm(
     dataset,
     spec: KernelSpec,
     kappa: float = 0.5,
-    cv: CvConfig | None = None,
+    cv: CvConfig = CvConfig(),
     policy: DirectionPolicy = DirectionPolicy(),
     tol: float = DEFAULT_TOL,
 ) -> FitResult:
@@ -421,8 +411,10 @@ def fit_to_text(fit: FitResult) -> str:
 def fit_from_text(text: str) -> FitResult:
     """Rebuild a FitResult from its report (samples are not serialized).
 
-    Raises SerializationError, and nothing else, on a malformed report or
-    one whose chosen-c or kernel line disagrees with its model block.
+    Raises SerializationError, and nothing else, on a malformed report, one
+    whose chosen-c or kernel line disagrees with its model block, or one
+    with a sample the outlier map cannot draw: a label other than -1/+1, a
+    negative or nan outlyingness (+inf is kept) or a non-finite f.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -470,8 +462,15 @@ def fit_from_text(text: str) -> FitResult:
             ids.append(parts[0])
             labels.append(float(parts[1]))
             r_vals.append(float(parts[2]))
-            trimmed.append(parts[3] == "true")
+            trimmed.append({"true": True, "false": False}[parts[3]])
             f_vals.append(float(parts[4]))
+        labels, r_vals, f_vals = np.array(labels), np.array(r_vals), np.array(f_vals)
+        if not (np.abs(labels) == 1.0).all():
+            raise SerializationError("sample labels must be -1 or +1")
+        if not (r_vals >= 0.0).all():
+            raise SerializationError("sample outlyingness must be nonnegative and not nan")
+        if not np.isfinite(f_vals).all():
+            raise SerializationError("sample decision values must be finite")
         return FitResult(
             model=model,
             plan=TrimPlan(kappa, r_vals, trimmed),

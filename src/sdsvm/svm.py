@@ -37,7 +37,7 @@ from .errors import (
     SerializationError,
     SingleClassError,
 )
-from .kernels import KernelMatrix, KernelSpec, parse_spec
+from .kernels import KernelMatrix, KernelSpec, _frozen, parse_spec
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -65,16 +65,12 @@ class SvmModel:
     gap: float = float("nan")  # final KKT violation; not serialized
 
     def __post_init__(self):
-        a = np.asarray(self.alpha, dtype=np.float64).copy()
-        y = np.asarray(self.labels, dtype=np.float64).copy()
-        ids = tuple(self.ids)
+        object.__setattr__(self, "alpha", _frozen(self.alpha))
+        object.__setattr__(self, "labels", _frozen(self.labels))
+        object.__setattr__(self, "ids", tuple(self.ids))
+        a, y, ids = self.alpha, self.labels, self.ids
         if y.shape != a.shape or a.shape != (len(ids),):
             raise DimensionError(f"{len(ids)} ids and {y.size} labels for alpha of shape {a.shape}")
-        a.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "ids", ids)
 
     @property
     def n_retained(self) -> int:
@@ -84,9 +80,8 @@ class SvmModel:
 def dual_objective(omega: KernelMatrix, labels, alpha) -> float:
     """Value of the dual objective at a coefficient vector."""
     a = np.asarray(alpha, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    q = np.outer(y, y) * omega.entries
-    return float(a.sum() - 0.5 * a @ q @ a)
+    b = np.asarray(labels, dtype=np.float64) * a
+    return float(a.sum() - 0.5 * b @ (omega.entries @ b))
 
 
 def solve_dual(
@@ -110,9 +105,10 @@ def solve_dual(
     ValueError.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
-    Raises SingleClassError when one class is absent and ConvergenceError
-    (carrying the residual violation) when the pair-update cap is hit or the
-    violation turns nan.
+    Raises DimensionError, before any update, when the kernel matrix or ids
+    do not match the labels in size, SingleClassError when one class is
+    absent and ConvergenceError (carrying the residual violation) when the
+    pair-update cap is hit or the violation turns nan.
     """
     y = np.asarray(labels, dtype=np.float64).ravel()
     n = y.shape[0]
@@ -120,6 +116,9 @@ def solve_dual(
         raise ValueError("labels must be -1 or +1")
     if omega_t.k != n:
         raise DimensionError(f"kernel matrix is {omega_t.k}x{omega_t.k} but {n} labels given")
+    ids = range(n) if ids is None else tuple(ids)
+    if len(ids) != n:
+        raise DimensionError(f"{len(ids)} ids given for {n} labels")
     n_minus = int(np.count_nonzero(y < 0))
     if n_minus == 0 or n_minus == n:
         raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
@@ -230,7 +229,7 @@ def solve_dual(
         alpha=alpha,
         labels=y,
         bias=bias,
-        ids=range(n) if ids is None else ids,
+        ids=ids,
         c=float(c),
         tol=float(tol),
         spec=spec,
@@ -252,17 +251,6 @@ def decision_values(model: SvmModel, omega_block) -> np.ndarray:
 def sign_labels(f) -> np.ndarray:
     """Predicted labels sign(f) as -1.0/+1.0; f == 0 resolves to +1."""
     return np.where(f >= 0.0, 1.0, -1.0)
-
-
-def decision_value(model: SvmModel, omega_row) -> float:
-    """f(x) from the kernel values K(x_i, x) against the retained set."""
-    column = np.asarray(omega_row, dtype=np.float64).reshape(-1, 1)
-    return float(decision_values(model, column)[0])
-
-
-def predict(model: SvmModel, omega_row) -> int:
-    """Predicted label sign(f); f == 0 resolves to +1."""
-    return int(sign_labels(decision_value(model, omega_row)))
 
 
 _MODEL_HEADER = "sdsvm-model-v1"

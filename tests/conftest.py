@@ -24,3 +24,12 @@ def linear_spec():
 def make_vectors(rows):
     """Vector samples as one (n, d) float64 array."""
     return np.asarray(rows, dtype=np.float64)
+
+
+def write_csv(dataset, path):
+    """Write a vector dataset as load_csv reads it: x's cells, then the label."""
+    lines = [
+        ",".join([*map(repr, row.tolist()), str(int(label))])
+        for row, label in zip(dataset.x, dataset.labels)
+    ]
+    path.write_text("\n".join(lines) + "\n")

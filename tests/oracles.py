@@ -11,8 +11,8 @@ solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
 match bit for bit, and stream_uniforms_reference/stream_normals_reference and
 shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
 stream that sdsvm.rng must match byte for byte.  robust_location,
-robust_scale and projection_vector, with the two errors it raises, are
-helpers that only the tests use.
+robust_scale and projection_vector, with the two errors it raises, and
+kernel_entry are helpers that only the tests use.
 """
 
 import itertools
@@ -29,6 +29,7 @@ from sdsvm.errors import (
     SdsvmError,
     SingleClassError,
 )
+from sdsvm.kernels import kernel_matrix
 from sdsvm.outlyingness import DEGENERACY_TOL
 from sdsvm.pipeline import CvSelection, _fold_assignment
 from sdsvm.rng import Stream, derive_key
@@ -459,6 +460,11 @@ def gram_double_loop(x):
         for j in range(k):
             out[i, j] = sum(float(x[i, t]) * float(x[j, t]) for t in range(x.shape[1]))
     return out
+
+
+def kernel_entry(spec, a, b) -> float:
+    """K(a, b) for one pair of samples, read off their 2 x 2 Gram matrix."""
+    return float(kernel_matrix(spec, [a, b]).entries[0, 1])
 
 
 def kernel_block_recipe(kind, a, b=None, gamma=1.0, degree=3, coef0=0.0, kmer=3, matrix=None):

@@ -22,7 +22,6 @@ from sdsvm import (
     decision_values,
     dual_objective,
     enumerate_directions,
-    eval_kernel,
     fit_sdsvm,
     gen_simulation,
     kernel_cross,
@@ -38,6 +37,7 @@ from sdsvm.outliermap import OutlierMapPoint, map_to_csv
 
 from oracles import (
     dual_qp_oracle,
+    kernel_entry,
     projection_vector,
     sd_outlyingness_input_space,
     spectrum_dot_brute,
@@ -121,8 +121,8 @@ def prop_kernel_cauchy_schwarz(spec, rows):
 )
 def prop_kernel_spectrum_matches_brute_force(kmer, s1, s2):
     spec = KernelSpec(kind="spectrum", kmer=kmer)
-    forward = eval_kernel(spec, s1, s2)
-    backward = eval_kernel(spec, s2, s1)
+    forward = kernel_entry(spec, s1, s2)
+    backward = kernel_entry(spec, s2, s1)
     assert forward == backward
     assert forward == spectrum_dot_brute(s1, s2, kmer)
     om = kernel_matrix(spec, [s1, s2]).entries

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdsvm import Dataset, gen_toy, save_csv
+from sdsvm import Dataset, gen_toy
 from sdsvm.cli import build_parser, main
+
+from conftest import write_csv
 
 
 def run_cli(capsys, *argv):
@@ -132,13 +134,14 @@ class TestValidation:
         ],
     )
     def test_non_finite_or_out_of_range_number_exits_1(self, tmp_path, capsys, argv, flag):
-        save_csv(gen_toy(1), tmp_path / "toy.csv")
+        write_csv(gen_toy(1), tmp_path / "toy.csv")
         argv = [tok.format(toy=tmp_path / "toy.csv") for tok in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert f"error: {flag} " in err
         assert "Traceback" not in err
+        assert err.startswith(f"usage: sdsvm {argv[0]} ")  # the subcommand's usage line
 
     def test_direction_count_beyond_all_pairs_finishes(self, capsys):
         # The sampler stops once every valid pair is accepted instead of
@@ -257,15 +260,33 @@ class TestMap:
         assert code == 0
         assert rerender_csv.read_bytes() == direct_csv.read_bytes()
 
+    @pytest.mark.parametrize(
+        "column, value",
+        [(1, "3"), (1, "0.5"), (2, "-1.0"), (2, "nan"), (3, "yes"), (4, "nan")],
+    )
+    def test_report_with_unmappable_sample_exits_2(self, tmp_path, capsys, column, value):
+        fit_path = tmp_path / "fit.txt"
+        assert run_cli(capsys, "toy", "--out-fit", str(fit_path), "--out-csv", "-")[0] == 0
+        lines = fit_path.read_text().splitlines()
+        first = lines.index("id label outlyingness trimmed f") + 1
+        cells = lines[first].split()
+        cells[column] = value
+        lines[first] = " ".join(cells)
+        fit_path.write_text("\n".join(lines) + "\n")
+        svg = tmp_path / "m.svg"
+        code, _, err = run_cli(capsys, "map", "--fit", str(fit_path), "--out-svg", str(svg))
+        assert code == 2
+        assert "error in load" in err
+        assert "Traceback" not in err
+        assert not svg.exists()
+
     def test_map_needs_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "map")
         assert code == 1
 
     def test_map_from_dataset(self, tmp_path, capsys):
-        from sdsvm import gen_toy, save_csv
-
         data = tmp_path / "toy.csv"
-        save_csv(gen_toy(3), data)
+        write_csv(gen_toy(3), data)
         svg = tmp_path / "m.svg"
         code, _, _ = run_cli(capsys, "map", str(data), "--out-svg", str(svg))
         assert code == 0
@@ -309,7 +330,7 @@ class TestAutoDirectionsSeed:
     def test_large_groups_sample_from_seed(self, tmp_path, capsys):
         data = tmp_path / "large.csv"
         x = np.random.default_rng(0).normal(size=(300, 2))
-        save_csv(Dataset(x=x, labels=np.repeat([-1.0, 1.0], 150)), data)
+        write_csv(Dataset(x=x, labels=np.repeat([-1.0, 1.0], 150)), data)
         fits = {seed: self._fit(capsys, tmp_path, "fit", str(data), "--seed", seed) for seed in "12"}
         for seed, (policies, _) in fits.items():
             assert policies == [f"policy-minus sampled 2000 {seed}", f"policy-plus sampled 2000 {seed}"]
@@ -420,7 +441,7 @@ def wall_limit(seconds):
 @pytest.fixture(scope="module")
 def argv_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("argv")
-    save_csv(gen_toy(1), tmp / "toy.csv")
+    write_csv(gen_toy(1), tmp / "toy.csv")
     return tmp
 
 

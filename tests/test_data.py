@@ -12,10 +12,11 @@ from sdsvm import (
     load_csv,
     load_fasta,
     run_simulation,
-    save_csv,
 )
 from sdsvm.data import simulation_rows_csv, simulation_summary_csv
 from sdsvm.errors import DuplicateId, LabelError, MissingLabel, ParseError
+
+from conftest import write_csv
 
 LINEAR = KernelSpec(kind="linear")
 
@@ -79,7 +80,7 @@ class TestLoadCsv:
     def test_save_then_load_round_trip(self, tmp_path):
         original = gen_toy(4)
         target = tmp_path / "toy.csv"
-        save_csv(original, target)
+        write_csv(original, target)
         back = load_csv(target)
         assert np.array_equal(back.labels, original.labels)
         assert np.array_equal(back.x, original.x)

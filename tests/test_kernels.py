@@ -6,11 +6,11 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
 import sdsvm.kernels
-from sdsvm import KernelMatrix, KernelSpec, eval_kernel, kernel_cross, kernel_matrix
+from sdsvm import KernelMatrix, KernelSpec, kernel_cross, kernel_matrix
 from sdsvm.errors import DimensionError, EmptyInput, KernelTypeError
 
 from conftest import make_vectors
-from oracles import kernel_block_recipe, spectrum_dot_brute
+from oracles import kernel_block_recipe, kernel_entry, spectrum_dot_brute
 
 
 class TestKernelSpec:
@@ -50,50 +50,50 @@ class TestKernelSpec:
 
 class TestEvalKernel:
     def test_linear_dot_by_hand(self):
-        value = eval_kernel(KernelSpec(), [1.0, 2.0], [3.0, 4.0])
+        value = kernel_entry(KernelSpec(), [1.0, 2.0], [3.0, 4.0])
         assert value == 11.0
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.5])
     def test_rbf_same_point_is_one(self, gamma):
         s = [0.3, -2.0, 5.0]
-        assert eval_kernel(KernelSpec(kind="rbf", gamma=gamma), s, s) == 1.0
+        assert kernel_entry(KernelSpec(kind="rbf", gamma=gamma), s, s) == 1.0
 
     def test_rbf_formula(self):
         spec = KernelSpec(kind="rbf", gamma=0.5)
-        value = eval_kernel(spec, [0.0], [2.0])
+        value = kernel_entry(spec, [0.0], [2.0])
         assert value == pytest.approx(np.exp(-0.5 * 4.0), rel=1e-15)
 
     def test_polynomial_formula(self):
         spec = KernelSpec(kind="polynomial", gamma=2.0, degree=3, coef0=1.0)
-        value = eval_kernel(spec, [1.0, 1.0], [2.0, 0.0])
+        value = kernel_entry(spec, [1.0, 1.0], [2.0, 0.0])
         assert value == (2.0 * 2.0 + 1.0) ** 3
 
     def test_spectrum_shared_twomer(self):
         spec = KernelSpec(kind="spectrum", kmer=2)
-        assert eval_kernel(spec, "AAB", "ABA") == 1.0
+        assert kernel_entry(spec, "AAB", "ABA") == 1.0
 
     def test_spectrum_short_string_gives_zero(self):
         spec = KernelSpec(kind="spectrum", kmer=4)
-        assert eval_kernel(spec, "AB", "ABAB") == 0.0
+        assert kernel_entry(spec, "AB", "ABAB") == 0.0
 
     def test_payload_kind_mismatch(self):
         with pytest.raises(KernelTypeError):
-            eval_kernel(KernelSpec(), "ACGT", "ACGT")
+            kernel_entry(KernelSpec(), "ACGT", "ACGT")
         with pytest.raises(KernelTypeError):
-            eval_kernel(KernelSpec(kind="spectrum", kmer=2), [1.0], [2.0])
+            kernel_entry(KernelSpec(kind="spectrum", kmer=2), [1.0], [2.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            eval_kernel(KernelSpec(), [1.0, 2.0], [1.0])
+            kernel_entry(KernelSpec(), [1.0, 2.0], [1.0])
 
     def test_precomputed_by_index_and_id(self):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])
         by_index = KernelSpec(kind="precomputed", matrix=m)
-        assert eval_kernel(by_index, 0, 1) == 0.5
+        assert kernel_entry(by_index, 0, 1) == 0.5
         by_id = KernelSpec(kind="precomputed", matrix=m, ids=("a", "b"))
-        assert eval_kernel(by_id, "b", "b") == 2.0
+        assert kernel_entry(by_id, "b", "b") == 2.0
         with pytest.raises(KernelTypeError):
-            eval_kernel(by_id, "zzz", "a")
+            kernel_entry(by_id, "zzz", "a")
 
 
 class TestKernelMatrix:
@@ -196,7 +196,7 @@ class TestKernelCross:
             assert block.shape == (2, 3)
             for i in range(2):
                 for j in range(3):
-                    assert block[i, j] == pytest.approx(eval_kernel(spec, a[i], b[j]), rel=1e-12)
+                    assert block[i, j] == pytest.approx(kernel_entry(spec, a[i], b[j]), rel=1e-12)
 
     def test_spectrum_cross(self):
         spec = KernelSpec(kind="spectrum", kmer=3)
@@ -314,4 +314,4 @@ class TestExactRecipe:
     )
     def test_rbf_self_value_exactly_one(self, v, gamma):
         spec = KernelSpec(kind="rbf", gamma=gamma)
-        assert eval_kernel(spec, v, v) == 1.0
+        assert kernel_entry(spec, v, v) == 1.0

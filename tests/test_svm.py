@@ -10,17 +10,16 @@ from sdsvm import (
     KernelMatrix,
     KernelSpec,
     SvmModel,
-    decision_value,
     decision_values,
     dual_objective,
     kernel_matrix,
     model_from_text,
     model_to_text,
-    predict,
     solve_dual,
 )
 from sdsvm.errors import ConvergenceError, DimensionError, SingleClassError
 from sdsvm.pipeline import DEFAULT_C_GRID
+from sdsvm.svm import sign_labels
 from sdsvm.rng import Stream, derive_key
 
 from conftest import make_vectors
@@ -53,8 +52,8 @@ class TestSolveDual:
         assert model.bias == pytest.approx(0.0, abs=1e-12)
         # classifier is f(x) = x on a grid
         for x in (-2.0, -0.3, 0.0, 0.7, 1.5):
-            row = np.array([-x, x])  # K(x_i, x) for x_1=-1, x_2=+1
-            assert decision_value(model, row) == pytest.approx(x, abs=1e-12)
+            column = np.array([[-x], [x]])  # K(x_i, x) for x_1=-1, x_2=+1
+            assert decision_values(model, column)[0] == pytest.approx(x, abs=1e-12)
 
     def test_tiny_c_collapses_box(self):
         x, y, _ = random_instance(3)
@@ -105,6 +104,10 @@ class TestSolveDual:
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0], [2.0], [3.0]]))
         with pytest.raises(DimensionError):
             solve_dual(om, [-1.0, -1.0, 1.0, 1.0], 1.0, spec=LINEAR, ids=("a",))
+        # Checked before the first update: with none allowed, a check made
+        # only when the model is built would lose to ConvergenceError.
+        with pytest.raises(DimensionError):
+            solve_dual(om, [-1.0, -1.0, 1.0, 1.0], 1.0, max_iter=0, ids=("a",))
         with pytest.raises(DimensionError):
             SvmModel(alpha=[0.5, 0.5], labels=[-1.0], bias=0.0, ids=("a", "b"), c=1.0, tol=1e-3)
 
@@ -190,24 +193,25 @@ class TestWarmStart:
 class TestDecisionAndPredict:
     def test_zero_row_zero_bias(self):
         model = two_point_model()
-        assert decision_value(model, [0.0, 0.0]) == 0.0
+        assert decision_values(model, [[0.0], [0.0]])[0] == 0.0
 
     def test_row_length_checked(self):
         model = two_point_model()
         with pytest.raises(DimensionError):
-            decision_value(model, [1.0, 2.0, 3.0])
+            decision_values(model, [[1.0], [2.0], [3.0]])
         with pytest.raises(DimensionError):
             decision_values(model, np.zeros((3, 4)))
 
     def test_predict_signs(self):
         model = two_point_model()
-        assert predict(model, [0.7, -0.7]) == -1  # f = -0.7
-        assert predict(model, [-0.7, 0.7]) == 1  # f = +0.7
+        f = decision_values(model, [[0.7, -0.7], [-0.7, 0.7]])  # f = -0.7, +0.7
+        assert sign_labels(f).tolist() == [-1.0, 1.0]
 
     def test_predict_tie_break_is_plus_one(self):
         model = two_point_model()
-        assert decision_value(model, [0.0, 0.0]) == 0.0
-        assert predict(model, [0.0, 0.0]) == 1
+        f = decision_values(model, [[0.0], [0.0]])
+        assert f[0] == 0.0
+        assert sign_labels(f)[0] == 1.0
 
     def test_decision_values_matches_scalar(self):
         x, y, c = random_instance(7, n_max=8)
@@ -216,7 +220,7 @@ class TestDecisionAndPredict:
         block = om.entries
         vector = decision_values(model, block)
         for j in range(block.shape[1]):
-            assert vector[j] == pytest.approx(decision_value(model, block[:, j]), rel=1e-12)
+            assert vector[j] == pytest.approx(decision_values(model, block[:, [j]])[0], rel=1e-12)
 
 
 class TestSerialization:

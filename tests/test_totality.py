@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load_fasta, parse_csv
 from sdsvm.errors import SdsvmError
 from sdsvm.kernels import KernelSpec
-from sdsvm.outliermap import build_map, map_to_csv
+from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
 from sdsvm.svm import model_from_text, model_to_text
 
 CSV_LAST = "1.0,2.0,1\n0.5,-1.0,-1\n3,4e-3,1\n-2,0,-1\n"
@@ -71,9 +71,15 @@ def test_parse_csv(text):
     parses_or_raises_sdsvm_error(parse_csv, text)
 
 
+def rendered_from_text(text):
+    """The outlier map of a fit report, drawn as the CLI's map --fit does."""
+    return map_to_svg(build_map(fit_from_text(text)))
+
+
 @given(text_like(FIT_TEXT))
 def test_fit_from_text(text):
-    parses_or_raises_sdsvm_error(fit_from_text, text)
+    # A report that parses must also map and render.
+    parses_or_raises_sdsvm_error(rendered_from_text, text)
 
 
 @given(text_like(MODEL_TEXT))

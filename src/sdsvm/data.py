@@ -265,12 +265,58 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
 
     label_col is "first", "last", or a 0-based column index.  Labels must be
     +-1 unless a two-value coding (neg_token, pos_token) maps them; feature
-    cells must be finite numbers.
+    cells must be finite numbers.  Cells are read as float() reads them.
     """
+    lines = read_text(path).splitlines()
+    if coding is None:
+        dataset = _csv_in_bulk(lines, label_col)
+        if dataset is not None:
+            return dataset
+    return _csv_by_line(lines, label_col, coding)
+
+
+def _label_index(label_col, width: int) -> int:
+    if label_col == "last":
+        return width - 1
+    if label_col == "first":
+        return 0
+    return int(label_col)
+
+
+def _csv_in_bulk(lines, label_col) -> Dataset | None:
+    """The Dataset of a valid +-1-labeled CSV, all cells parsed as one array.
+
+    np.array converts each str cell with float(), so values and accepted
+    tokens are those of the line loop.  Returns None when any check fails,
+    and the line loop then reports the first bad line.
+    """
+    rows = [raw for raw in lines if raw.strip()]
+    if not rows:
+        return None
+    width = rows[0].count(",") + 1
+    if width < 2:
+        return None
+    col = _label_index(label_col, width)
+    if not 0 <= col < width or any(raw.count(",") != width - 1 for raw in rows):
+        return None
+    try:
+        cells = np.array(",".join(rows).split(","), dtype=np.float64)
+    except ValueError:
+        return None
+    cells = cells.reshape(len(rows), width)
+    labels = cells[:, col]
+    x = np.delete(cells, col, axis=1)
+    if not (np.all((labels == 1.0) | (labels == -1.0)) and np.all(np.isfinite(x))):
+        return None
+    return Dataset(x=x, labels=labels)
+
+
+def _csv_by_line(lines, label_col, coding) -> Dataset:
+    """load_csv one line at a time, raising for the first bad line."""
     rows = []
     labels = []
     width = None
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
         cells = [c.strip() for c in raw.split(",")]
@@ -278,12 +324,7 @@ def load_csv(path, label_col="last", coding=None) -> Dataset:
             width = len(cells)
             if width < 2:
                 raise ParseError("need at least one feature column and one label column", line=lineno)
-            if label_col == "last":
-                col = width - 1
-            elif label_col == "first":
-                col = 0
-            else:
-                col = int(label_col)
+            col = _label_index(label_col, width)
             if not 0 <= col < width:
                 raise ParseError(f"label column {col} outside row of width {width}", line=lineno)
         elif len(cells) != width:

@@ -27,9 +27,20 @@ KINDS = ("linear", "rbf", "polynomial", "spectrum", "precomputed")
 _KMER_CHUNK = 512
 
 # Rows per block in the in-place passes over an n x n block (RBF distances,
-# mirroring): the temporaries stay this many rows instead of n.  256 and 512
-# tied on speed at n = 2000; 512 gave the lower peak RSS in the benchmark.
-_ROW_BLOCK = 512
+# mirroring): the temporaries stay this many rows instead of n, and a 64-row
+# block's five RBF passes run in cache.  At n = 2000, d = 20 (2 vCPUs)
+# kernel_matrix took 46-51 ms with 64 rows against 56-61 ms with 512.
+_ROW_BLOCK = 64
+
+# Rows of the one scratch buffer per RBF build that holds sq_i + sq_j for a
+# row block.  It is sized for 512 rows although a block has 64, because
+# glibc's malloc raises its mmap threshold to the largest mmapped block
+# freed, and that threshold sets where later arrays live.  With 8 MB freed
+# here, as the earlier 512-row temporaries did, the cli-rbf-2000 benchmark
+# peaks at 205 MB RSS; with a 64-row buffer, or fresh 64- to 256-row
+# temporaries, at 233 MB.  With the threshold pinned (MALLOC_MMAP_THRESHOLD_)
+# both read 203 MB.
+_SCRATCH_ROWS = 512
 
 
 def _frozen(values, dtype=np.float64) -> np.ndarray:
@@ -135,11 +146,21 @@ class KernelMatrix:
     def take(self, indices) -> "KernelMatrix":
         """Principal submatrix for the given sample indices (order kept).
 
-        A principal submatrix of an exactly symmetric matrix is exactly
-        symmetric, so the fresh copy skips the constructor's checks.
+        The entries of entries[np.ix_(idx, idx)], gathered as whole rows
+        and then columns, one row block at a time: 1,500 of 2,000 rows took
+        8 ms against 13-14 ms.  The indices are resolved first (IndexError
+        outside the matrix, negative ones counted from the end), so the
+        column gather can write straight into the result (mode="clip" is
+        unbuffered and never clips).  A principal submatrix of an exactly
+        symmetric matrix is exactly symmetric, so the fresh copy skips the
+        constructor's checks.
         """
-        idx = np.asarray(indices, dtype=np.intp)
-        return KernelMatrix._wrap(self.entries[np.ix_(idx, idx)])
+        idx = np.arange(self.k)[np.asarray(indices, dtype=np.intp)]
+        out = np.empty((idx.size, idx.size))
+        for s in range(0, idx.size, _ROW_BLOCK):
+            rows = self.entries[idx[s : s + _ROW_BLOCK]]
+            np.take(rows, idx, axis=1, out=out[s : s + _ROW_BLOCK], mode="clip")
+        return KernelMatrix._wrap(out)
 
     @staticmethod
     def _wrap(entries: np.ndarray) -> "KernelMatrix":
@@ -188,12 +209,16 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """Keep the i <= j entries and mirror them in place, making symmetry exact.
 
     The values are those of triu(m) + triu(m, 1).T, -0.0 turning into 0.0.
-    Rows go block by block, so no copy of the whole matrix is made.
+    Rows go block by block, so no copy of the whole matrix is made, and only
+    the kept entries are normalized and checked: DimensionError when one is
+    not finite.  The entries below the diagonal are never read.
     """
-    m += 0.0
     n = m.shape[0]
     for s in range(0, n, _ROW_BLOCK):
         e = min(s + _ROW_BLOCK, n)
+        kept = m[s:e, s:]
+        kept += 0.0
+        _check_finite(kept)
         m[s:e, :s] = m[:s, s:e].T
         corner = m[s:e, s:e]
         lower = np.tri(e - s, k=-1, dtype=bool)
@@ -247,6 +272,7 @@ def _matrix_rows(spec: KernelSpec, keys) -> np.ndarray:
     return np.array(rows, dtype=np.intp)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     """K(a_i, b_j) over two sample collections; b=None means the square block.
 
@@ -254,7 +280,10 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     keeps the arithmetic its exactness rests on: one x @ x.T product (the
     symmetric BLAS path), RBF norms read from the Gram diagonal with the
     distance diagonal pinned to zero (so exp(0) == 1 exactly), and exact
-    integer k-mer counts for spectrum.  The inputs are never written to.
+    integer k-mer counts for spectrum.  Only the square block's entries on
+    and above the diagonal count: kernel_matrix mirrors them, so the RBF
+    passes skip the rest.  Overflow stays quiet here; callers check the
+    entries they keep.  The inputs are never written to.
     """
     square = b is None
     if len(a) == 0 or (not square and len(b) == 0):
@@ -279,28 +308,32 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     else:
         sq_a, sq_b = np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1)
     # exp(-gamma * max(sq_a + sq_b - 2 gram, 0)), step by step in place on
-    # gram, one row block at a time, so that besides gram only one row
-    # block of temporaries is alive.
-    for s in range(0, gram.shape[0], _ROW_BLOCK):
-        rows = gram[s : s + _ROW_BLOCK]
+    # gram, one row block at a time, with sq_a + sq_b in one scratch buffer.
+    # The square block computes only the columns from its block's first row
+    # on: kernel_matrix mirrors the upper triangle over the rest.
+    n_rows, n_cols = gram.shape
+    scratch = np.empty(min(_SCRATCH_ROWS, n_rows) * n_cols)
+    for s in range(0, n_rows, _ROW_BLOCK):
+        first = s if square else 0
+        rows = gram[s : s + _ROW_BLOCK, first:]
+        sums = scratch[: rows.size].reshape(rows.shape)
+        np.add(sq_a[s : s + _ROW_BLOCK, None], sq_b[None, first:], out=sums)
         rows *= 2.0
-        np.subtract(sq_a[s : s + _ROW_BLOCK, None] + sq_b[None, :], rows, out=rows)
+        np.subtract(sums, rows, out=rows)
         np.maximum(rows, 0.0, out=rows)
         if square:
-            np.fill_diagonal(rows[:, s:], 0.0)
+            np.fill_diagonal(rows, 0.0)
         rows *= -spec.gamma
         np.exp(rows, out=rows)
     return gram
 
 
-def _finite_block(spec: KernelSpec, a, b=None) -> np.ndarray:
-    """_block, raising DimensionError instead of returning inf or nan entries.
+def _check_finite(block: np.ndarray) -> np.ndarray:
+    """block itself, or DimensionError when an entry is inf or nan.
 
     Huge finite inputs (1e200) overflow the products; the overflow is
     reported here rather than as numpy warnings and a failure further on.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        block = _block(spec, a, b)
     if not np.all(np.isfinite(block)):
         raise DimensionError("kernel block has non-finite entries")
     return block
@@ -313,7 +346,7 @@ def kernel_matrix(spec: KernelSpec, x) -> KernelMatrix:
     mirrored, so entries[i, j] == entries[j, i] holds exactly.  Raises
     DimensionError when an entry is not finite.
     """
-    return KernelMatrix._wrap(_mirror_upper(_finite_block(spec, x)))
+    return KernelMatrix._wrap(_mirror_upper(_block(spec, x)))
 
 
 def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
@@ -321,4 +354,4 @@ def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
 
     Raises DimensionError when an entry is not finite.
     """
-    return _finite_block(spec, a, b)
+    return _check_finite(_block(spec, a, b))

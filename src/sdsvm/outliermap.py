@@ -45,29 +45,26 @@ def build_map(fit) -> list:
     """
     misclassified = sign_labels(fit.decision_values) != fit.labels
     return [
-        OutlierMapPoint(
-            id=fit.ids[i],
-            label=int(fit.labels[i]),
-            f=float(fit.decision_values[i]),
-            r=float(fit.plan.outlyingness[i]),
-            trimmed=bool(fit.plan.trimmed[i]),
-            misclassified=bool(misclassified[i]),
+        OutlierMapPoint(sid, label, f, r, cut, wrong)
+        for sid, label, f, r, cut, wrong in zip(
+            fit.ids,
+            map(int, fit.labels.tolist()),
+            fit.decision_values.tolist(),
+            fit.plan.outlyingness.tolist(),
+            fit.plan.trimmed.tolist(),
+            misclassified.tolist(),
         )
-        for i in range(fit.n)
     ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))  # shortest round-trip; inf prints as 'inf'
-
-
 def map_to_csv(points) -> str:
+    # Floats print as the shortest round-trip repr; inf prints as 'inf'.
     lines = [CSV_HEADER]
-    for p in points:
-        lines.append(
-            f"{p.id},{p.label},{_fmt(p.f)},{_fmt(p.r)},"
-            f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
-        )
+    lines.extend(
+        f"{p.id},{p.label},{float(p.f)!r},{float(p.r)!r},"
+        f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
+        for p in points
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -77,7 +74,10 @@ def emit_csv(points, destination) -> None:
 
 
 def parse_csv(text: str) -> list:
-    """Inverse of map_to_csv: the points of a map CSV's text."""
+    """Inverse of map_to_csv: the points of a map CSV's text.
+
+    A malformed row, or one whose f is not finite, raises ParseError.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
@@ -99,15 +99,13 @@ def parse_csv(text: str) -> list:
             )
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad row: {exc}", line=lineno) from exc
+        if not math.isfinite(points[-1].f):  # the map cannot draw it
+            raise ParseError(f"decision value must be finite, got {parts[2]!r}", line=lineno)
     return points
 
 
 def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _svg_num(x: float) -> str:
-    return f"{x:.2f}"
 
 
 def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> str:
@@ -126,9 +124,18 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
     finite_r = [p.r for p in points if math.isfinite(p.r)]
     max_r = max(finite_r) if finite_r else 0.0
     y_max = 1.05 * max_r if max_r > 0 else 1.0
+    width = w - ml - mr
 
-    def px(f):
-        return ml + (f + x_max) / (2.0 * x_max) * (w - ml - mr)
+    if math.isfinite(2.0 * x_max):
+
+        def px(f):
+            return ml + (f + x_max) / (2.0 * x_max) * width
+
+    else:
+        # |f| near the float maximum: 2 x_max, or x_max itself, overflows.
+
+        def px(f):
+            return ml + (f / max_abs_f / 1.05 + 1.0) / 2.0 * width
 
     def py(r):
         # An infinite r, or a threshold whose pixel overflows, clamps to the top margin.
@@ -150,13 +157,13 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{h - mb}" stroke="black" stroke-width="1"/>\n'
     )
     # solid vertical line at f = 0
-    zero_x = _svg_num(px(0.0))
+    zero_x = f"{px(0.0):.2f}"
     out.write(
         f'<line x1="{zero_x}" y1="{mt}" x2="{zero_x}" y2="{h - mb}" '
         f'stroke="black" stroke-width="1.5"/>\n'
     )
     if threshold is not None:
-        ty = _svg_num(py(threshold))
+        ty = f"{py(threshold):.2f}"
         out.write(
             f'<line x1="{ml}" y1="{ty}" x2="{w - mr}" y2="{ty}" '
             f'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>\n'
@@ -164,23 +171,23 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
     # axis tick labels
     for f_tick in (-max_abs_f, 0.0, max_abs_f) if max_abs_f > 0 else (0.0,):
         out.write(
-            f'<text x="{_svg_num(px(f_tick))}" y="{h - mb + 16}" font-size="11" '
+            f'<text x="{px(f_tick):.2f}" y="{h - mb + 16}" font-size="11" '
             f'text-anchor="middle" font-family="monospace">{f_tick:.3g}</text>\n'
         )
     for r_tick in ((0.0, max_r) if max_r > 0 else (0.0,)):
         out.write(
-            f'<text x="{ml - 6}" y="{_svg_num(py(r_tick) + 4)}" font-size="11" '
+            f'<text x="{ml - 6}" y="{py(r_tick) + 4:.2f}" font-size="11" '
             f'text-anchor="end" font-family="monospace">{r_tick:.3g}</text>\n'
         )
     # axis titles
     out.write(
-        f'<text x="{_svg_num((ml + w - mr) / 2)}" y="{h - 12}" font-size="13" '
+        f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 12}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif">f(x)</text>\n'
     )
     out.write(
-        f'<text x="16" y="{_svg_num((mt + h - mb) / 2)}" font-size="13" '
+        f'<text x="16" y="{(mt + h - mb) / 2:.2f}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {_svg_num((mt + h - mb) / 2)})">'
+        f'transform="rotate(-90 16 {(mt + h - mb) / 2:.2f})">'
         f"Stahel–Donoho outlyingness</text>\n"
     )
     # markers
@@ -188,32 +195,32 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
         x, y = px(p.f), py(p.r)
         if math.isinf(p.r):
             out.write(
-                f'<path d="M {_svg_num(x)} {_svg_num(y - m)} L {_svg_num(x - m)} '
-                f'{_svg_num(y + m)} L {_svg_num(x + m)} {_svg_num(y + m)} Z" '
-                f'fill="black" class="marker-inf"/>\n'
+                f'<path d="M {x:.2f} {y - m:.2f} L {x - m:.2f} {y + m:.2f} '
+                f'L {x + m:.2f} {y + m:.2f} Z" fill="black" class="marker-inf"/>\n'
             )
         elif p.label == 1:
             out.write(
-                f'<circle cx="{_svg_num(x)}" cy="{_svg_num(y)}" r="{_svg_num(m)}" '
+                f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{m:.2f}" '
                 f'fill="none" stroke="black" stroke-width="1.2" class="marker-plus"/>\n'
             )
         else:
+            left, right = f"{x - m:.2f}", f"{x + m:.2f}"
+            top, bottom = f"{y - m:.2f}", f"{y + m:.2f}"
             out.write(
-                f'<path d="M {_svg_num(x - m)} {_svg_num(y - m)} L {_svg_num(x + m)} '
-                f'{_svg_num(y + m)} M {_svg_num(x - m)} {_svg_num(y + m)} '
-                f'L {_svg_num(x + m)} {_svg_num(y - m)}" '
+                f'<path d="M {left} {top} L {right} {bottom} M {left} {bottom} L {right} {top}" '
                 f'stroke="black" stroke-width="1.2" class="marker-minus"/>\n'
             )
     # id labels: top-N by outlyingness plus every misclassified point,
-    # offset above-right (no collision layout; determinism wins).
-    order = sorted(range(len(points)), key=lambda i: (-points[i].r, i))
-    labeled = set(order[: max(label_top, 0)])
+    # offset above-right (no collision layout; determinism wins).  The sort
+    # is stable, so equal r keep ascending index order.
+    minus_r = [-p.r for p in points]
+    labeled = set(sorted(range(len(points)), key=minus_r.__getitem__)[: max(label_top, 0)])
     labeled.update(i for i, p in enumerate(points) if p.misclassified)
     for i in sorted(labeled):
         p = points[i]
         x, y = px(p.f), py(p.r)
         out.write(
-            f'<text x="{_svg_num(x + m + 1)}" y="{_svg_num(y - m - 1)}" font-size="10" '
+            f'<text x="{x + m + 1:.2f}" y="{y - m - 1:.2f}" font-size="10" '
             f'font-family="monospace">{_xml_escape(str(p.id))}</text>\n'
         )
     out.write("</svg>\n")

@@ -32,6 +32,7 @@ from .svm import (
     _INTERIOR_TOL,
     DEFAULT_TOL,
     SvmModel,
+    _text_ids,
     decision_values,
     model_from_text,
     model_to_text,
@@ -397,14 +398,16 @@ def fit_to_text(fit: FitResult) -> str:
     lines.extend(model_block)
     lines.append(f"samples {fit.n}")
     lines.append("id label outlyingness trimmed f")
-    for i in range(fit.n):
-        sid = str(fit.ids[i])
-        if any(ch.isspace() for ch in sid):
-            raise SerializationError(f"id {sid!r} contains whitespace")
-        lines.append(
-            f"{sid} {int(fit.labels[i])} {float(fit.plan.outlyingness[i])!r} "
-            f"{'true' if fit.plan.trimmed[i] else 'false'} {float(fit.decision_values[i])!r}"
+    lines.extend(
+        f"{sid} {label} {r!r} {'true' if cut else 'false'} {f!r}"
+        for sid, label, r, cut, f in zip(
+            _text_ids(fit.ids),
+            map(int, fit.labels.tolist()),
+            fit.plan.outlyingness.tolist(),
+            fit.plan.trimmed.tolist(),
+            fit.decision_values.tolist(),
         )
+    )
     return "\n".join(lines) + "\n"
 
 

@@ -256,16 +256,27 @@ def sign_labels(f) -> np.ndarray:
 _MODEL_HEADER = "sdsvm-model-v1"
 
 
+def _text_ids(ids) -> list:
+    """str of each id, or SerializationError naming the first id that holds
+    whitespace (which would split its row)."""
+    texts = list(map(str, ids))
+    if any(map(str.isspace, "".join(texts))):
+        bad = next(t for t in texts if any(map(str.isspace, t)))
+        raise SerializationError(f"id {bad!r} contains whitespace")
+    return texts
+
+
 def model_to_text(model: SvmModel) -> str:
     """Versioned plain-text form; doubles use shortest round-trip decimals."""
     if model.spec is None:
         raise SerializationError("model has no kernel spec attached")
     lines = [f"{_MODEL_HEADER} {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}"]
-    for sid, label, a in zip(model.ids, model.labels, model.alpha):
-        text_id = str(sid)
-        if any(ch.isspace() for ch in text_id):
-            raise SerializationError(f"id {text_id!r} contains whitespace")
-        lines.append(f"{text_id} {int(label)} {float(a)!r}")
+    lines.extend(
+        f"{sid} {label} {a!r}"
+        for sid, label, a in zip(
+            _text_ids(model.ids), map(int, model.labels.tolist()), model.alpha.tolist()
+        )
+    )
     lines.append(f"bias {float(model.bias)!r}")
     return "\n".join(lines) + "\n"
 

@@ -10,7 +10,10 @@ and the np.median chunk loop that sdsvm.outlyingness must match bit for bit;
 solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
 match bit for bit, and stream_uniforms_reference/stream_normals_reference and
 shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
-stream that sdsvm.rng must match byte for byte.  robust_location,
+stream that sdsvm.rng must match byte for byte.  rbf_gram_reference and the
+*_to_text, build_map and map_to_* references are the full-matrix and
+per-cell forms of the RBF Gram matrix and the text writers, which the
+library's triangle and column forms must match byte for byte.  robust_location,
 robust_scale and projection_vector, with the two errors it raises, and
 kernel_entry are helpers that only the tests use.
 """
@@ -27,11 +30,13 @@ from sdsvm.errors import (
     EmptyInput,
     NoValidDirections,
     SdsvmError,
+    SerializationError,
     SingleClassError,
 )
 from sdsvm.kernels import kernel_matrix
+from sdsvm.outliermap import OutlierMapPoint
 from sdsvm.outlyingness import DEGENERACY_TOL
-from sdsvm.pipeline import CvSelection, _fold_assignment
+from sdsvm.pipeline import CvSelection, _fold_assignment, _policy_to_text
 from sdsvm.rng import Stream, derive_key
 from sdsvm.svm import (
     _CURVATURE_FLOOR,
@@ -505,3 +510,205 @@ def kernel_block_recipe(kind, a, b=None, gamma=1.0, degree=3, coef0=0.0, kmer=3,
     if square:
         block = np.triu(block) + np.triu(block, 1).T
     return block
+
+
+# --------------------------------------------------------------------------
+# Per-cell and full-matrix forms of the rewritten writers and the RBF Gram
+# matrix.  The library's column and triangle forms must give the same bytes
+# or errors.
+
+
+def rbf_gram_reference(x, gamma):
+    """kernel_matrix(KernelSpec("rbf", gamma), x).entries computed over the
+    full matrix: every RBF pass on every entry in 512-row blocks, then the
+    whole block checked for finiteness, normalized by += 0.0 and its upper
+    triangle mirrored."""
+    xa = np.ascontiguousarray(x, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xa @ xa.T
+        sq = np.diag(gram).copy()
+        for s in range(0, gram.shape[0], 512):
+            rows = gram[s : s + 512]
+            rows *= 2.0
+            np.subtract(sq[s : s + 512, None] + sq[None, :], rows, out=rows)
+            np.maximum(rows, 0.0, out=rows)
+            np.fill_diagonal(rows[:, s:], 0.0)
+            rows *= -gamma
+            np.exp(rows, out=rows)
+    if not np.all(np.isfinite(gram)):
+        raise DimensionError("kernel block has non-finite entries")
+    gram += 0.0
+    n = gram.shape[0]
+    for s in range(0, n, 512):
+        e = min(s + 512, n)
+        gram[s:e, :s] = gram[:s, s:e].T
+        corner = gram[s:e, s:e]
+        lower = np.tri(e - s, k=-1, dtype=bool)
+        corner[lower] = corner.T[lower]
+    return gram
+
+
+def model_to_text_reference(model):
+    """svm.model_to_text, one formatted sample at a time."""
+    if model.spec is None:
+        raise SerializationError("model has no kernel spec attached")
+    lines = [f"sdsvm-model-v1 {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}"]
+    for sid, label, a in zip(model.ids, model.labels, model.alpha):
+        text_id = str(sid)
+        if any(ch.isspace() for ch in text_id):
+            raise SerializationError(f"id {text_id!r} contains whitespace")
+        lines.append(f"{text_id} {int(label)} {float(a)!r}")
+    lines.append(f"bias {float(model.bias)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def fit_to_text_reference(fit):
+    """pipeline.fit_to_text, one formatted sample at a time."""
+    lines = [
+        "sdsvm-fit-v1",
+        f"kappa {fit.plan.kappa!r}",
+        f"chosen-c {float(fit.model.c)!r}",
+        f"folds-used {fit.folds_used}",
+        f"policy-minus {_policy_to_text(fit.policy_minus)}",
+        f"policy-plus {_policy_to_text(fit.policy_plus)}",
+        f"kernel {fit.model.spec.describe()}",
+        f"cv-table {len(fit.cv_table)}",
+    ]
+    for c, err in fit.cv_table:
+        lines.append(f"{float(c)!r} {float(err)!r}")
+    model_block = model_to_text_reference(fit.model).rstrip("\n").splitlines()
+    lines.append(f"model {len(model_block)}")
+    lines.extend(model_block)
+    lines.append(f"samples {fit.n}")
+    lines.append("id label outlyingness trimmed f")
+    for i in range(fit.n):
+        sid = str(fit.ids[i])
+        if any(ch.isspace() for ch in sid):
+            raise SerializationError(f"id {sid!r} contains whitespace")
+        lines.append(
+            f"{sid} {int(fit.labels[i])} {float(fit.plan.outlyingness[i])!r} "
+            f"{'true' if fit.plan.trimmed[i] else 'false'} {float(fit.decision_values[i])!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def build_map_reference(fit):
+    """outliermap.build_map, one indexed sample at a time."""
+    misclassified = sign_labels(fit.decision_values) != fit.labels
+    return [
+        OutlierMapPoint(
+            id=fit.ids[i],
+            label=int(fit.labels[i]),
+            f=float(fit.decision_values[i]),
+            r=float(fit.plan.outlyingness[i]),
+            trimmed=bool(fit.plan.trimmed[i]),
+            misclassified=bool(misclassified[i]),
+        )
+        for i in range(fit.n)
+    ]
+
+
+def map_to_csv_reference(points):
+    """outliermap.map_to_csv, one formatted point at a time."""
+    lines = ["id,label,f,outlyingness,trimmed,misclassified"]
+    for p in points:
+        lines.append(
+            f"{p.id},{p.label},{repr(float(p.f))},{repr(float(p.r))},"
+            f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def map_to_svg_reference(points, label_top=5, threshold=None):
+    """outliermap.map_to_svg with a formatting call per number and a tuple
+    sort key.  Valid while 2 * 1.05 * max|f| is finite; beyond it this form
+    draws nan."""
+    if not points:
+        raise EmptyInput("cannot render an empty outlier map")
+
+    def num(x):
+        return f"{x:.2f}"
+
+    w, h, m = 640, 480, 4.0
+    ml, mr, mt, mb = 64, 20, 24, 48
+    max_abs_f = max((abs(p.f) for p in points), default=0.0)
+    x_max = 1.05 * max_abs_f if max_abs_f > 0 else 1.0
+    finite_r = [p.r for p in points if math.isfinite(p.r)]
+    max_r = max(finite_r) if finite_r else 0.0
+    y_max = 1.05 * max_r if max_r > 0 else 1.0
+
+    def px(f):
+        return ml + (f + x_max) / (2.0 * x_max) * (w - ml - mr)
+
+    def py(r):
+        y = (h - mb) - r / y_max * (h - mb - mt)
+        return y if math.isfinite(y) else float(mt)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n',
+        f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n',
+        f'<line x1="{ml}" y1="{h - mb}" x2="{w - mr}" y2="{h - mb}" stroke="black" stroke-width="1"/>\n',
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{h - mb}" stroke="black" stroke-width="1"/>\n',
+    ]
+    zero_x = num(px(0.0))
+    out.append(
+        f'<line x1="{zero_x}" y1="{mt}" x2="{zero_x}" y2="{h - mb}" stroke="black" stroke-width="1.5"/>\n'
+    )
+    if threshold is not None:
+        ty = num(py(threshold))
+        out.append(
+            f'<line x1="{ml}" y1="{ty}" x2="{w - mr}" y2="{ty}" '
+            f'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>\n'
+        )
+    for f_tick in (-max_abs_f, 0.0, max_abs_f) if max_abs_f > 0 else (0.0,):
+        out.append(
+            f'<text x="{num(px(f_tick))}" y="{h - mb + 16}" font-size="11" '
+            f'text-anchor="middle" font-family="monospace">{f_tick:.3g}</text>\n'
+        )
+    for r_tick in (0.0, max_r) if max_r > 0 else (0.0,):
+        out.append(
+            f'<text x="{ml - 6}" y="{num(py(r_tick) + 4)}" font-size="11" '
+            f'text-anchor="end" font-family="monospace">{r_tick:.3g}</text>\n'
+        )
+    out.append(
+        f'<text x="{num((ml + w - mr) / 2)}" y="{h - 12}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif">f(x)</text>\n'
+    )
+    out.append(
+        f'<text x="16" y="{num((mt + h - mb) / 2)}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif" '
+        f'transform="rotate(-90 16 {num((mt + h - mb) / 2)})">'
+        f"Stahel–Donoho outlyingness</text>\n"
+    )
+    for p in points:
+        x, y = px(p.f), py(p.r)
+        if math.isinf(p.r):
+            out.append(
+                f'<path d="M {num(x)} {num(y - m)} L {num(x - m)} {num(y + m)} '
+                f'L {num(x + m)} {num(y + m)} Z" fill="black" class="marker-inf"/>\n'
+            )
+        elif p.label == 1:
+            out.append(
+                f'<circle cx="{num(x)}" cy="{num(y)}" r="{num(m)}" '
+                f'fill="none" stroke="black" stroke-width="1.2" class="marker-plus"/>\n'
+            )
+        else:
+            out.append(
+                f'<path d="M {num(x - m)} {num(y - m)} L {num(x + m)} {num(y + m)} '
+                f'M {num(x - m)} {num(y + m)} L {num(x + m)} {num(y - m)}" '
+                f'stroke="black" stroke-width="1.2" class="marker-minus"/>\n'
+            )
+    order = sorted(range(len(points)), key=lambda i: (-points[i].r, i))
+    labeled = set(order[: max(label_top, 0)])
+    labeled.update(i for i, p in enumerate(points) if p.misclassified)
+    for i in sorted(labeled):
+        p = points[i]
+        x, y = px(p.f), py(p.r)
+        escaped = str(p.id).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        out.append(
+            f'<text x="{num(x + m + 1)}" y="{num(y - m - 1)}" font-size="10" '
+            f'font-family="monospace">{escaped}</text>\n'
+        )
+    out.append("</svg>\n")
+    return "".join(out)

@@ -280,6 +280,26 @@ class TestMap:
         assert "Traceback" not in err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("value", ["1e308", "-1.7e308", "1.7976931348623157e308"])
+    def test_report_with_huge_f_draws_finite_coordinates(self, tmp_path, capsys, value):
+        # 2 * 1.05 max|f| (or 1.05 max|f| itself) overflows; the map is drawn
+        # on an overflow-free scale instead of with nan coordinates.
+        fit_path = tmp_path / "fit.txt"
+        assert run_cli(capsys, "toy", "--out-fit", str(fit_path), "--out-csv", "-")[0] == 0
+        lines = fit_path.read_text().splitlines()
+        first = lines.index("id label outlyingness trimmed f") + 1
+        cells = lines[first].split()
+        cells[4] = value
+        lines[first] = " ".join(cells)
+        fit_path.write_text("\n".join(lines) + "\n")
+        svg = tmp_path / "m.svg"
+        code, _, err = run_cli(capsys, "map", "--fit", str(fit_path), "--out-svg", str(svg))
+        assert (code, err) == (0, "")
+        text = svg.read_text()
+        assert "nan" not in text and "inf" not in text
+        xs = [float(x) for x in re.findall(r'<circle cx="([^"]+)"', text)]
+        assert xs and all(64.0 <= x <= 620.0 for x in xs)
+
     def test_map_needs_exactly_one_source(self, capsys):
         code, _, err = run_cli(capsys, "map")
         assert code == 1

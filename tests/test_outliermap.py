@@ -109,6 +109,14 @@ class TestCsv:
             parse_csv(text)
         assert info.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_parse_rejects_non_finite_f(self, value):
+        rows = map_to_csv([point(id="a"), point(id="b", f=-1.25)]).splitlines()
+        rows[2] = rows[2].replace(",-1.25,", f",{value},")
+        with pytest.raises(ParseError, match="decision value must be finite") as info:
+            parse_csv("\n".join(rows) + "\n")
+        assert info.value.line == 3
+
     def test_parse_header_only_text_without_newline(self):
         assert parse_csv("id,label,f,outlyingness,trimmed,misclassified") == []
 

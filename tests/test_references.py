@@ -1,0 +1,213 @@
+"""The column and triangle paths against their per-cell and full-matrix forms.
+
+Writers must give the same bytes or the same error (class and message),
+load_csv's bulk path the Dataset or the error of its line loop, the RBF Gram
+matrix the bytes of the full-matrix passes, and KernelMatrix.take the
+entries of one fancy index.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, kernel_matrix, load_csv
+from sdsvm.data import _csv_by_line
+from sdsvm.errors import SdsvmError
+from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
+from sdsvm.pipeline import FitResult, TrimPlan, fit_to_text
+from sdsvm.svm import SvmModel, model_to_text
+
+from conftest import with_number_tokens
+from oracles import (
+    build_map_reference,
+    fit_to_text_reference,
+    map_to_csv_reference,
+    map_to_svg_reference,
+    model_to_text_reference,
+    rbf_gram_reference,
+)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the (class, message) of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SdsvmError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ------------------------------------------------------------------ fits ----
+
+odd_ids = st.one_of(
+    st.integers(-5, 10**6),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.sampled_from(["a&b", "<x>", "été", " ", "tab\there", "nbsp ", "1,2"]),
+)
+f_values = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.5, 1e-300]),
+)
+r_values = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, -0.0, math.inf]))
+specs = st.sampled_from(
+    [
+        KernelSpec(),
+        KernelSpec(kind="rbf", gamma=0.5),
+        KernelSpec(kind="polynomial", gamma=2.0, coef0=1.5),
+    ]
+)
+policies = st.sampled_from(
+    [DirectionPolicy(mode="exhaustive"), DirectionPolicy(mode="sampled", count=7, seed=3)]
+)
+
+
+@st.composite
+def fits(draw, n_max=6):
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, n_max))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    ids = column(odd_ids)
+    labels = np.array(column(st.sampled_from([-1.0, 1.0])))
+    trimmed = np.array(column(st.booleans()))
+    kept = np.flatnonzero(~trimmed)
+    c = draw(st.sampled_from([0.1, 1.0, 2.0**15]))
+    model = SvmModel(
+        alpha=draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)),
+        labels=labels[kept],
+        bias=draw(f_values),
+        ids=[ids[i] for i in kept],
+        c=c,
+        tol=1e-3,
+        spec=draw(specs),
+    )
+    return FitResult(
+        model=model,
+        plan=TrimPlan(draw(st.sampled_from([0.5, 0.75, 1.0])), column(r_values), trimmed),
+        cv_table=tuple((g, draw(st.floats(0.0, 1.0) | st.just(math.nan))) for g in (0.1, c)),
+        folds_used=draw(st.integers(0, 10)),
+        decision_values=column(f_values),
+        ids=ids,
+        labels=labels,
+        policy_minus=draw(policies),
+        policy_plus=draw(policies),
+    )
+
+
+class TestWriters:
+    @given(fits())
+    def test_fit_and_model_text(self, fit):
+        assert outcome(fit_to_text, fit) == outcome(fit_to_text_reference, fit)
+        assert outcome(model_to_text, fit.model) == outcome(model_to_text_reference, fit.model)
+
+    @given(fits(), st.integers(-1, 8), st.sampled_from([None, 0.0, 2.5, 1e300]))
+    def test_map(self, fit, label_top, threshold):
+        points = build_map(fit)
+        assert points == build_map_reference(fit)
+        assert map_to_csv(points) == map_to_csv_reference(points)
+        assert map_to_svg(points, label_top, threshold) == map_to_svg_reference(
+            points, label_top, threshold
+        )
+
+
+# -------------------------------------------------------------- load_csv ----
+
+label_tokens = st.sampled_from(["1", "-1", "1.0", "+1", "-1e0", "1_0", " -1 ", "١"])
+cell_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["1_0", " 2.5", "3 ", "٢", "-0.0", "1e-400"]),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 5))
+    rows = draw(st.integers(0, 6))
+    lines = []
+    for _ in range(rows):
+        cols = width + draw(st.sampled_from([0] * 6 + [-1, 1]))  # now and then a ragged row
+        cells = draw(st.lists(cell_tokens, min_size=max(cols, 1), max_size=max(cols, 1)))
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(label_tokens)
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return draw(st.one_of(st.just(text), with_number_tokens(text)))
+
+
+def dataset_fields(ds):
+    if isinstance(ds, tuple):
+        return ds
+    return ds.x.shape, ds.x.tobytes(), ds.labels.tobytes(), ds.ids
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("references")
+
+
+class TestLoadCsv:
+    @given(csv_texts(), st.sampled_from(["first", "last", 0, 1, 2, 4, -1]))
+    def test_bulk_matches_line_loop(self, workdir, text, label_col):
+        path = workdir / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        got = outcome(load_csv, path, label_col=label_col)
+        expected = outcome(_csv_by_line, lines, label_col, None)
+        # An error's message carries its line number.
+        assert dataset_fields(got) == dataset_fields(expected)
+
+
+# ---------------------------------------------------------------- kernel ----
+
+
+class TestRbfGram:
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 511, 512, 513, 700])
+    @pytest.mark.parametrize("gamma, scale", [(0.05, 1.0), (1.7, 3.0), (1e-3, 40.0)])
+    def test_triangle_passes_match_full_matrix(self, n, gamma, scale):
+        x = np.random.default_rng(n).normal(size=(n, 7)) * scale
+        x[n // 2] = x[0]  # a coincident pair: a zero distance off the diagonal
+        got = kernel_matrix(KernelSpec(kind="rbf", gamma=gamma), x).entries
+        assert got.tobytes() == rbf_gram_reference(x, gamma).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 65, 130, 513])
+    def test_overflow_raises_as_the_full_matrix_does(self, n):
+        # Two huge rows, their distance inf - inf, both in the last row block.
+        x = np.random.default_rng(n).normal(size=(n, 3))
+        x[n - 2] = [1e200, 0.0, 1e200]
+        x[n - 1] = [2e200, -1e200, 1e200]
+        spec = KernelSpec(kind="rbf", gamma=0.5)
+        got = outcome(lambda: kernel_matrix(spec, x).entries.tobytes())
+        expected = outcome(lambda: rbf_gram_reference(x, 0.5).tobytes())
+        assert got == expected
+        assert got[1] == "kernel block has non-finite entries"
+
+
+class TestTake:
+    @given(
+        st.sampled_from([1, 2, 63, 64, 65, 130]).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(-k, k - 1), max_size=150)
+                | st.permutations(range(k))
+                | st.integers(0, k).map(lambda m: list(range(m))),
+            )
+        )
+    )
+    def test_blocks_match_one_fancy_index(self, case):
+        k, idx = case
+        rows = np.random.default_rng(k).normal(size=(k, 3))
+        om = KernelMatrix(rows @ rows.T)
+        expected = om.entries[np.ix_(idx, idx)]
+        got = om.take(idx).entries
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_index_outside_raises(self):
+        om = KernelMatrix(np.eye(70))
+        for idx in ([3, 70], list(range(65)) + [70], [-71]):
+            with pytest.raises(IndexError):
+                om.take(idx)

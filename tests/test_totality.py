@@ -1,8 +1,12 @@
 """Every parser is total: any text either parses or raises SdsvmError.
 
-Inputs are arbitrary text and valid documents with one random splice, which
-reaches the checks behind the headers that random text rarely passes.
+Inputs are arbitrary text, valid documents with one random splice, which
+reaches the checks behind the headers that random text rarely passes, and
+valid documents with number-like tokens in place of some fields, which
+reach the value checks behind the syntax.
 """
+
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +16,8 @@ from sdsvm.errors import SdsvmError
 from sdsvm.kernels import KernelSpec
 from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
 from sdsvm.svm import model_from_text, model_to_text
+
+from conftest import with_number_tokens
 
 CSV_LAST = "1.0,2.0,1\n0.5,-1.0,-1\n3,4e-3,1\n-2,0,-1\n"
 CSV_FIRST = "1,1.0,2.0\n-1,0.5,-1.0\n1,3,4e-3\n-1,-2,0\n"
@@ -29,6 +35,11 @@ def text_like(valid):
         st.integers(0, len(valid)), st.integers(0, 12), st.text(max_size=12)
     ).map(lambda t: valid[: t[0]] + t[2] + valid[t[0] + t[1] :])
     return st.one_of(st.text(), spliced)
+
+
+def number_like(valid):
+    """text_like(valid), or valid with number-like tokens in some fields."""
+    return st.one_of(text_like(valid), with_number_tokens(valid))
 
 
 def parses_or_raises_sdsvm_error(parse, *args, **kwargs):
@@ -49,12 +60,12 @@ def write(path, text):
     return path
 
 
-@given(text_like(CSV_LAST))
+@given(number_like(CSV_LAST))
 def test_load_csv_label_last(workdir, text):
     parses_or_raises_sdsvm_error(load_csv, write(workdir / "last.csv", text))
 
 
-@given(text_like(CSV_FIRST))
+@given(number_like(CSV_FIRST))
 def test_load_csv_label_first(workdir, text):
     parses_or_raises_sdsvm_error(load_csv, write(workdir / "first.csv", text), label_col="first")
 
@@ -66,22 +77,30 @@ def test_load_fasta(workdir, fasta, labels):
     )
 
 
-@given(text_like(MAP_CSV))
+def drawn(points):
+    """The SVG of an outlier map; a nan coordinate fails the test."""
+    svg = map_to_svg(points)
+    assert not re.search(r'[" ]-?nan[" ]', svg), svg
+    return svg
+
+
+@given(number_like(MAP_CSV))
 def test_parse_csv(text):
-    parses_or_raises_sdsvm_error(parse_csv, text)
+    # A map CSV that parses must also render.
+    parses_or_raises_sdsvm_error(lambda: drawn(parse_csv(text)))
 
 
 def rendered_from_text(text):
     """The outlier map of a fit report, drawn as the CLI's map --fit does."""
-    return map_to_svg(build_map(fit_from_text(text)))
+    return drawn(build_map(fit_from_text(text)))
 
 
-@given(text_like(FIT_TEXT))
+@given(number_like(FIT_TEXT))
 def test_fit_from_text(text):
     # A report that parses must also map and render.
     parses_or_raises_sdsvm_error(rendered_from_text, text)
 
 
-@given(text_like(MODEL_TEXT))
+@given(number_like(MODEL_TEXT))
 def test_model_from_text(text):
     parses_or_raises_sdsvm_error(model_from_text, text)

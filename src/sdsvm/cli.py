@@ -26,7 +26,15 @@ from .errors import PipelineError, SdsvmError, read_text, run_stage, write_text
 from .kernels import KernelSpec
 from .outliermap import build_map, emit_csv, emit_svg
 from .outlyingness import DirectionPolicy
-from .pipeline import CvConfig, DEFAULT_C, fit_from_text, fit_sdsvm, fit_to_text
+from .pipeline import (
+    DEFAULT_C,
+    DEFAULT_C_GRID,
+    CvConfig,
+    check_kappa,
+    fit_from_text,
+    fit_sdsvm,
+    fit_to_text,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,85 +160,89 @@ def build_parser() -> _Parser:
     return parser
 
 
-# Float flags that must be finite wherever a command has them.
-_FINITE_FLAGS = ("gamma", "coef0", "C", "shift", "threshold")
-
-
-def _check_numbers(parser, args):
-    """Reject a non-finite float flag, a negative threshold or a seed outside
-    [0, 2^64) before any work."""
-    for dest in _FINITE_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None and not math.isfinite(value):
-            parser.error(f"--{dest} must be a finite number, got {value}")
+def _check_threshold(parser, args):
+    """Reject a non-finite or negative --threshold before any work; no
+    settings type holds it."""
     threshold = getattr(args, "threshold", None)
-    if threshold is not None and threshold < 0:
-        parser.error(f"--threshold must be >= 0 (outlyingness is never negative), got {threshold}")
-    seed = getattr(args, "seed", None)
-    if seed is not None and not 0 <= seed < 2**64:
-        parser.error(f"--seed must be in [0, 2^64), got {seed}")
+    if threshold is not None and not (math.isfinite(threshold) and threshold >= 0):
+        parser.error(
+            f"--threshold must be finite and >= 0 (outlyingness is never negative), got {threshold}"
+        )
 
 
-def _kernel_from_args(parser, args) -> KernelSpec:
-    if args.gamma is not None and args.gamma <= 0:
-        parser.error(f"--gamma must be positive, got {args.gamma}")
-    if args.degree < 1:
-        parser.error(f"--degree must be >= 1, got {args.degree}")
-    if args.kmer < 1:
-        parser.error(f"--kmer must be >= 1, got {args.kmer}")
-    return KernelSpec(
-        kind=args.kernel,
-        gamma=args.gamma,
-        degree=args.degree,
-        coef0=args.coef0,
-        kmer=args.kmer,
-    )
+def _grid_from_args(parser, args) -> tuple:
+    if args.C is not None and args.cv_grid is not None:
+        parser.error("use exactly one of --C / --cv-grid")
+    if args.C is not None:
+        return (args.C,)
+    if args.cv_grid is None:
+        return (DEFAULT_C,)
+    if args.cv_grid == "default":
+        return DEFAULT_C_GRID
+    try:
+        return tuple(float(tok) for tok in args.cv_grid.split(","))
+    except ValueError:
+        parser.error(f"--cv-grid must be a comma list of numbers, got {args.cv_grid!r}")
 
 
 def _policy_from_args(parser, args) -> DirectionPolicy:
     text = args.directions
-    if text == "auto":
-        return DirectionPolicy(seed=args.seed)
-    if text == "exhaustive":
-        return DirectionPolicy(mode="exhaustive", seed=args.seed)
+    if text in ("auto", "exhaustive"):
+        return DirectionPolicy(mode=text, seed=args.seed)
     try:
         count = int(text)
     except ValueError:
         parser.error(f"--directions must be 'auto', 'exhaustive', or an integer, got {text!r}")
-    if count < 1:
-        parser.error(f"--directions count must be >= 1, got {count}")
     return DirectionPolicy(mode="sampled", count=count, seed=args.seed)
 
 
-def _cv_from_args(parser, args) -> CvConfig:
-    if args.C is not None and args.cv_grid is not None:
-        parser.error("use exactly one of --C / --cv-grid")
-    if args.folds < 2:
-        parser.error(f"--folds must be >= 2, got {args.folds}")
-    if args.C is not None:
-        if args.C <= 0:
-            parser.error(f"--C must be positive, got {args.C}")
-        grid = (args.C,)
-    elif args.cv_grid is not None:
-        if args.cv_grid == "default":
-            from .pipeline import DEFAULT_C_GRID
+def _settings(parser, args) -> dict:
+    """The settings the flags describe, as keyword arguments of fit_sdsvm
+    (or, under simulate, of run_simulation), built before any work.
 
-            grid = DEFAULT_C_GRID
-        else:
-            try:
-                grid = tuple(float(tok) for tok in args.cv_grid.split(","))
-            except ValueError:
-                parser.error(f"--cv-grid must be a comma list of numbers, got {args.cv_grid!r}")
-            if not all(0 < c < math.inf for c in grid):
-                parser.error(f"--cv-grid values must be positive and finite, got {args.cv_grid!r}")
-    else:
-        grid = (DEFAULT_C,)
-    return CvConfig(folds=args.folds, grid=grid, seed=args.seed)
-
-
-def _validate_kappa(parser, kappa):
-    if not 0.5 <= kappa <= 1.0:
-        parser.error(f"--kappa must be in [0.5, 1], got {kappa}")
+    Each settings type checks its own fields; the ValueError of a bad one
+    starts with the field's name and exits 1 naming the field's flag.
+    """
+    grid = _grid_from_args(parser, args)
+    if args.command == "simulate":
+        try:
+            kappas = tuple(float(tok) for tok in args.kappas.split(",") if tok)
+        except ValueError:
+            parser.error(f"--kappas must be a comma list of numbers, got {args.kappas!r}")
+    try:
+        kernel = KernelSpec(
+            kind=args.kernel,
+            gamma=args.gamma,
+            degree=args.degree,
+            coef0=args.coef0,
+            kmer=args.kmer,
+        )
+        cv = CvConfig(folds=args.folds, grid=grid, seed=args.seed)
+        policy = _policy_from_args(parser, args)
+        if args.command != "simulate":
+            check_kappa(args.kappa)
+            return {"spec": kernel, "kappa": args.kappa, "cv": cv, "policy": policy}
+        spec = SimulationSpec(
+            n_per_group=args.n,
+            dim=args.d,
+            shift=args.shift,
+            outliers_per_group=4 if args.contaminated else 0,
+            test_size=args.test_size,
+            runs=args.runs,
+            kappas=kappas,
+            seed=args.seed,
+        )
+        return {"spec": spec, "kernel": kernel, "cv": cv, "policy": policy}
+    except ValueError as exc:  # "<field> <rule>", reported as "<flag> <rule>"
+        field, _, rule = str(exc).partition(" ")
+        flag = {
+            "n_per_group": "--n",
+            "dim": "--d",
+            "count": "--directions",
+            "grid": "--cv-grid" if args.C is None else "--C",
+            "kappa": "--kappas" if args.command == "simulate" else "--kappa",
+        }.get(field, "--" + field.replace("_", "-"))
+        parser.error(f"{flag} {rule}")
 
 
 def _load_dataset(parser, args):
@@ -270,17 +282,9 @@ def _emit_map_outputs(args, fit):
         emit_csv(points, "-")
 
 
-def _fit_from_args(parser, args, load_dataset):
-    """Validate the fit flags, then fit the dataset that load_dataset() returns."""
-    _validate_kappa(parser, args.kappa)
-    spec = _kernel_from_args(parser, args)
-    cv = _cv_from_args(parser, args)
-    policy = _policy_from_args(parser, args)
-    return fit_sdsvm(load_dataset(), spec, kappa=args.kappa, cv=cv, policy=policy)
-
-
 def _cmd_fit(parser, args) -> int:
-    fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
+    settings = _settings(parser, args)
+    fit = fit_sdsvm(run_stage("load", _load_dataset, parser, args), **settings)
     run_stage("write", write_text, args.out_fit, fit_to_text(fit))
     return 0
 
@@ -288,45 +292,18 @@ def _cmd_fit(parser, args) -> int:
 def _cmd_map(parser, args) -> int:
     if (args.data is None) == (args.fit_report is None):
         parser.error("map needs a dataset path or --fit, not both")
+    # Built on the --fit path too, so that every flag map takes is checked.
+    settings = _settings(parser, args)
     if args.fit_report is not None:
         fit = run_stage("load", lambda: fit_from_text(read_text(args.fit_report)))
     else:
-        fit = _fit_from_args(parser, args, lambda: run_stage("load", _load_dataset, parser, args))
+        fit = fit_sdsvm(run_stage("load", _load_dataset, parser, args), **settings)
     run_stage("render", _emit_map_outputs, args, fit)
     return 0
 
 
 def _cmd_simulate(parser, args) -> int:
-    try:
-        kappas = [float(tok) for tok in args.kappas.split(",") if tok]
-    except ValueError:
-        parser.error(f"--kappas must be a comma list of numbers, got {args.kappas!r}")
-    if not kappas:
-        parser.error("--kappas must list at least one value")
-    for kappa in kappas:
-        _validate_kappa(parser, kappa)
-    for flag, value, least in (
-        ("--runs", args.runs, 1),
-        ("--n", args.n, 1),
-        ("--d", args.d, 1),
-        ("--test-size", args.test_size, 2),
-    ):
-        if value < least:
-            parser.error(f"{flag} must be >= {least}, got {value}")
-    spec = SimulationSpec(
-        n_per_group=args.n,
-        dim=args.d,
-        shift=args.shift,
-        outliers_per_group=4 if args.contaminated else 0,
-        test_size=args.test_size,
-        runs=args.runs,
-        kappas=tuple(kappas),
-        seed=args.seed,
-    )
-    kernel = _kernel_from_args(parser, args)
-    cv = _cv_from_args(parser, args)
-    policy = _policy_from_args(parser, args)
-    result = run_simulation(spec, kernel, cv=cv, policy=policy)
+    result = run_simulation(**_settings(parser, args))
     failures = {row.failure for row in result.rows}
     if None not in failures:
         raise SdsvmError(f"every (run, kappa) cell failed: {', '.join(sorted(failures))}")
@@ -336,7 +313,7 @@ def _cmd_simulate(parser, args) -> int:
 
 
 def _cmd_toy(parser, args) -> int:
-    fit = _fit_from_args(parser, args, lambda: gen_toy(args.seed))
+    fit = fit_sdsvm(gen_toy(args.seed), **_settings(parser, args))
     if args.out_fit is not None:
         run_stage("write", write_text, args.out_fit, fit_to_text(fit))
     run_stage("render", _emit_map_outputs, args, fit)
@@ -352,7 +329,7 @@ def main(argv=None) -> int:
     try:
         # Flag errors found after parsing print the subcommand's usage, as
         # argparse's own errors do.
-        _check_numbers(args.parser, args)
+        _check_threshold(args.parser, args)
         return args.handler(args.parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)

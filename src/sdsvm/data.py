@@ -23,7 +23,7 @@ from .errors import (
 )
 from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
-from .pipeline import CvConfig, fit_ranked, rank
+from .pipeline import CvConfig, check_kappa, fit_ranked, rank
 from .rng import Stream, derive_key
 from .svm import DEFAULT_TOL, decision_values, sign_labels
 
@@ -85,13 +85,17 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_per_group < 1 or self.dim < 1 or self.test_size < 2 or self.runs < 1:
-            raise ValueError("simulation counts must be positive (test size >= 2)")
-        if self.outliers_per_group < 0:
-            raise ValueError("outliers_per_group must be >= 0")
+        sizes = {"n_per_group": 1, "dim": 1, "test_size": 2, "runs": 1, "outliers_per_group": 0}
+        for name, least in sizes.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
         kappas = tuple(float(k) for k in self.kappas)
-        if not kappas or any(not 0.5 <= k <= 1.0 for k in kappas):
-            raise ValueError("kappa grid must be a nonempty subset of [0.5, 1]")
+        if not kappas:
+            raise ValueError("kappas must list at least one value")
+        for kappa in kappas:
+            check_kappa(kappa)
         object.__setattr__(self, "kappas", kappas)
 
 

@@ -58,7 +58,8 @@ def _frozen(values, dtype=np.float64) -> np.ndarray:
 class KernelSpec:
     """Which kernel to use and its hyperparameters.
 
-    The only place kernel identity lives; passed around immutably.  For the
+    The only place kernel identity lives; passed around immutably.  The
+    numeric fields must be valid for every kind, used or not.  For the
     precomputed kind, `matrix` holds the full Gram matrix and samples are
     keys into it: integer row indices or (when `ids` is given) string ids.
     """
@@ -74,12 +75,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind in ("rbf", "polynomial") and not self.gamma > 0:
-            raise ValueError(f"{self.kind} kernel requires gamma > 0, got {self.gamma}")
-        if self.kind == "polynomial" and (int(self.degree) != self.degree or self.degree < 1):
-            raise ValueError(f"polynomial kernel requires integer degree >= 1, got {self.degree}")
-        if self.kind == "spectrum" and (int(self.kmer) != self.kmer or self.kmer < 1):
-            raise ValueError(f"spectrum kernel requires integer kmer >= 1, got {self.kmer}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not np.isfinite(self.coef0):
+            raise ValueError(f"coef0 must be finite, got {self.coef0}")
+        for name in ("degree", "kmer"):
+            value = getattr(self, name)
+            if not (value >= 1 and value % 1 == 0):
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
         if self.kind == "precomputed":
             if self.matrix is None:
                 raise ValueError("precomputed kernel requires a matrix")

@@ -35,6 +35,8 @@ class OutlierMapPoint:
             raise ValueError(f"label must be -1 or +1, got {self.label}")
         if not self.r >= 0.0:
             raise ValueError(f"outlyingness must be nonnegative, got {self.r}")
+        if not math.isfinite(self.f):  # the map cannot draw it
+            raise ValueError(f"decision value must be finite, got {self.f}")
 
 
 def build_map(fit) -> list:
@@ -99,8 +101,6 @@ def parse_csv(text: str) -> list:
             )
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad row: {exc}", line=lineno) from exc
-        if not math.isfinite(points[-1].f):  # the map cannot draw it
-            raise ParseError(f"decision value must be finite, got {parts[2]!r}", line=lineno)
     return points
 
 

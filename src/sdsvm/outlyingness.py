@@ -59,10 +59,10 @@ class DirectionPolicy:
     def __post_init__(self):
         if self.mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"mode must be 'auto', 'exhaustive' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and self.count < 1:
-            raise ValueError(f"sampled mode needs count >= 1, got {self.count}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
 
 
 def default_policy(k: int, seed: int = 0) -> DirectionPolicy:

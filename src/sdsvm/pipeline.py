@@ -48,6 +48,12 @@ DEFAULT_C_GRID = tuple(2.0**p for p in range(-5, 16, 2))
 DEFAULT_C = 0.1
 
 
+def check_kappa(kappa) -> None:
+    """Raise ValueError unless kappa, the retained fraction per group, is in [0.5, 1]."""
+    if not 0.5 <= kappa <= 1.0:
+        raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
+
+
 @dataclass(frozen=True)
 class TrimPlan:
     """Which samples survive trimming, and the outlyingness that decided it."""
@@ -79,9 +85,9 @@ class CvConfig:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         grid = tuple(float(c) for c in self.grid)
         if not grid:
-            raise ValueError("C grid must be nonempty")
-        if any(not c > 0 for c in grid):
-            raise ValueError("C grid values must be positive")
+            raise ValueError("grid must be nonempty")
+        if not all(0 < c < math.inf for c in grid):
+            raise ValueError(f"grid must hold positive finite values, got {list(grid)}")
         object.__setattr__(self, "grid", grid)
 
 
@@ -140,8 +146,7 @@ def trim(
     Ties at the cut are broken by ascending original index; +inf outlyingness
     always sorts last, so such samples are trimmed first.
     """
-    if not 0.5 <= kappa <= 1.0:
-        raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
+    check_kappa(kappa)
     y = np.asarray(labels, dtype=np.float64)
     minus_idx = np.flatnonzero(y < 0)
     plus_idx = np.flatnonzero(y > 0)
@@ -360,8 +365,7 @@ def fit_sdsvm(
     tol: float = DEFAULT_TOL,
 ) -> FitResult:
     """Run the full trimmed-SVM fit on a labeled dataset: rank, then fit_ranked."""
-    if not 0.5 <= kappa <= 1.0:
-        raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
+    check_kappa(kappa)
     return fit_ranked(rank(dataset, spec, policy), kappa, cv, tol)
 
 
@@ -415,9 +419,11 @@ def fit_from_text(text: str) -> FitResult:
     """Rebuild a FitResult from its report (samples are not serialized).
 
     Raises SerializationError, and nothing else, on a malformed report, one
-    whose chosen-c or kernel line disagrees with its model block, or one
-    with a sample the outlier map cannot draw: a label other than -1/+1, a
-    negative or nan outlyingness (+inf is kept) or a non-finite f.
+    whose chosen-c or kernel line disagrees with its model block, one whose
+    samples line is negative or is not followed by exactly that many rows
+    (blank lines may trail), or one with a sample the outlier map cannot
+    draw: a label other than -1/+1, a negative or nan outlyingness (+inf is
+    kept) or a non-finite f.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -455,6 +461,8 @@ def fit_from_text(text: str) -> FitResult:
         if chosen_c != model.c or kernel != model.spec.describe():
             raise SerializationError("chosen-c or kernel line disagrees with the model block")
         n = int(keyed("samples"))
+        if n < 0:
+            raise SerializationError(f"sample count must be >= 0, got {n}")
         if take() != "id label outlyingness trimmed f":
             raise SerializationError("fit report missing sample table header")
         ids, labels, r_vals, trimmed, f_vals = [], [], [], [], []
@@ -467,6 +475,8 @@ def fit_from_text(text: str) -> FitResult:
             r_vals.append(float(parts[2]))
             trimmed.append({"true": True, "false": False}[parts[3]])
             f_vals.append(float(parts[4]))
+        if any(line.strip() for line in lines[pos:]):
+            raise SerializationError(f"fit report has lines after its {n} samples")
         labels, r_vals, f_vals = np.array(labels), np.array(r_vals), np.array(f_vals)
         if not (np.abs(labels) == 1.0).all():
             raise SerializationError("sample labels must be -1 or +1")

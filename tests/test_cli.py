@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdsvm import Dataset, gen_toy
+from sdsvm import Dataset, KernelSpec, fit_sdsvm, fit_to_text, gen_toy
 from sdsvm.cli import build_parser, main
 
 from conftest import write_csv
@@ -131,11 +131,21 @@ class TestValidation:
             (["simulate", "--runs", "1", "--d", "0"], "--d"),
             (["simulate", "--runs", "1", "--test-size", "1"], "--test-size"),
             (["toy", "--threshold=-1", "--out-svg", "{toy}.svg"], "--threshold"),
+            (["fit", "{toy}", "--kernel", "polynomial", "--degree", "0"], "--degree"),
+            (["fit", "{toy}", "--kernel", "spectrum", "--kmer", "0"], "--kmer"),
+            (["fit", "{toy}", "--cv-grid", "0.1,1", "--folds", "1"], "--folds"),
+            (["fit", "{toy}", "--directions", "0"], "--directions"),
+            (["fit", "{toy}", "--C", "0"], "--C"),
+            (["fit", "{toy}", "--kernel", "linear", "--gamma", "0"], "--gamma"),
+            (["toy", "--kappa", "0.4"], "--kappa"),
+            (["simulate", "--runs", "1", "--kappas", "0.4"], "--kappas"),
+            (["map", "--fit", "{report}", "--seed", "-1"], "--seed"),
+            (["map", "--fit", "{report}", "--gamma", "nan"], "--gamma"),
         ],
     )
-    def test_non_finite_or_out_of_range_number_exits_1(self, tmp_path, capsys, argv, flag):
-        write_csv(gen_toy(1), tmp_path / "toy.csv")
-        argv = [tok.format(toy=tmp_path / "toy.csv") for tok in argv]
+    def test_non_finite_or_out_of_range_number_exits_1(self, argv_dir, capsys, argv, flag):
+        # toy.fit is a valid report, so that only the flag can fail map --fit.
+        argv = [tok.format(toy=argv_dir / "toy.csv", report=argv_dir / "toy.fit") for tok in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -280,6 +290,18 @@ class TestMap:
         assert "Traceback" not in err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("count", ["-1", "3"])
+    def test_report_whose_samples_line_is_not_its_row_count_exits_2(self, tmp_path, capsys, count):
+        fit_path = tmp_path / "fit.txt"
+        assert run_cli(capsys, "toy", "--out-fit", str(fit_path), "--out-csv", "-")[0] == 0
+        text = fit_path.read_text()
+        assert "\nsamples 66\n" in text
+        fit_path.write_text(text.replace("\nsamples 66\n", f"\nsamples {count}\n"))
+        code, out, err = run_cli(capsys, "map", "--fit", str(fit_path), "--out-csv", "-")
+        assert (code, out) == (2, "")
+        assert "error in load" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["1e308", "-1.7e308", "1.7976931348623157e308"])
     def test_report_with_huge_f_draws_finite_coordinates(self, tmp_path, capsys, value):
         # 2 * 1.05 max|f| (or 1.05 max|f| itself) overflows; the map is drawn
@@ -390,12 +412,14 @@ _FIT_FLAGS = ["--gamma", "--coef0", "--kappa", "--folds", "--directions", "--see
 _COMMAND_FLAGS = {
     "fit": _FIT_FLAGS,
     "map": _FIT_FLAGS + ["--label-top", "--threshold"],
+    "map --fit": _FIT_FLAGS + ["--label-top", "--threshold"],
     "toy": _FIT_FLAGS + ["--label-top", "--threshold"],
     "simulate": ["--gamma", "--coef0", "--folds", "--directions", "--seed", "--shift"],
 }
 _COMMAND_TARGETS = {
     "fit": ["--out-fit"],
     "map": ["--out-csv", "--out-svg"],
+    "map --fit": ["--out-csv", "--out-svg"],
     "toy": ["--out-fit", "--out-csv", "--out-svg"],
     "simulate": ["--out-csv"],
 }
@@ -413,9 +437,11 @@ def perturbed_argv(draw):
     """argv of one command with perturbed numbers and output targets ({tmp} unfilled)."""
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     sometimes = st.integers(0, 3).map(lambda k: k == 0)  # most flags keep their default
-    argv = [command]
+    argv = command.split()
     if command in ("fit", "map"):
         argv.append(draw(st.sampled_from(["{tmp}/toy.csv", "{tmp}/missing.csv"])))
+    if command == "map --fit":
+        argv.append(draw(st.sampled_from(["{tmp}/toy.fit", "{tmp}/missing.fit"])))
     if command == "simulate":
         argv += ["--runs=1", "--n=4", "--d=40", "--test-size=10", "--kernel=linear"]
         for flag in ("--runs", "--n", "--d", "--test-size"):
@@ -460,8 +486,10 @@ def wall_limit(seconds):
 
 @pytest.fixture(scope="module")
 def argv_dir(tmp_path_factory):
+    """A toy CSV and a valid fit report of it."""
     tmp = tmp_path_factory.mktemp("argv")
     write_csv(gen_toy(1), tmp / "toy.csv")
+    (tmp / "toy.fit").write_text(fit_to_text(fit_sdsvm(gen_toy(1), KernelSpec())))
     return tmp
 
 

@@ -103,6 +103,11 @@ class TestCsv:
         with pytest.raises(ValueError, match="nonnegative"):
             point(r=-math.inf)
 
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_rejected(self, f):
+        with pytest.raises(ValueError, match="decision value must be finite"):
+            point(f=f)
+
     def test_parse_rejects_negative_infinite_r(self):
         text = map_to_csv([point(id="a")]).replace(",1.0,", ",-inf,")
         with pytest.raises(ParseError) as info:

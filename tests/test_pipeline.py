@@ -509,3 +509,12 @@ class TestFitReport:
         lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
         with pytest.raises(SerializationError):
             fit_from_text("\n".join(lines[:-3]))
+
+    def test_negative_sample_count_raises_even_without_rows(self):
+        text = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR))
+        head = text[: text.index("id label outlyingness trimmed f\n")]
+        assert head.endswith("samples 66\n")
+        table = "id label outlyingness trimmed f\n"
+        assert fit_from_text(head.replace("samples 66", "samples 0") + table).n == 0
+        with pytest.raises(SerializationError, match="sample count"):
+            fit_from_text(head.replace("samples 66", "samples -1") + table)

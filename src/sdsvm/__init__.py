@@ -16,7 +16,6 @@ from .outliermap import (
     build_map,
     emit_csv,
     emit_svg,
-    parse_csv,
 )
 from .outlyingness import (
     DirectionPolicy,
@@ -81,7 +80,6 @@ __all__ = [
     "model_from_text",
     "model_to_text",
     "outlyingness",
-    "parse_csv",
     "rank",
     "run_simulation",
     "select_C",

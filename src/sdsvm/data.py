@@ -24,7 +24,7 @@ from .errors import (
 from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, check_kappa, fit_ranked, rank
-from .rng import Stream, derive_key
+from .rng import Stream, check_seed, derive_key
 from .svm import DEFAULT_TOL, decision_values, sign_labels
 
 
@@ -32,9 +32,9 @@ from .svm import DEFAULT_TOL, decision_values, sign_labels
 class Dataset:
     """Samples x with aligned -1/+1 labels and sample ids.
 
-    x is an (n, d) float64 array (stored read-only, without a copy), a tuple
-    of strings (spectrum kernel), or a tuple of precomputed-kernel keys.
-    ids default to 1..n.
+    x is an (n, d) float64 array (stored read-only, without a copy), or a
+    tuple of strings (spectrum kernel).  For the precomputed kernel the
+    array is the n x n Gram matrix itself.  ids default to 1..n.
     """
 
     x: object
@@ -97,6 +97,7 @@ class SimulationSpec:
         for kappa in kappas:
             check_kappa(kappa)
         object.__setattr__(self, "kappas", kappas)
+        check_seed(self.seed)
 
 
 def _normal_rows(seed, run_index, stream_name, count, dim):

@@ -13,7 +13,7 @@ class SdsvmError(Exception):
 
 
 class KernelTypeError(SdsvmError):
-    """A sample's form (vector, string or key) does not match the kernel."""
+    """A sample's form (vector or string) does not match the kernel."""
 
 
 class DimensionError(SdsvmError):

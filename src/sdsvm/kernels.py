@@ -7,12 +7,12 @@ only the kernel matrix.  Supported kernels:
   rbf          K(a, b) = exp(-gamma * ||a - b||^2)
   polynomial   K(a, b) = (gamma * <a, b> + coef0) ** degree
   spectrum     K(a, b) = <kmer counts of a, kmer counts of b>   (strings)
-  precomputed  K(a, b) = M[index(a), index(b)] for a user-supplied Gram M
+  precomputed  K(z_i, z_j) = G[i, j]; the data is the n x n Gram G itself
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -60,8 +60,7 @@ class KernelSpec:
 
     The only place kernel identity lives; passed around immutably.  The
     numeric fields must be valid for every kind, used or not.  For the
-    precomputed kind, `matrix` holds the full Gram matrix and samples are
-    keys into it: integer row indices or (when `ids` is given) string ids.
+    precomputed kind the data is the Gram matrix itself (see kernel_matrix).
     """
 
     kind: str = "linear"
@@ -69,8 +68,6 @@ class KernelSpec:
     degree: int = 3
     coef0: float = 0.0
     kmer: int = 3
-    matrix: np.ndarray | None = field(default=None, repr=False)
-    ids: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -83,19 +80,6 @@ class KernelSpec:
             value = getattr(self, name)
             if not (value >= 1 and value % 1 == 0):
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
-        if self.kind == "precomputed":
-            if self.matrix is None:
-                raise ValueError("precomputed kernel requires a matrix")
-            m = _frozen(self.matrix)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"precomputed matrix must be square, got shape {m.shape}")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("precomputed matrix must be finite")
-            if not np.array_equal(m, m.T):
-                raise ValueError("precomputed matrix must be symmetric")
-            object.__setattr__(self, "matrix", m)
-            if self.ids is not None and len(self.ids) != m.shape[0]:
-                raise ValueError("ids length must match matrix size")
 
     def describe(self) -> str:
         """Stable single-line rendering used by the serialization formats."""
@@ -109,23 +93,12 @@ class KernelSpec:
 
 
 def parse_spec(text: str) -> "KernelSpec":
-    """Inverse of KernelSpec.describe (precomputed loses its matrix)."""
+    """Inverse of KernelSpec.describe: the fields a kind does not describe
+    keep their defaults.  KeyError for a missing kind or an unknown field."""
     fields = dict(tok.split("=", 1) for tok in text.split())
     kind = fields.pop("kind")
-    if kind == "precomputed":
-        # The matrix itself never goes through text serialization; a
-        # placeholder identity keeps the spec constructible for bookkeeping.
-        return KernelSpec(kind="precomputed", matrix=np.zeros((0, 0)))
-    kwargs = {}
-    if "gamma" in fields:
-        kwargs["gamma"] = float(fields["gamma"])
-    if "degree" in fields:
-        kwargs["degree"] = int(fields["degree"])
-    if "coef0" in fields:
-        kwargs["coef0"] = float(fields["coef0"])
-    if "kmer" in fields:
-        kwargs["kmer"] = int(fields["kmer"])
-    return KernelSpec(kind=kind, **kwargs)
+    types = {"gamma": float, "degree": int, "coef0": float, "kmer": int}
+    return KernelSpec(kind=kind, **{name: types[name](value) for name, value in fields.items()})
 
 
 @dataclass(frozen=True)
@@ -230,18 +203,21 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
 
 
 def _vectors(spec: KernelSpec, x) -> np.ndarray:
-    """x as a C-contiguous (n, d) float64 array, without a copy if it is one."""
-    if isinstance(x, np.ndarray) and x.ndim == 2:
+    """x as a C-contiguous (n, d) float64 array, without a copy if it is
+    one; KernelTypeError when a sample is not a vector of numbers."""
+    if not (isinstance(x, np.ndarray) and x.ndim == 2):
+        x = list(x)
+        for pos, row in enumerate(x):
+            if np.ndim(row) != 1:
+                raise KernelTypeError(
+                    f"{spec.kind} kernel requires vectors; sample {pos} is a {type(row).__name__}"
+                )
+            if len(row) != len(x[0]):
+                raise DimensionError(f"sample {pos} has dimension {len(row)}, expected {len(x[0])}")
+    try:
         return np.ascontiguousarray(x, dtype=np.float64)
-    rows = list(x)
-    for pos, row in enumerate(rows):
-        if np.ndim(row) != 1:
-            raise KernelTypeError(
-                f"{spec.kind} kernel requires vectors; sample {pos} is a {type(row).__name__}"
-            )
-        if len(row) != len(rows[0]):
-            raise DimensionError(f"sample {pos} has dimension {len(row)}, expected {len(rows[0])}")
-    return np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise KernelTypeError(f"{spec.kind} kernel requires numbers: {exc}") from None
 
 
 def _strings(x) -> list:
@@ -254,49 +230,25 @@ def _strings(x) -> list:
     return strings
 
 
-def _matrix_rows(spec: KernelSpec, keys) -> np.ndarray:
-    """Rows of the precomputed matrix for integer indices or ids from spec.ids."""
-    row_of = {}
-    for i, key in enumerate(spec.ids or ()):
-        row_of.setdefault(key, i)  # the first row carrying an id wins
-    size = spec.matrix.shape[0]
-    rows = []
-    for key in keys:
-        if isinstance(key, str):
-            if key not in row_of:
-                raise KernelTypeError(f"key {key!r} not among the precomputed ids")
-            rows.append(row_of[key])
-        elif isinstance(key, (int, np.integer)):
-            if not 0 <= key < size:
-                raise DimensionError(f"precomputed index {key} outside matrix of size {size}")
-            rows.append(int(key))
-        else:
-            raise KernelTypeError("precomputed kernel requires integer-index or id keys")
-    return np.array(rows, dtype=np.intp)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     """K(a_i, b_j) over two sample collections; b=None means the square block.
 
-    The single place that branches on the kernel kind.  The square block
-    keeps the arithmetic its exactness rests on: one x @ x.T product (the
-    symmetric BLAS path), RBF norms read from the Gram diagonal with the
-    distance diagonal pinned to zero (so exp(0) == 1 exactly), and exact
-    integer k-mer counts for spectrum.  Only the square block's entries on
-    and above the diagonal count: kernel_matrix mirrors them, so the RBF
-    passes skip the rest.  Overflow stays quiet here; callers check the
-    entries they keep.  The inputs are never written to.
+    The single place that branches on a computed kernel's kind (a given
+    Gram never comes here: kernel_matrix checks it, kernel_cross rejects
+    it).  The square block keeps the arithmetic its exactness rests on: one
+    x @ x.T product (the symmetric BLAS path), RBF norms read from the Gram
+    diagonal with the distance diagonal pinned to zero (so exp(0) == 1
+    exactly), and exact integer k-mer counts for spectrum.  Only the square
+    block's entries on and above the diagonal count: kernel_matrix mirrors
+    them, so the RBF passes skip the rest.  Overflow stays quiet here;
+    callers check the entries they keep.  The inputs are never written to.
     """
     square = b is None
     if len(a) == 0 or (not square and len(b) == 0):
         raise EmptyInput("a kernel block needs at least one sample on each side")
     if spec.kind == "spectrum":
         return _spectrum_block(_strings(a), None if square else _strings(b), spec.kmer)
-    if spec.kind == "precomputed":
-        ia = _matrix_rows(spec, a)
-        ib = ia if square else _matrix_rows(spec, b)
-        return spec.matrix[np.ix_(ia, ib)]
     xa = _vectors(spec, a)
     xb = xa if square else _vectors(spec, b)
     if xa.shape[1] != xb.shape[1]:
@@ -343,18 +295,26 @@ def _check_finite(block: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(spec: KernelSpec, x) -> KernelMatrix:
-    """Gram matrix over a nonempty (n, d) array, sequence of strings, or of precomputed keys.
+    """Gram matrix over a nonempty (n, d) array or sequence of strings.
 
     Each unordered pair is represented by its upper-triangle value and
     mirrored, so entries[i, j] == entries[j, i] holds exactly.  Raises
-    DimensionError when an entry is not finite.
+    DimensionError when an entry is not finite.  For the precomputed kind x
+    is the n x n Gram itself, copied but never mirrored: DimensionError when
+    it is not square, not finite or not exactly symmetric, KernelTypeError
+    when it does not hold numbers.
     """
+    if spec.kind == "precomputed":
+        return KernelMatrix(_check_finite(_vectors(spec, x)))
     return KernelMatrix._wrap(_mirror_upper(_block(spec, x)))
 
 
 def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
     """Rectangular block K(a_i, b_j); used for scoring new samples.
 
-    Raises DimensionError when an entry is not finite.
+    Raises DimensionError when an entry is not finite, and KernelTypeError
+    for the precomputed kind, whose one Gram holds no new samples.
     """
+    if spec.kind == "precomputed":
+        raise KernelTypeError("precomputed kernel has no cross block: its samples are rows of one Gram")
     return _check_finite(_block(spec, a, b))

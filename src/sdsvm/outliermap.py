@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, ParseError, write_text
+from .errors import EmptyInput, write_text
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
@@ -73,35 +73,6 @@ def map_to_csv(points) -> str:
 def emit_csv(points, destination) -> None:
     """Write the map as CSV; rows stay in original sample order."""
     write_text(destination, map_to_csv(points))
-
-
-def parse_csv(text: str) -> list:
-    """Inverse of map_to_csv: the points of a map CSV's text.
-
-    A malformed row, or one whose f is not finite, raises ParseError.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
-    points = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 columns, got {len(parts)}", line=lineno)
-        try:
-            points.append(
-                OutlierMapPoint(
-                    id=parts[0],
-                    label=int(parts[1]),
-                    f=float(parts[2]),
-                    r=float(parts[3]),
-                    trimmed={"true": True, "false": False}[parts[4]],
-                    misclassified={"true": True, "false": False}[parts[5]],
-                )
-            )
-        except (ValueError, KeyError) as exc:
-            raise ParseError(f"bad row: {exc}", line=lineno) from exc
-    return points
 
 
 def _xml_escape(text: str) -> str:

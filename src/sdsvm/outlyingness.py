@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoValidDirections, TooFewSamples
 from .kernels import KernelMatrix, _frozen
-from .rng import Stream, derive_key
+from .rng import Stream, check_seed, derive_key
 
 # Squared feature-space norms at or below this are treated as coincident
 # points (double-precision noise floor for O(1)-scale kernels).
@@ -61,8 +61,7 @@ class DirectionPolicy:
             raise ValueError(f"mode must be 'auto', 'exhaustive' or 'sampled', got {self.mode!r}")
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
+        check_seed(self.seed)
 
 
 def default_policy(k: int, seed: int = 0) -> DirectionPolicy:

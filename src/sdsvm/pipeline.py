@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
-from .rng import Stream, derive_key
+from .rng import Stream, check_seed, derive_key
 from .svm import (
     _INTERIOR_TOL,
     DEFAULT_TOL,
@@ -63,6 +63,7 @@ class TrimPlan:
     trimmed: np.ndarray  # bool, aligned with the dataset
 
     def __post_init__(self):
+        check_kappa(self.kappa)
         object.__setattr__(self, "outlyingness", _frozen(self.outlyingness))
         object.__setattr__(self, "trimmed", _frozen(self.trimmed, bool))
 
@@ -89,6 +90,7 @@ class CvConfig:
         if not all(0 < c < math.inf for c in grid):
             raise ValueError(f"grid must hold positive finite values, got {list(grid)}")
         object.__setattr__(self, "grid", grid)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

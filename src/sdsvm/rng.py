@@ -59,6 +59,12 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
+def check_seed(seed) -> None:
+    """Raise ValueError unless seed is in [0, 2^64), the seeds derive_key tells apart."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+
+
 def derive_key(seed: int, *words) -> int:
     """Fold a seed and a tuple of ints/strings into a 64-bit stream key."""
     key = _mix64((int(seed) + _GOLDEN) & _MASK64)

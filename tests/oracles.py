@@ -13,9 +13,11 @@ shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
 stream that sdsvm.rng must match byte for byte.  rbf_gram_reference and the
 *_to_text, build_map and map_to_* references are the full-matrix and
 per-cell forms of the RBF Gram matrix and the text writers, which the
-library's triangle and column forms must match byte for byte.  robust_location,
-robust_scale and projection_vector, with the two errors it raises, and
-kernel_entry are helpers that only the tests use.
+library's triangle and column forms must match byte for byte.  parse_csv,
+the inverse of outliermap.map_to_csv, is the round-trip reference for the
+map CSV; no program path reads one.  robust_location, robust_scale and
+projection_vector, with the two errors it raises, and kernel_entry are
+helpers that only the tests use.
 """
 
 import itertools
@@ -29,12 +31,13 @@ from sdsvm.errors import (
     DimensionError,
     EmptyInput,
     NoValidDirections,
+    ParseError,
     SdsvmError,
     SerializationError,
     SingleClassError,
 )
 from sdsvm.kernels import kernel_matrix
-from sdsvm.outliermap import OutlierMapPoint
+from sdsvm.outliermap import CSV_HEADER, OutlierMapPoint
 from sdsvm.outlyingness import DEGENERACY_TOL
 from sdsvm.pipeline import CvSelection, _fold_assignment, _policy_to_text
 from sdsvm.rng import Stream, derive_key
@@ -472,19 +475,17 @@ def kernel_entry(spec, a, b) -> float:
     return float(kernel_matrix(spec, [a, b]).entries[0, 1])
 
 
-def kernel_block_recipe(kind, a, b=None, gamma=1.0, degree=3, coef0=0.0, kmer=3, matrix=None):
+def kernel_block_recipe(kind, a, b=None, gamma=1.0, degree=3, coef0=0.0, kmer=3):
     """A kernel block by its documented arithmetic, for exact comparison.
 
-    `a` and `b` are arrays of row vectors, lists of strings (spectrum) or
-    lists of row indices (precomputed).  b=None is the square block: one
-    x @ x.T product, RBF squared norms from its diagonal with the distance
-    diagonal set to zero, one k-mer count table, and the upper triangle
-    mirrored.  The rectangular block takes RBF norms as row sums of squares.
+    `a` and `b` are arrays of row vectors or lists of strings (spectrum).
+    b=None is the square block: one x @ x.T product, RBF squared norms from
+    its diagonal with the distance diagonal set to zero, one k-mer count
+    table, and the upper triangle mirrored.  The rectangular block takes RBF
+    norms as row sums of squares.
     """
     square = b is None
-    if kind == "precomputed":
-        block = np.asarray(matrix)[np.ix_(a, a if square else b)]
-    elif kind == "spectrum":
+    if kind == "spectrum":
         strings = list(a) if square else list(a) + list(b)
         counts = [kmer_counts_brute(s, kmer) for s in strings]
         vocab = sorted(set().union(*counts)) or [""]
@@ -617,6 +618,36 @@ def map_to_csv_reference(points):
             f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
         )
     return "\n".join(lines) + "\n"
+
+
+def parse_csv(text: str) -> list:
+    """Inverse of outliermap.map_to_csv: the points of a map CSV's text.
+
+    A malformed row, or one that is not a valid OutlierMapPoint (such as a
+    non-finite f), raises ParseError with its line number.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
+    points = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        parts = ln.split(",")
+        if len(parts) != 6:
+            raise ParseError(f"expected 6 columns, got {len(parts)}", line=lineno)
+        try:
+            points.append(
+                OutlierMapPoint(
+                    id=parts[0],
+                    label=int(parts[1]),
+                    f=float(parts[2]),
+                    r=float(parts[3]),
+                    trimmed={"true": True, "false": False}[parts[4]],
+                    misclassified={"true": True, "false": False}[parts[5]],
+                )
+            )
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"bad row: {exc}", line=lineno) from exc
+    return points
 
 
 def map_to_svg_reference(points, label_top=5, threshold=None):

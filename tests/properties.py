@@ -27,7 +27,6 @@ from sdsvm import (
     kernel_cross,
     kernel_matrix,
     outlyingness,
-    parse_csv,
     run_simulation,
     solve_dual,
     trim,
@@ -38,6 +37,7 @@ from sdsvm.outliermap import OutlierMapPoint, map_to_csv
 from oracles import (
     dual_qp_oracle,
     kernel_entry,
+    parse_csv,
     projection_vector,
     sd_outlyingness_input_space,
     spectrum_dot_brute,

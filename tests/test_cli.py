@@ -302,6 +302,17 @@ class TestMap:
         assert "error in load" in err
         assert "Traceback" not in err
 
+    def test_report_with_kappa_outside_its_range_exits_2(self, tmp_path, capsys):
+        fit_path = tmp_path / "fit.txt"
+        assert run_cli(capsys, "toy", "--out-fit", str(fit_path), "--out-csv", "-")[0] == 0
+        text = fit_path.read_text()
+        assert "\nkappa 0.5\n" in text
+        fit_path.write_text(text.replace("\nkappa 0.5\n", "\nkappa 7.0\n"))
+        code, out, err = run_cli(capsys, "map", "--fit", str(fit_path), "--out-csv", "-")
+        assert (code, out) == (2, "")
+        assert "error in load" in err and "kappa must be in [0.5, 1]" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("value", ["1e308", "-1.7e308", "1.7976931348623157e308"])
     def test_report_with_huge_f_draws_finite_coordinates(self, tmp_path, capsys, value):
         # 2 * 1.05 max|f| (or 1.05 max|f| itself) overflows; the map is drawn

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,11 +7,32 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as npst
 
 import sdsvm.kernels
-from sdsvm import KernelMatrix, KernelSpec, kernel_cross, kernel_matrix
+from sdsvm import (
+    Dataset,
+    KernelMatrix,
+    KernelSpec,
+    fit_from_text,
+    fit_sdsvm,
+    fit_to_text,
+    gen_toy,
+    kernel_cross,
+    kernel_matrix,
+)
 from sdsvm.errors import DimensionError, EmptyInput, KernelTypeError
 
 from conftest import make_vectors
 from oracles import kernel_block_recipe, kernel_entry, spectrum_dot_brute
+
+PRECOMPUTED = KernelSpec(kind="precomputed")
+
+# One spec of each kind, with the parameters its kind reads.
+SPECS = [
+    KernelSpec(),
+    KernelSpec(kind="rbf", gamma=0.5),
+    KernelSpec(kind="polynomial", gamma=0.5, degree=2, coef0=1.0),
+    KernelSpec(kind="spectrum", kmer=2),
+    PRECOMPUTED,
+]
 
 
 class TestKernelSpec:
@@ -34,18 +56,22 @@ class TestKernelSpec:
         with pytest.raises(ValueError, match="kmer"):
             KernelSpec(kind="spectrum", kmer=0)
 
-    def test_precomputed_needs_square_symmetric(self):
-        with pytest.raises(ValueError, match="square"):
-            KernelSpec(kind="precomputed", matrix=np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="symmetric"):
-            KernelSpec(kind="precomputed", matrix=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        with pytest.raises(ValueError, match="matrix"):
-            KernelSpec(kind="precomputed")
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_hashable_and_equal_by_value(self, spec):
+        copy = KernelSpec(**dataclasses.asdict(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert len({spec, copy}) == 1
 
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_precomputed_needs_finite(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            KernelSpec(kind="precomputed", matrix=np.array([[1.0, bad], [bad, 1.0]]))
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.kind)
+    def test_equal_after_a_fit_report_round_trip(self, spec):
+        toy = gen_toy(1)
+        if spec.kind == "precomputed":
+            toy = Dataset(x=kernel_matrix(KernelSpec(), toy.x).entries, labels=toy.labels)
+        elif spec.kind == "spectrum":
+            words = ["".join("ACGT"[int(abs(v) * 7) % 4] for v in row) * 3 for row in toy.x]
+            toy = Dataset(x=words, labels=toy.labels)
+        fit = fit_sdsvm(toy, spec)
+        assert fit_from_text(fit_to_text(fit)).model.spec == spec
 
 
 class TestEvalKernel:
@@ -86,14 +112,10 @@ class TestEvalKernel:
         with pytest.raises(DimensionError):
             kernel_entry(KernelSpec(), [1.0, 2.0], [1.0])
 
-    def test_precomputed_by_index_and_id(self):
+    def test_precomputed_gram_is_the_data(self):
         m = np.array([[1.0, 0.5], [0.5, 2.0]])
-        by_index = KernelSpec(kind="precomputed", matrix=m)
-        assert kernel_entry(by_index, 0, 1) == 0.5
-        by_id = KernelSpec(kind="precomputed", matrix=m, ids=("a", "b"))
-        assert kernel_entry(by_id, "b", "b") == 2.0
-        with pytest.raises(KernelTypeError):
-            kernel_entry(by_id, "zzz", "a")
+        assert kernel_matrix(PRECOMPUTED, m).entries.tolist() == m.tolist()
+        assert kernel_entry(PRECOMPUTED, [1.0, 0.5], [0.5, 2.0]) == 0.5
 
 
 class TestKernelMatrix:
@@ -152,9 +174,35 @@ class TestKernelMatrix:
     def test_precomputed_submatrix(self):
         m = np.arange(16.0).reshape(4, 4)
         m = (m + m.T) / 2.0
-        spec = KernelSpec(kind="precomputed", matrix=m)
-        om = kernel_matrix(spec, [2, 0])
+        om = kernel_matrix(PRECOMPUTED, m).take([2, 0])
         assert np.array_equal(om.entries, m[np.ix_([2, 0], [2, 0])])
+
+    def test_precomputed_gram_must_be_square_and_symmetric(self):
+        with pytest.raises(DimensionError, match="square"):
+            kernel_matrix(PRECOMPUTED, np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match="dimension"):
+            kernel_matrix(PRECOMPUTED, [[1.0, 0.0], [0.0]])
+        # Rejected, not mirrored as a computed block's triangle is.
+        with pytest.raises(DimensionError, match="symmetric"):
+            kernel_matrix(PRECOMPUTED, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_precomputed_gram_must_be_finite(self, bad):
+        with pytest.raises(DimensionError, match="non-finite"):
+            kernel_matrix(PRECOMPUTED, np.array([[1.0, bad], [bad, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "gram", [[["a", "b"], ["b", "a"]], np.array([["1", "a"], ["a", "1"]]), ["ab", "ba"]]
+    )
+    def test_precomputed_gram_must_hold_numbers(self, gram):
+        with pytest.raises(KernelTypeError):
+            kernel_matrix(PRECOMPUTED, gram)
+
+    def test_precomputed_gram_is_copied(self):
+        m = np.array([[2.0, -1.0], [-1.0, 2.0]])
+        om = kernel_matrix(PRECOMPUTED, m)
+        m[0, 0] = 9.0
+        assert om.entries[0, 0] == 2.0 and not om.entries.flags.writeable
 
     def test_take_submatrix(self):
         om = kernel_matrix(KernelSpec(), make_vectors(np.eye(4)))
@@ -197,6 +245,11 @@ class TestKernelCross:
             for i in range(2):
                 for j in range(3):
                     assert block[i, j] == pytest.approx(kernel_entry(spec, a[i], b[j]), rel=1e-12)
+
+    def test_precomputed_has_no_cross_block(self):
+        m = np.eye(3)
+        with pytest.raises(KernelTypeError, match="precomputed"):
+            kernel_cross(PRECOMPUTED, m, m[:1])
 
     def test_spectrum_cross(self):
         spec = KernelSpec(kind="spectrum", kmer=3)
@@ -293,16 +346,14 @@ class TestExactRecipe:
             assert square[i, j] == square[j, i] == spectrum_dot_brute(strings[i], strings[j], 8)
         assert square[0, 1] > 0 and square[1, 2] > 0
 
-    def test_precomputed_matches_recipe(self):
+    def test_precomputed_keeps_the_gram_bit_for_bit(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(9, 9))
         m = m + m.T
-        spec = KernelSpec(kind="precomputed", matrix=m)
+        m[[0, 7], [7, 0]] = -0.0
         idx = [7, 2, 2, 5, 0]
-        square = kernel_matrix(spec, idx).entries
-        assert np.array_equal(square, kernel_block_recipe("precomputed", idx, matrix=m))
-        cross = kernel_cross(spec, idx[:2], idx[2:])
-        assert np.array_equal(cross, kernel_block_recipe("precomputed", idx[:2], idx[2:], matrix=m))
+        m = m[np.ix_(idx, idx)]  # a repeated sample gives equal rows and columns
+        assert kernel_matrix(PRECOMPUTED, m).entries.tobytes() == m.tobytes()
 
     @given(
         npst.arrays(

@@ -11,10 +11,11 @@ from sdsvm import (
     emit_svg,
     fit_sdsvm,
     gen_toy,
-    parse_csv,
 )
 from sdsvm.errors import EmptyInput, IoError, ParseError
 from sdsvm.outliermap import map_to_csv, map_to_svg
+
+from oracles import parse_csv
 
 LINEAR = KernelSpec(kind="linear")
 

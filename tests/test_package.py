@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import sdsvm
 
 
@@ -41,10 +44,15 @@ def test_exported_names_are_pinned():
         "model_from_text",
         "model_to_text",
         "outlyingness",
-        "parse_csv",
         "rank",
         "run_simulation",
         "select_C",
         "solve_dual",
         "trim",
     ]
+
+
+def test_readme_names_every_export():
+    # An export the README does not name in backticks is one a user cannot find.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [name for name in sdsvm.__all__ if not re.search(rf"`{name}\b", readme)] == []

@@ -395,6 +395,19 @@ class TestFitSdsvm:
             fit_sdsvm(ds, LINEAR)
         assert excinfo.value.stage == "outlyingness"
 
+    @pytest.mark.parametrize(
+        "kappa, cv", [(0.5, CvConfig()), (0.75, CvConfig(folds=3, grid=(0.01, 0.1, 1.0)))]
+    )
+    def test_precomputed_linear_gram_fits_bit_equal_to_linear(self, kappa, cv):
+        toy = gen_toy(1)
+        gram = Dataset(x=kernel_matrix(LINEAR, toy.x).entries, labels=toy.labels)
+        linear = fit_sdsvm(toy, LINEAR, kappa=kappa, cv=cv)
+        given = fit_sdsvm(gram, KernelSpec(kind="precomputed"), kappa=kappa, cv=cv)
+        assert given.decision_values.tobytes() == linear.decision_values.tobytes()
+        assert given.plan.outlyingness.tobytes() == linear.plan.outlyingness.tobytes()
+        assert np.array_equal(given.plan.trimmed, linear.plan.trimmed)
+        assert given.model.c == linear.model.c
+
     def test_policy_recorded_per_group(self):
         fit = fit_sdsvm(gen_toy(2), LINEAR)
         assert fit.policy_minus.mode == "exhaustive"
@@ -497,6 +510,7 @@ class TestFitReport:
             (2, "chosen-c 0.2"),
             (6, "kernel kind=rbf gamma=1.0"),
             (4, "policy-minus auto 2000 0"),  # a fit records the resolved policy
+            (1, "kappa 7.0"),  # outside TrimPlan's [0.5, 1]
         ],
     )
     def test_malformed_report_raises_serialization_error(self, line, replacement):

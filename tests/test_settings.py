@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from sdsvm import CvConfig, DirectionPolicy, KernelSpec
+from sdsvm import CvConfig, DirectionPolicy, KernelSpec, TrimPlan
 from sdsvm.data import SimulationSpec
 from sdsvm.pipeline import check_kappa
 
@@ -49,6 +49,7 @@ _BAD_FIELDS = [  # (settings type, bad field values, field the message names)
     (check_kappa, {"kappa": 0.49}, "kappa"),
     (check_kappa, {"kappa": 1.01}, "kappa"),
     (check_kappa, {"kappa": math.nan}, "kappa"),
+    (TrimPlan, {"kappa": 7.0, "outlyingness": (), "trimmed": ()}, "kappa"),
 ]
 
 
@@ -58,3 +59,12 @@ def test_bad_field_message_starts_with_its_name(settings, values, field):
         settings(**values)
     assert str(info.value).startswith(f"{field} "), str(info.value)
 
+
+@pytest.mark.parametrize("settings", [DirectionPolicy, CvConfig, SimulationSpec])
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_one_seed_rule(settings, seed):
+    # CvConfig and SimulationSpec once took any seed, reduced mod 2^64.  The
+    # CLI's stderr for a bad --seed is this message after the flag.
+    with pytest.raises(ValueError) as info:
+        settings(seed=seed)
+    assert str(info.value) == f"seed must be in [0, 2^64), got {seed}"

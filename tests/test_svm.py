@@ -17,7 +17,7 @@ from sdsvm import (
     model_to_text,
     solve_dual,
 )
-from sdsvm.errors import ConvergenceError, DimensionError, SingleClassError
+from sdsvm.errors import ConvergenceError, DimensionError, SerializationError, SingleClassError
 from sdsvm.pipeline import DEFAULT_C_GRID
 from sdsvm.svm import sign_labels
 from sdsvm.rng import Stream, derive_key
@@ -245,6 +245,14 @@ class TestSerialization:
         back = model_from_text(model_to_text(model))
         assert back.spec.kind == "rbf"
         assert back.spec.gamma == 0.37
+
+    def test_unknown_kernel_field_rejected(self):
+        # An unknown field was once dropped, so the model read back as
+        # another kernel than the header named.
+        text = model_to_text(two_point_model(c=0.375, tol=1e-5))
+        assert text.startswith("sdsvm-model-v1 kind=linear ")
+        with pytest.raises(SerializationError, match="sigma"):
+            model_from_text(text.replace("kind=linear ", "kind=linear sigma=2.0 ", 1))
 
 
 def solve_outcome(solve, *args, **kwargs):

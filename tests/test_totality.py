@@ -11,13 +11,14 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load_fasta, parse_csv
+from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load_fasta
 from sdsvm.errors import SdsvmError
 from sdsvm.kernels import KernelSpec
 from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
 from sdsvm.svm import model_from_text, model_to_text
 
 from conftest import with_number_tokens
+from oracles import parse_csv
 
 CSV_LAST = "1.0,2.0,1\n0.5,-1.0,-1\n3,4e-3,1\n-2,0,-1\n"
 CSV_FIRST = "1,1.0,2.0\n-1,0.5,-1.0\n1,3,4e-3\n-1,-2,0\n"

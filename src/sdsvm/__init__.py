@@ -21,7 +21,6 @@ from .outlyingness import (
     DirectionPolicy,
     OutlyingnessReport,
     default_policy,
-    enumerate_directions,
     outlyingness,
 )
 from .pipeline import (
@@ -66,7 +65,6 @@ __all__ = [
     "dual_objective",
     "emit_csv",
     "emit_svg",
-    "enumerate_directions",
     "fit_from_text",
     "fit_ranked",
     "fit_sdsvm",

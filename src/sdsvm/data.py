@@ -25,7 +25,7 @@ from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, check_kappa, fit_ranked, rank
 from .rng import Stream, check_seed, derive_key
-from .svm import DEFAULT_TOL, decision_values, sign_labels
+from .svm import decision_values, sign_labels
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class SimulationResult:
     summary: tuple
 
 
-def _evaluate_run(spec, kernel, cv, policy, run, tol):
+def _evaluate_run(spec, kernel, cv, policy, run):
     train, test = gen_simulation(spec, run)
     rows = []
     ranking = cross = None
@@ -203,7 +203,7 @@ def _evaluate_run(spec, kernel, cv, policy, run, tol):
             # on the next kappa and fails the same way.
             if ranking is None:
                 ranking = rank(train, kernel, policy)
-            fit = fit_ranked(ranking, kappa, cv, tol)
+            fit = fit_ranked(ranking, kappa, cv)
             if cross is None:
                 cross = kernel_cross(kernel, train.x, test.x)
             f_vals = decision_values(fit.model, cross[fit.plan.retained])
@@ -222,7 +222,6 @@ def run_simulation(
     kernel: KernelSpec = KernelSpec(),
     cv: CvConfig = CvConfig(),
     policy: DirectionPolicy = DirectionPolicy(),
-    tol: float = DEFAULT_TOL,
 ) -> SimulationResult:
     """Fit every (run, kappa) cell and summarize test error per kappa.
 
@@ -231,9 +230,7 @@ def run_simulation(
     Failures inside a run are recorded as nan rows instead of aborting the
     sweep.  Each run's data comes from its own (seed, run)-derived streams.
     """
-    rows = tuple(
-        row for run in range(spec.runs) for row in _evaluate_run(spec, kernel, cv, policy, run, tol)
-    )
+    rows = tuple(r for run in range(spec.runs) for r in _evaluate_run(spec, kernel, cv, policy, run))
     summary = []
     for kappa in spec.kappas:
         errs = np.array([r.error for r in rows if r.kappa == kappa and not math.isnan(r.error)])

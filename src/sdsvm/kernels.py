@@ -220,6 +220,17 @@ def _vectors(spec: KernelSpec, x) -> np.ndarray:
         raise KernelTypeError(f"{spec.kind} kernel requires numbers: {exc}") from None
 
 
+def _sized(spec: KernelSpec, x):
+    """x itself, or KernelTypeError when it is not a sized collection of samples."""
+    try:
+        len(x)
+    except TypeError:
+        raise KernelTypeError(
+            f"{spec.kind} kernel requires a sequence of samples, got {type(x).__name__}"
+        ) from None
+    return x
+
+
 def _strings(x) -> list:
     strings = list(x)
     for pos, s in enumerate(strings):
@@ -302,8 +313,9 @@ def kernel_matrix(spec: KernelSpec, x) -> KernelMatrix:
     DimensionError when an entry is not finite.  For the precomputed kind x
     is the n x n Gram itself, copied but never mirrored: DimensionError when
     it is not square, not finite or not exactly symmetric, KernelTypeError
-    when it does not hold numbers.
+    when it does not hold numbers or is not a sequence.
     """
+    x = _sized(spec, x)
     if spec.kind == "precomputed":
         return KernelMatrix(_check_finite(_vectors(spec, x)))
     return KernelMatrix._wrap(_mirror_upper(_block(spec, x)))
@@ -313,8 +325,9 @@ def kernel_cross(spec: KernelSpec, a, b) -> np.ndarray:
     """Rectangular block K(a_i, b_j); used for scoring new samples.
 
     Raises DimensionError when an entry is not finite, and KernelTypeError
-    for the precomputed kind, whose one Gram holds no new samples.
+    for the precomputed kind, whose one Gram holds no new samples, or when
+    a or b is not a sequence.
     """
     if spec.kind == "precomputed":
         raise KernelTypeError("precomputed kernel has no cross block: its samples are rows of one Gram")
-    return _check_finite(_block(spec, a, b))
+    return _check_finite(_block(spec, _sized(spec, a), _sized(spec, b)))

@@ -104,44 +104,49 @@ def _squared_norms(entries, i_idx, j_idx):
         return (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
 
 
-class DirectionList(list):
-    """The (i, j) index pairs to scan, i < j, in scan order.
+@dataclass(frozen=True, eq=False)
+class Directions:
+    """The pairs the outlyingness scans, under the resolved policy.
 
-    `draws` is how many candidate pairs the sampler drew up to its stop,
-    rejected ones included; 0 for an exhaustive list.
+    Pair t joins samples lo[t] < hi[t] (intp, in scan order), whose squared
+    feature-space distance sq[t] is > DEGENERACY_TOL; len() counts them.
+    `degenerate` counts the enumerated pairs left out, nan norms included;
+    `draws` the candidates the sampler drew up to its stop, 0 when exhaustive.
     """
 
-    def __init__(self, pairs, draws: int = 0):
-        super().__init__(pairs)
-        self.draws = draws
+    policy: DirectionPolicy
+    lo: np.ndarray
+    hi: np.ndarray
+    sq: np.ndarray
+    degenerate: int
+    draws: int
+
+    def __len__(self) -> int:
+        return self.lo.size
 
 
-def enumerate_directions(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy()) -> DirectionList:
-    """Materialize the unordered index pairs of omega's samples that the
-    outlyingness will scan.
+def enumerate_directions(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy()) -> Directions:
+    """The non-degenerate index pairs of omega's samples that the
+    outlyingness scans; NoValidDirections when none is left.
 
-    Auto mode resolves through default_policy(omega.k, policy.seed).
-    Exhaustive mode returns every pair (degenerate ones included; the caller
-    skips and counts them).  Sampled mode yields the pairs that a loop
-    drawing one pair at a time from the ("directions",) stream would accept:
-    it rejects i == j, repeated and degenerate draws, and gives up after
-    100 * count rejections or once no non-degenerate pair is left to accept.
+    Auto mode resolves through default_policy, from omega.k and policy.seed.
+    Exhaustive mode enumerates every pair, sampled mode the pairs that a
+    loop drawing one pair at a time from the ("directions",) stream would
+    accept (see _sample_pairs); nan norms are counted as degenerate.
     """
     k = omega.k
-    if k < 2:
-        raise ValueError(f"need at least 2 samples to form a direction, got {k}")
     if policy.mode == "auto":
         policy = default_policy(k, policy.seed)
     entries = omega.entries
     if policy.mode == "exhaustive":
-        i_idx, j_idx = np.triu_indices(k, 1)
-        if not np.any(_squared_norms(entries, i_idx, j_idx) > DEGENERACY_TOL):
-            raise NoValidDirections("all samples coincide in feature space")
-        return DirectionList(zip(i_idx.tolist(), j_idx.tolist()))
-    lo, hi, draws = _sample_pairs(k, policy, entries)
-    if not lo.size:
-        raise NoValidDirections("no non-degenerate direction found while sampling")
-    return DirectionList(zip(lo.tolist(), hi.tolist()), draws)
+        (lo, hi), draws = np.triu_indices(k, 1), 0
+    else:
+        lo, hi, draws = _sample_pairs(k, policy, entries)
+    sq = _squared_norms(entries, lo, hi)
+    ok = sq > DEGENERACY_TOL
+    if not np.any(ok):
+        raise NoValidDirections(f"no non-degenerate direction among {lo.size} enumerated pairs")
+    return Directions(policy, lo[ok], hi[ok], sq[ok], lo.size - int(np.count_nonzero(ok)), draws)
 
 
 def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
@@ -223,29 +228,18 @@ def outlyingness(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy(
     k = omega.k
     if k < 3:
         raise TooFewSamples(f"outlyingness needs at least 3 samples, got {k}")
-    if policy.mode == "auto":
-        policy = default_policy(k, policy.seed)
-    pairs = enumerate_directions(omega, policy)
+    directions = enumerate_directions(omega, policy)
     entries = omega.entries
-    i_all = np.fromiter((p[0] for p in pairs), dtype=np.intp, count=len(pairs))
-    j_all = np.fromiter((p[1] for p in pairs), dtype=np.intp, count=len(pairs))
     r = np.zeros(k)
-    degenerate = 0
-    for start in range(0, len(pairs), _PAIR_CHUNK):
-        i_idx = i_all[start : start + _PAIR_CHUNK]
-        j_idx = j_all[start : start + _PAIR_CHUNK]
-        sq = _squared_norms(entries, i_idx, j_idx)
-        ok = sq > DEGENERACY_TOL
-        degenerate += int(np.count_nonzero(~ok))
-        if not np.any(ok):
-            continue
+    for start in range(0, len(directions), _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
         # Huge hand-built entries overflow to inf and nan here, and those
         # samples end at r = inf; mad == 0 rows divide by zero and are
         # repaired below.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            v = entries[i_idx[ok]]
-            v -= entries[j_idx[ok]]
-            v /= np.sqrt(sq[ok])[:, None]
+            v = entries[directions.lo[chunk]]
+            v -= entries[directions.hi[chunk]]
+            v /= np.sqrt(directions.sq[chunk])[:, None]
             # v becomes |v - med|, then |v - med| / mad, in place.
             v -= _row_medians(v)[:, None]
             np.abs(v, out=v)
@@ -255,12 +249,10 @@ def outlyingness(omega: KernelMatrix, policy: DirectionPolicy = DirectionPolicy(
             v /= mad[:, None]
         v[no_spread] = repaired
         np.maximum(r, v.max(axis=0), out=r)
-    if degenerate == len(pairs):
-        raise NoValidDirections("every enumerated direction was degenerate")
     return OutlyingnessReport(
         r=r,
-        policy=policy,
-        degenerate_pairs=degenerate,
-        directions=len(pairs),
-        draws=pairs.draws,
+        policy=directions.policy,
+        degenerate_pairs=directions.degenerate,
+        directions=len(directions) + directions.degenerate,
+        draws=directions.draws,
     )

@@ -30,7 +30,6 @@ from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, check_seed, derive_key
 from .svm import (
     _INTERIOR_TOL,
-    DEFAULT_TOL,
     SvmModel,
     _text_ids,
     decision_values,
@@ -306,7 +305,6 @@ def fit_ranked(
     ranking: Ranking,
     kappa: float = 0.5,
     cv: CvConfig = CvConfig(),
-    tol: float = DEFAULT_TOL,
 ) -> FitResult:
     """Trim, select C, train and score every sample on a ranked dataset.
 
@@ -338,7 +336,6 @@ def fit_ranked(
         omega_t,
         labels_t,
         chosen_c,
-        tol,
         spec=ranking.spec,
         ids=tuple(dataset.ids[i] for i in retained),
     )
@@ -364,11 +361,10 @@ def fit_sdsvm(
     kappa: float = 0.5,
     cv: CvConfig = CvConfig(),
     policy: DirectionPolicy = DirectionPolicy(),
-    tol: float = DEFAULT_TOL,
 ) -> FitResult:
     """Run the full trimmed-SVM fit on a labeled dataset: rank, then fit_ranked."""
     check_kappa(kappa)
-    return fit_ranked(rank(dataset, spec, policy), kappa, cv, tol)
+    return fit_ranked(rank(dataset, spec, policy), kappa, cv)
 
 
 _FIT_HEADER = "sdsvm-fit-v1"

@@ -60,7 +60,10 @@ def _fnv1a64(text: str) -> int:
 
 
 def check_seed(seed) -> None:
-    """Raise ValueError unless seed is in [0, 2^64), the seeds derive_key tells apart."""
+    """Raise ValueError unless seed is an integer (not a bool) in [0, 2^64),
+    the seeds derive_key tells apart."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 

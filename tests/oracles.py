@@ -6,7 +6,8 @@ medians instead of numpy, and exhaustive active-set enumeration instead of
 an iterative dual solver.  select_c_cold is the per-C cold-start loop that
 the warm-started C path in pipeline.select_C must reproduce;
 sample_pairs_one_at_a_time and outlyingness_np_median are the scalar sampler
-and the np.median chunk loop that sdsvm.outlyingness must match bit for bit;
+and the np.median chunk loop that sdsvm.outlyingness must match bit for bit,
+and policy_pairs the unfiltered pair list of a policy built from them;
 solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
 match bit for bit, and stream_uniforms_reference/stream_normals_reference and
 shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
@@ -217,6 +218,15 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
     if not pairs:
         raise NoValidDirections("no non-degenerate direction found while sampling")
     return pairs, draws
+
+
+def policy_pairs(policy, entries):
+    """(pairs, draws) an exhaustive or sampled policy enumerates, degenerate
+    pairs included: every i < j in order, or the one-at-a-time sampler's."""
+    k = entries.shape[0]
+    if policy.mode == "exhaustive":
+        return list(itertools.combinations(range(k), 2)), 0
+    return sample_pairs_one_at_a_time(k, policy.count, policy.seed, entries)
 
 
 def outlyingness_np_median(entries, pairs, chunk=1024):

@@ -6,6 +6,7 @@ at 200 examples each.  Keeping them out of direct collection avoids running
 the whole set twice in a full pytest invocation.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from sdsvm import (
     build_map,
     decision_values,
     dual_objective,
-    enumerate_directions,
     fit_sdsvm,
     gen_simulation,
     kernel_cross,
@@ -146,8 +146,7 @@ def prop_outly_kernel_trick_matches_input_space(rows):
     om = kernel_matrix(LINEAR, samples_of(rows))
     assume(_directions_well_conditioned(om))
     report = outlyingness(om, DirectionPolicy(mode="exhaustive"))
-    pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
-    expected = sd_outlyingness_input_space(rows, pairs)
+    expected = sd_outlyingness_input_space(rows, itertools.combinations(range(om.k), 2))
     np.testing.assert_allclose(report.r, expected, rtol=1e-10, atol=1e-12)
 
 
@@ -297,11 +296,11 @@ def dataset_st(n_group_min=3, n_group_max=6, d_max=3):
     )
 
 
-def _fit_quietly(ds, kappa, c=0.5, tol=1e-10):
+def _fit_quietly(ds, kappa, c=0.5):
     from sdsvm.errors import PipelineError
 
     try:
-        return fit_sdsvm(ds, LINEAR, kappa=kappa, cv=CvConfig(grid=(c,)), tol=tol)
+        return fit_sdsvm(ds, LINEAR, kappa=kappa, cv=CvConfig(grid=(c,)))
     except PipelineError:
         assume(False)
 
@@ -339,7 +338,7 @@ def prop_pipeline_trim_is_within_group(ds, rng, kappa):
 def prop_pipeline_kappa_one_is_plain_svm(ds, c):
     # kappa 1 retains everything, so both routes hand the solver the same
     # inputs; agreement holds at the default tolerance already.
-    fit = _fit_quietly(ds, 1.0, c=c, tol=1e-3)
+    fit = _fit_quietly(ds, 1.0, c=c)
     om = kernel_matrix(LINEAR, ds.x)
     plain = solve_dual(om, ds.labels, c, tol=1e-3)
     assert np.all(
@@ -371,7 +370,7 @@ def prop_pipeline_monotone_retention(ds, kappa_small, kappa_big):
 
 @given(dataset_st(n_group_min=3, n_group_max=6))
 def prop_map_copies_fit_exactly(ds):
-    fit = _fit_quietly(ds, 0.5, tol=1e-3)
+    fit = _fit_quietly(ds, 0.5)
     points = build_map(fit)
     assert [p.f for p in points] == [float(v) for v in fit.decision_values]
     assert [p.r for p in points] == [float(v) for v in fit.plan.outlyingness]

@@ -246,6 +246,22 @@ class TestKernelCross:
                 for j in range(3):
                     assert block[i, j] == pytest.approx(kernel_entry(spec, a[i], b[j]), rel=1e-12)
 
+    @pytest.mark.parametrize("kind", sdsvm.kernels.KINDS)
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda spec: kernel_matrix(spec, 5.0),
+            lambda spec: kernel_matrix(spec, None),
+            lambda spec: kernel_matrix(spec, np.array(5.0)),
+            lambda spec: kernel_cross(spec, 5.0, [[1.0]]),
+            lambda spec: kernel_cross(spec, [[1.0]], None),
+        ],
+    )
+    def test_samples_that_are_not_a_sequence(self, kind, call):
+        # These once raised a bare TypeError from len() or list().
+        with pytest.raises(KernelTypeError):
+            call(KernelSpec(kind=kind))
+
     def test_precomputed_has_no_cross_block(self):
         m = np.eye(3)
         with pytest.raises(KernelTypeError, match="precomputed"):

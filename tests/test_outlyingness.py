@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,18 @@ from sdsvm import (
     KernelSpec,
     OutlyingnessReport,
     default_policy,
-    enumerate_directions,
     kernel_matrix,
     outlyingness,
 )
 from sdsvm.errors import EmptyInput, NoValidDirections, TooFewSamples
+from sdsvm.outlyingness import DEGENERACY_TOL, enumerate_directions
 
 from conftest import make_vectors
 from oracles import (
     DegenerateDirection,
     InvalidPair,
     outlyingness_np_median,
+    policy_pairs,
     projection_vector,
     robust_location,
     robust_scale,
@@ -31,6 +34,14 @@ EXHAUSTIVE = DirectionPolicy(mode="exhaustive")
 
 def linear_matrix(rows):
     return kernel_matrix(KernelSpec(), make_vectors(rows))
+
+
+def all_pairs(om):
+    return list(itertools.combinations(range(om.k), 2))
+
+
+def pair_list(directions):
+    return list(zip(directions.lo.tolist(), directions.hi.tolist()))
 
 
 class TestRobustEstimators:
@@ -92,9 +103,9 @@ class TestProjectionVector:
 class TestEnumerateDirections:
     def test_exhaustive_counts_all_pairs(self):
         om = linear_matrix(np.eye(4))
-        pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
-        assert len(pairs) == 6
-        assert pairs == sorted(set(pairs))
+        directions = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
+        assert len(directions) == 6 and directions.degenerate == 0
+        assert pair_list(directions) == all_pairs(om)
 
     def test_default_policy_switches_at_100(self):
         assert default_policy(100).mode == "exhaustive"
@@ -104,15 +115,17 @@ class TestEnumerateDirections:
     def test_default_policy_samples_2000_pairs(self):
         rows = np.arange(101.0 * 2).reshape(101, 2)
         om = linear_matrix(rows)
-        pairs = enumerate_directions(om)
-        assert len(pairs) == 2000
-        assert len(set(pairs)) == 2000
+        directions = enumerate_directions(om)
+        assert directions.policy == DirectionPolicy(mode="sampled", count=2000)
+        assert len(directions) == len(set(pair_list(directions))) == 2000
 
     def test_same_seed_same_pairs(self):
         rows = np.arange(40.0).reshape(20, 2)
         om = linear_matrix(rows)
         policy = DirectionPolicy(mode="sampled", count=30, seed=7)
-        assert enumerate_directions(om, policy) == enumerate_directions(om, policy)
+        first, second = enumerate_directions(om, policy), enumerate_directions(om, policy)
+        assert pair_list(first) == pair_list(second)
+        assert first.sq.tobytes() == second.sq.tobytes()
 
     def test_all_identical_samples(self):
         om = linear_matrix([[1.0, 1.0]] * 4)
@@ -125,9 +138,26 @@ class TestEnumerateDirections:
         rows = [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         om = linear_matrix(rows)
         policy = DirectionPolicy(mode="sampled", count=5, seed=3)
-        pairs = enumerate_directions(om, policy)
+        pairs = pair_list(enumerate_directions(om, policy))
         assert (0, 1) not in pairs
         assert len(pairs) == len(set(pairs)) == 5
+
+    @pytest.mark.parametrize("policy", [EXHAUSTIVE, DirectionPolicy(mode="sampled", count=7, seed=2)])
+    def test_record_holds_scanned_pairs_only(self, policy):
+        om = _random_matrix(9, seed=5, duplicates=3)
+        directions = enumerate_directions(om, policy)
+        assert directions.lo.dtype == directions.hi.dtype == np.intp
+        assert np.all(directions.lo < directions.hi)
+        assert np.all(directions.sq > DEGENERACY_TOL)
+        report = outlyingness(om, policy)
+        assert len(directions) + directions.degenerate == report.directions
+        assert directions.degenerate == report.degenerate_pairs
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_fewer_than_two_samples_have_no_direction(self, k, mode):
+        with pytest.raises(NoValidDirections):
+            enumerate_directions(KernelMatrix(np.eye(k)), DirectionPolicy(mode=mode))
 
 
 class TestOutlyingness:
@@ -160,8 +190,7 @@ class TestOutlyingness:
         assert report.r[deepest] == 0.0
         # full agreement with independent per-pair recomputation
         om2 = linear_matrix(augmented)
-        pairs = enumerate_directions(om2, DirectionPolicy(mode="exhaustive"))
-        expected = sd_outlyingness_kernel_brute(om2.entries, pairs)
+        expected = sd_outlyingness_kernel_brute(om2.entries, all_pairs(om2))
         np.testing.assert_allclose(report.r, expected, rtol=1e-12)
 
     def test_duplicate_pair_counts_as_degenerate(self):
@@ -182,8 +211,7 @@ class TestOutlyingness:
         rows = np.cos(np.arange(0.0, 21.0)).reshape(7, 3) * 2.0 + 0.3
         om = linear_matrix(rows)
         report = outlyingness(om)
-        pairs = enumerate_directions(om, DirectionPolicy(mode="exhaustive"))
-        expected = sd_outlyingness_kernel_brute(om.entries, pairs)
+        expected = sd_outlyingness_kernel_brute(om.entries, all_pairs(om))
         np.testing.assert_allclose(report.r, expected, rtol=1e-12)
 
     def test_report_rejects_negative_values_and_keeps_nan(self):
@@ -221,15 +249,21 @@ def _overflowing_matrix(k):
 
 
 class TestSampledPairsMatchOneAtATime:
-    """Block draws give the pairs of the one-pair-per-draw loop, in order."""
+    """Block draws give the pairs of the one-pair-per-draw loop, in order;
+    the record keeps those with a squared norm above the degeneracy floor."""
 
     @staticmethod
     def _check(k, count, seed, om):
         expected, draws = sample_pairs_one_at_a_time(k, count, seed, om.entries)
-        pairs = enumerate_directions(om, DirectionPolicy(mode="sampled", count=count, seed=seed))
-        assert pairs == expected
-        assert pairs.draws == draws
-        return pairs
+        e = om.entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = [(e[i, i] + e[j, j]) - 2.0 * e[i, j] for i, j in expected]
+        scanned = [pair for pair, s in zip(expected, sq) if s > DEGENERACY_TOL]
+        directions = enumerate_directions(om, DirectionPolicy(mode="sampled", count=count, seed=seed))
+        assert pair_list(directions) == scanned
+        assert directions.degenerate == len(expected) - len(scanned)
+        assert directions.draws == draws
+        return directions
 
     @pytest.mark.parametrize(
         "k, count",
@@ -250,17 +284,17 @@ class TestSampledPairsMatchOneAtATime:
     def test_rejection_limit(self):
         # 169 of the 190 pairs are valid: asking for 180 draws on until
         # 100 * 180 rejections are exceeded.
-        pairs = self._check(20, 180, 9, _random_matrix(20, seed=1, duplicates=6))
-        assert len(pairs) == 169
-        assert pairs.draws == 169 + 100 * 180 + 1
+        directions = self._check(20, 180, 9, _random_matrix(20, seed=1, duplicates=6))
+        assert len(directions) == 169
+        assert directions.draws == 169 + 100 * 180 + 1
 
     @pytest.mark.parametrize("k, count", [(3, 2000), (30, 10**12)])
     def test_stops_once_every_valid_pair_is_accepted(self, k, count):
         # count covers every pair, so the draw that accepts the last one
         # ends the loop, long before the rejection limit.
-        pairs = self._check(k, count, 5, _random_matrix(k, seed=2))
-        assert len(pairs) == k * (k - 1) // 2
-        assert pairs.draws < 100 * k * k
+        directions = self._check(k, count, 5, _random_matrix(k, seed=2))
+        assert len(directions) == k * (k - 1) // 2
+        assert directions.draws < 100 * k * k
 
     def test_no_valid_pair_raises_without_drawing(self):
         om = linear_matrix([[1.0, 1.0]] * 4)
@@ -272,10 +306,12 @@ class TestSampledPairsMatchOneAtATime:
 
     def test_nan_norm_is_accepted(self):
         # The squared norm of (0, 1) is (1e308 + 1e308) - 2e308 = inf - inf,
-        # nan, which is not <= the degeneracy floor: the loop accepts it.
+        # nan, which is not <= the degeneracy floor: the loop accepts it,
+        # and the record counts it as degenerate.
         entries = np.eye(5)
         entries[:2, :2] = 1e308
-        self._check(5, 10, 3, _unchecked(entries))
+        directions = self._check(5, 10, 3, _unchecked(entries))
+        assert (0, 1) not in pair_list(directions) and directions.degenerate == 1
 
 
 class TestMediansMatchNumpy:
@@ -283,13 +319,13 @@ class TestMediansMatchNumpy:
 
     @staticmethod
     def _check(om, policy):
-        pairs = enumerate_directions(om, policy)
+        pairs, draws = policy_pairs(policy, om.entries)
         expected, degenerate = outlyingness_np_median(om.entries, pairs)
         report = outlyingness(om, policy)
         assert report.r.tobytes() == expected.tobytes()
         assert report.degenerate_pairs == degenerate
         assert report.directions == len(pairs)
-        assert report.draws == pairs.draws
+        assert report.draws == draws
         return report
 
     @pytest.mark.parametrize("k", [3, 4, 7, 8, 33, 64])

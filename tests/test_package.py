@@ -30,7 +30,6 @@ def test_exported_names_are_pinned():
         "dual_objective",
         "emit_csv",
         "emit_svg",
-        "enumerate_directions",
         "fit_from_text",
         "fit_ranked",
         "fit_sdsvm",

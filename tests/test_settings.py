@@ -6,6 +6,7 @@ message starts with, so every rule here must name its field first.
 
 import math
 
+import numpy as np
 import pytest
 
 from sdsvm import CvConfig, DirectionPolicy, KernelSpec, TrimPlan
@@ -68,3 +69,19 @@ def test_one_seed_rule(settings, seed):
     with pytest.raises(ValueError) as info:
         settings(seed=seed)
     assert str(info.value) == f"seed must be in [0, 2^64), got {seed}"
+
+
+@pytest.mark.parametrize("settings", [DirectionPolicy, CvConfig, SimulationSpec])
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "3", None, np.float64(2.0), np.True_])
+def test_seed_must_be_an_integer(settings, seed):
+    # CvConfig(seed=1.5) once dealt the folds of seed 1, DirectionPolicy(seed=True)
+    # was seed 1, and CvConfig(seed="3") raised a bare TypeError.
+    with pytest.raises(ValueError) as info:
+        settings(seed=seed)
+    assert str(info.value).startswith("seed "), str(info.value)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1), np.int32(7)])
+def test_integer_seeds_are_accepted(seed):
+    assert DirectionPolicy(seed=seed).seed == seed
+    assert CvConfig(seed=seed).seed == seed

@@ -8,9 +8,13 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import math
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .data import (
@@ -320,7 +324,38 @@ def _cmd_toy(parser, args) -> int:
     return 0
 
 
+@functools.cache
+def _openblas_thread_setter():
+    """scipy_openblas_set_num_threads64_ of numpy's bundled OpenBLAS
+    (numpy.libs/libscipy_openblas64_*.so), or None when this numpy ships no
+    such library or symbol; looked up once per process."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    path = min(libs.glob("libscipy_openblas64_*.so"), default=None)
+    if path is None:
+        return None
+    try:
+        setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # not loadable, or no such symbol
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = None
+    return setter
+
+
 def main(argv=None) -> int:
+    """Run one sdsvm command and return its exit code.
+
+    Changes process BLAS state: numpy's bundled OpenBLAS stays on one thread
+    for the rest of the process (a no-op under any other BLAS).
+    """
+    # Every BLAS product of a command is small, and after each threaded call
+    # OpenBLAS's idle worker spins on a second core: one thread costs about
+    # the same wall time, half the CPU, and leaves no byte depending on
+    # OPENBLAS_NUM_THREADS.  Not restored on return: a caller's own threaded
+    # BLAS would wake the spinning worker again.
+    setter = _openblas_thread_setter()
+    if setter is not None:
+        setter(1)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -24,8 +24,9 @@ from .errors import NoValidDirections, TooFewSamples
 from .kernels import KernelMatrix, _frozen
 from .rng import Stream, check_seed, derive_key
 
-# Squared feature-space norms at or below this are treated as coincident
-# points (double-precision noise floor for O(1)-scale kernels).
+# A pair whose squared feature-space distance is at or below this fraction
+# of its own scale |d_i + d_j| is treated as coincident points: far above the
+# rounding noise of d_i + d_j - 2 O[i, j], and the same for data in any unit.
 DEGENERACY_TOL = 1e-12
 
 # Policy defaults: enumerate everything up to this many samples, then fall
@@ -94,14 +95,20 @@ class OutlyingnessReport:
         return self.r.shape[0]
 
 
-def _squared_norms(entries, i_idx, j_idx):
-    # (d_i + d_j) first: addition commutes exactly, so the value does not
-    # depend on pair orientation.  Huge hand-built entries overflow to an inf
-    # or nan norm, which the callers' degeneracy tests handle; the warning
-    # would only repeat it.
+def _pair_norms(entries, i_idx, j_idx):
+    """(sq, bound): each pair's squared feature-space distance and the bound
+    at or below which it counts as degenerate, DEGENERACY_TOL * |d_i + d_j|.
+
+    Relative to the pair's own scale, so scaling every sample by a power of
+    two decides every pair alike.  (d_i + d_j) first: addition commutes
+    exactly, so neither value depends on pair orientation.  Huge hand-built
+    entries overflow to an inf or nan norm, which the callers' tests handle;
+    the warning would only repeat it.
+    """
     diag = np.diag(entries)
     with np.errstate(over="ignore", invalid="ignore"):
-        return (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
+        scale = diag[i_idx] + diag[j_idx]
+        return scale - 2.0 * entries[i_idx, j_idx], DEGENERACY_TOL * np.abs(scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +116,8 @@ class Directions:
     """The pairs the outlyingness scans, under the resolved policy.
 
     Pair t joins samples lo[t] < hi[t] (intp, in scan order), whose squared
-    feature-space distance sq[t] is > DEGENERACY_TOL; len() counts them.
+    feature-space distance sq[t] is above its degeneracy bound (see
+    _pair_norms); len() counts them.
     `degenerate` counts the enumerated pairs left out, nan norms included;
     `draws` the candidates the sampler drew up to its stop, 0 when exhaustive.
     """
@@ -142,8 +150,8 @@ def enumerate_directions(omega: KernelMatrix, policy: DirectionPolicy = Directio
         (lo, hi), draws = np.triu_indices(k, 1), 0
     else:
         lo, hi, draws = _sample_pairs(k, policy, entries)
-    sq = _squared_norms(entries, lo, hi)
-    ok = sq > DEGENERACY_TOL
+    sq, bound = _pair_norms(entries, lo, hi)
+    ok = sq > bound
     if not np.any(ok):
         raise NoValidDirections(f"no non-degenerate direction among {lo.size} enumerated pairs")
     return Directions(policy, lo[ok], hi[ok], sq[ok], lo.size - int(np.count_nonzero(ok)), draws)
@@ -166,9 +174,9 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
     limit = 100 * count
     if count >= k * (k - 1) // 2:
         # Every pair can be accepted: stop once the non-degenerate ones are.
-        # ~(sq <= tol), not sq > tol: a nan norm is accepted, as below.
-        sq = _squared_norms(entries, *np.triu_indices(k, 1))
-        target = int(np.count_nonzero(~(sq <= DEGENERACY_TOL)))
+        # ~(sq <= bound), not sq > bound: a nan norm is accepted, as below.
+        sq, bound = _pair_norms(entries, *np.triu_indices(k, 1))
+        target = int(np.count_nonzero(~(sq <= bound)))
     seen = np.empty(0, dtype=np.int64)  # lo * k + hi of every accepted pair
     lo_parts, hi_parts = [seen], [seen]  # start empty, so a target of 0 yields no pairs
     accepted = rejections = draws = 0
@@ -178,9 +186,9 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
         lo = np.minimum(ij[0::2], ij[1::2])
         hi = np.maximum(ij[0::2], ij[1::2])
         code = lo * k + hi
-        sq = _squared_norms(entries, lo, hi)
-        # ~(sq <= tol), not sq > tol: a nan norm is accepted, as in the loop.
-        candidate = np.flatnonzero((lo != hi) & ~(sq <= DEGENERACY_TOL))
+        sq, bound = _pair_norms(entries, lo, hi)
+        # ~(sq <= bound), not sq > bound: a nan norm is accepted, as in the loop.
+        candidate = np.flatnonzero((lo != hi) & ~(sq <= bound))
         _, first = np.unique(code[candidate], return_index=True)
         first = candidate[first]
         fresh = np.zeros(block, dtype=bool)

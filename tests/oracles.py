@@ -98,8 +98,9 @@ def projection_vector(omega, i: int, j: int) -> ProjectionVector:
     if i == j:
         raise InvalidPair(f"projection direction needs two distinct samples, got ({i}, {j})")
     entries = omega.entries
-    sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
-    if sq <= DEGENERACY_TOL:
+    scale = entries[i, i] + entries[j, j]
+    sq = scale - 2.0 * entries[i, j]
+    if sq <= DEGENERACY_TOL * abs(scale):
         raise DegenerateDirection(
             f"samples {i} and {j} coincide in feature space (squared norm {sq:.3e})"
         )
@@ -126,8 +127,9 @@ def sd_outlyingness_input_space(x, pairs):
     """Stahel-Donoho outlyingness from explicit coordinates.
 
     Directions are (x_i - x_j) / ||x_i - x_j|| for the given index pairs;
-    degenerate pairs (zero difference) are skipped, mirroring the library's
-    rule.  mad == 0 contributes 0 at the median and +inf elsewhere.
+    degenerate pairs (a squared difference at most DEGENERACY_TOL times
+    |x_i|^2 + |x_j|^2) are skipped, mirroring the library's rule.  mad == 0
+    contributes 0 at the median and +inf elsewhere.
     """
     x = np.asarray(x, dtype=np.float64)
     k = x.shape[0]
@@ -135,7 +137,7 @@ def sd_outlyingness_input_space(x, pairs):
     for i, j in pairs:
         diff = x[i] - x[j]
         norm_sq = float(diff @ diff)
-        if norm_sq <= 1e-12:
+        if norm_sq <= DEGENERACY_TOL * float(x[i] @ x[i] + x[j] @ x[j]):
             continue
         a = diff / np.sqrt(norm_sq)
         proj = [float(a @ x[l]) for l in range(k)]
@@ -159,7 +161,7 @@ def sd_outlyingness_kernel_brute(omega, pairs):
     r = [0.0] * k
     for i, j in pairs:
         norm_sq = omega[i, i] - 2.0 * omega[i, j] + omega[j, j]
-        if norm_sq <= 1e-12:
+        if norm_sq <= DEGENERACY_TOL * abs(omega[i, i] + omega[j, j]):
             continue
         proj = [(omega[i, l] - omega[j, l]) / np.sqrt(norm_sq) for l in range(k)]
         med = median_sorted(proj)
@@ -194,8 +196,9 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
         target = 0
         for i, j in itertools.combinations(range(k), 2):
             with np.errstate(over="ignore", invalid="ignore"):
-                sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
-            if not sq <= DEGENERACY_TOL:
+                scale = entries[i, i] + entries[j, j]
+                sq = scale - 2.0 * entries[i, j]
+            if not sq <= DEGENERACY_TOL * abs(scale):
                 target += 1
     while len(pairs) < target and rejections <= limit:
         i, j = (int(v) for v in stream.integers(2, k))
@@ -209,8 +212,9 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
             rejections += 1
             continue
         with np.errstate(over="ignore", invalid="ignore"):  # huge test matrices
-            sq = (entries[i, i] + entries[j, j]) - 2.0 * entries[i, j]
-        if sq <= DEGENERACY_TOL:
+            scale = entries[i, i] + entries[j, j]
+            sq = scale - 2.0 * entries[i, j]
+        if sq <= DEGENERACY_TOL * abs(scale):
             rejections += 1
             continue
         seen.add((i, j))
@@ -242,8 +246,9 @@ def outlyingness_np_median(entries, pairs, chunk=1024):
         for start in range(0, len(pairs), chunk):
             i_idx = i_all[start : start + chunk]
             j_idx = j_all[start : start + chunk]
-            sq = (diag[i_idx] + diag[j_idx]) - 2.0 * entries[i_idx, j_idx]
-            ok = sq > DEGENERACY_TOL
+            scale = diag[i_idx] + diag[j_idx]
+            sq = scale - 2.0 * entries[i_idx, j_idx]
+            ok = sq > DEGENERACY_TOL * np.abs(scale)
             degenerate += int(np.count_nonzero(~ok))
             if not np.any(ok):
                 continue

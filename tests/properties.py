@@ -187,6 +187,30 @@ def prop_outly_translation_invariance(rows, offset):
     assert np.all(np.abs(report1.r - report2.r) < 1e-8)
 
 
+# Values whose products and sums stay normal floats under a 2**p scaling
+# for p in [-40, 40], so that the scaling is exact.
+unit_free = finite.filter(lambda v: v == 0.0 or abs(v) >= 1e-100)
+
+
+@given(matrix_st(k_min=3, k_max=9, d_max=4, elements=unit_free), st.integers(-40, 40))
+def prop_outly_power_of_two_scaling_changes_no_bit(rows, p):
+    """Scaling the samples by 2**p scales each linear-kernel projection by
+    2**p exactly, so r, and every pair's degeneracy, stay bit-identical."""
+
+    def report(x):
+        try:
+            return outlyingness(kernel_matrix(LINEAR, samples_of(x)), DirectionPolicy(mode="exhaustive"))
+        except NoValidDirections:
+            return None
+
+    plain, scaled = report(rows), report(rows * 2.0**p)
+    if plain is None:
+        assert scaled is None
+        return
+    assert scaled.r.tobytes() == plain.r.tobytes()
+    assert scaled.degenerate_pairs == plain.degenerate_pairs
+
+
 @given(matrix_st(k_min=3, k_max=8, d_max=3, elements=grid_value), st.floats(0.05, 50.0))
 def prop_outly_scale_invariance(rows, factor):
     om1 = kernel_matrix(LINEAR, samples_of(rows))

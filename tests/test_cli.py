@@ -1,15 +1,21 @@
 import contextlib
+import ctypes
 import io
+import os
 import re
 import runpy
 import signal
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdsvm import Dataset, KernelSpec, fit_sdsvm, fit_to_text, gen_toy
+from sdsvm import cli
 from sdsvm.cli import build_parser, main
 
 from conftest import write_csv
@@ -365,6 +371,86 @@ class TestDeterminism:
             assert code == 0
             outputs.append((csv_path.read_bytes(), svg_path.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _bundled_openblas_function(name):
+    """name from numpy's bundled OpenBLAS, found independently of the CLI's
+    lookup, or None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        function = getattr(ctypes.CDLL(str(path)), name, None)
+        if function is not None:
+            return function
+    return None
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's bundled OpenBLAS on one thread, so its bytes do
+    not depend on OPENBLAS_NUM_THREADS."""
+
+    @staticmethod
+    def _run_all(workdir, threads):
+        """(exit code, stdout, stderr) of each command, then every file
+        written, run in fresh processes under OPENBLAS_NUM_THREADS=threads."""
+        src = str(Path(cli.__file__).parents[1])
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        }
+        commands = [
+            ["simulate", "--runs", "2", "--contaminated", "--out-csv", "runs.csv"],
+            ["fit", "../data.csv", "--kernel", "rbf", "--gamma", "0.5", "--C", "1", "--out-fit", "fit.txt"],
+            ["map", "--fit", "fit.txt", "--out-csv", "map.csv", "--out-svg", "map.svg"],
+        ]
+        workdir.mkdir()
+        outcomes = []
+        for argv in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "sdsvm", *argv],
+                cwd=workdir, env=env, capture_output=True, timeout=120, check=False,
+            )
+            outcomes.append((done.returncode, done.stdout, done.stderr))
+        files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+        return outcomes, files
+
+    def test_outputs_do_not_depend_on_the_thread_count(self, tmp_path):
+        x = np.random.default_rng(3).normal(size=(120, 5))
+        x[60:] += 0.7
+        write_csv(Dataset(x=x, labels=np.repeat([-1.0, 1.0], 60)), tmp_path / "data.csv")
+        one = self._run_all(tmp_path / "one", "1")
+        two = self._run_all(tmp_path / "two", "2")
+        assert [code for code, _, _ in one[0]] == [0, 0, 0]
+        assert sorted(one[1]) == ["fit.txt", "map.csv", "map.svg", "runs.csv"]
+        assert one == two
+
+    def test_main_pins_one_thread(self, tmp_path, capsys):
+        getter = _bundled_openblas_function("scipy_openblas_get_num_threads64_")
+        setter = _bundled_openblas_function("scipy_openblas_set_num_threads64_")
+        if getter is None or setter is None:
+            pytest.skip("numpy ships no bundled scipy-openblas64 here")
+        getter.restype = ctypes.c_int
+        setter.argtypes = [ctypes.c_int]
+        setter(2)
+        code, _, _ = run_cli(capsys, "toy", "--out-csv", str(tmp_path / "map.csv"))
+        assert code == 0
+        assert getter() == 1
+
+    @pytest.mark.parametrize("missing", ["library directory", "library", "symbol"])
+    def test_pin_is_a_silent_no_op_without_the_bundled_openblas(self, tmp_path, monkeypatch, capsys, missing):
+        if missing == "library directory":
+            monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        elif missing == "library":
+            real_cdll = ctypes.CDLL
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: real_cdll(str(tmp_path / "none.so")))
+        else:
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+        lookup = cli._openblas_thread_setter.__wrapped__  # uncached
+        assert lookup() is None
+        monkeypatch.setattr(cli, "_openblas_thread_setter", lookup)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "toy", "--out-csv", str(tmp_path / "map.csv"))
+        assert (code, out, err) == (0, "", "")
 
 
 class TestAutoDirectionsSeed:

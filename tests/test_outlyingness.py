@@ -148,7 +148,8 @@ class TestEnumerateDirections:
         directions = enumerate_directions(om, policy)
         assert directions.lo.dtype == directions.hi.dtype == np.intp
         assert np.all(directions.lo < directions.hi)
-        assert np.all(directions.sq > DEGENERACY_TOL)
+        diag = np.diag(om.entries)
+        assert np.all(directions.sq > DEGENERACY_TOL * np.abs(diag[directions.lo] + diag[directions.hi]))
         report = outlyingness(om, policy)
         assert len(directions) + directions.degenerate == report.directions
         assert directions.degenerate == report.degenerate_pairs
@@ -257,8 +258,11 @@ class TestSampledPairsMatchOneAtATime:
         expected, draws = sample_pairs_one_at_a_time(k, count, seed, om.entries)
         e = om.entries
         with np.errstate(over="ignore", invalid="ignore"):
-            sq = [(e[i, i] + e[j, j]) - 2.0 * e[i, j] for i, j in expected]
-        scanned = [pair for pair, s in zip(expected, sq) if s > DEGENERACY_TOL]
+            scanned = [
+                (i, j)
+                for i, j in expected
+                if (e[i, i] + e[j, j]) - 2.0 * e[i, j] > DEGENERACY_TOL * abs(e[i, i] + e[j, j])
+            ]
         directions = enumerate_directions(om, DirectionPolicy(mode="sampled", count=count, seed=seed))
         assert pair_list(directions) == scanned
         assert directions.degenerate == len(expected) - len(scanned)

@@ -388,6 +388,16 @@ class TestFitSdsvm:
         assert excinfo.value.stage == "validate"
         assert isinstance(excinfo.value.cause, TooFewSamples)
 
+    @pytest.mark.parametrize("p", [-24, -40])
+    def test_toy_in_tiny_units_ranks_as_in_unit_ones(self, p):
+        # At 2**-24 the toy's squared distances are about 1e-14; an absolute
+        # degeneracy floor of 1e-12 called every pair degenerate there.
+        toy = gen_toy(1)
+        plain = fit_sdsvm(toy, LINEAR)
+        tiny = fit_sdsvm(Dataset(x=toy.x * 2.0**p, labels=toy.labels), LINEAR)
+        assert tiny.plan.outlyingness.tobytes() == plain.plan.outlyingness.tobytes()
+        assert np.array_equal(tiny.plan.trimmed, plain.plan.trimmed)
+
     def test_stage_label_on_degenerate_groups(self):
         rows = np.ones((8, 2))
         ds = Dataset(x=rows, labels=np.array([-1.0] * 4 + [1.0] * 4))

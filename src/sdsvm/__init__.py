@@ -39,8 +39,6 @@ from .svm import (
     SvmModel,
     decision_values,
     dual_objective,
-    model_from_text,
-    model_to_text,
     solve_dual,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "kernel_matrix",
     "load_csv",
     "load_fasta",
-    "model_from_text",
-    "model_to_text",
     "outlyingness",
     "rank",
     "run_simulation",

@@ -82,7 +82,7 @@ class KernelSpec:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
     def describe(self) -> str:
-        """Stable single-line rendering used by the serialization formats."""
+        """Stable single-line rendering used by the fit report."""
         if self.kind == "rbf":
             return f"kind=rbf gamma={self.gamma!r}"
         if self.kind == "polynomial":
@@ -90,15 +90,6 @@ class KernelSpec:
         if self.kind == "spectrum":
             return f"kind=spectrum kmer={self.kmer}"
         return f"kind={self.kind}"
-
-
-def parse_spec(text: str) -> "KernelSpec":
-    """Inverse of KernelSpec.describe: the fields a kind does not describe
-    keep their defaults.  KeyError for a missing kind or an unknown field."""
-    fields = dict(tok.split("=", 1) for tok in text.split())
-    kind = fields.pop("kind")
-    types = {"gamma": float, "degree": int, "coef0": float, "kmer": int}
-    return KernelSpec(kind=kind, **{name: types[name](value) for name, value in fields.items()})
 
 
 @dataclass(frozen=True)

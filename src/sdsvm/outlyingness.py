@@ -79,7 +79,7 @@ class OutlyingnessReport:
     r: np.ndarray
     policy: DirectionPolicy
     degenerate_pairs: int = 0
-    directions: int = 0  # pairs scanned, degenerate ones included
+    directions: int = 0  # pairs enumerated, degenerate ones included
     draws: int = 0  # candidates the sampler drew up to its stop; 0 when exhaustive
 
     def __post_init__(self):

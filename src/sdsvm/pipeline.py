@@ -28,16 +28,7 @@ from .errors import (
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, check_seed, derive_key
-from .svm import (
-    _INTERIOR_TOL,
-    SvmModel,
-    _text_ids,
-    decision_values,
-    model_from_text,
-    model_to_text,
-    sign_labels,
-    solve_dual,
-)
+from .svm import _INTERIOR_TOL, SvmModel, decision_values, sign_labels, solve_dual
 
 # Default C grid when optimization is requested without an explicit grid:
 # 11 log-spaced points 2^-5, 2^-3, ..., 2^15.
@@ -103,7 +94,11 @@ class CvSelection:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Everything the outlier map and downstream reporting need."""
+    """Everything the outlier map and downstream reporting need.
+
+    ids, labels, decision_values and the plan's columns are aligned with
+    the dataset; the model holds the plan's retained samples, in order.
+    """
 
     model: SvmModel
     plan: TrimPlan
@@ -122,6 +117,18 @@ class FitResult:
         object.__setattr__(self, "decision_values", _frozen(self.decision_values))
         object.__setattr__(self, "labels", _frozen(self.labels))
         object.__setattr__(self, "ids", tuple(self.ids))
+        n = len(self.ids)
+        columns = (self.labels, self.decision_values, self.plan.outlyingness, self.plan.trimmed)
+        if any(column.shape != (n,) for column in columns):
+            raise ValueError(
+                f"{n} ids vs labels, decision values, outlyingness and trimmed of shapes "
+                f"{[column.shape for column in columns]}"
+            )
+        if self.model.n_retained != self.plan.retained.size:
+            raise ValueError(
+                f"model has {self.model.n_retained} samples but the plan retains "
+                f"{self.plan.retained.size}"
+            )
 
     @property
     def n(self) -> int:
@@ -337,7 +344,6 @@ def fit_ranked(
         labels_t,
         chosen_c,
         spec=ranking.spec,
-        ids=tuple(dataset.ids[i] for i in retained),
     )
     del omega_t  # freed before the n_retained x n decision block is gathered
 
@@ -368,6 +374,18 @@ def fit_sdsvm(
 
 
 _FIT_HEADER = "sdsvm-fit-v1"
+_MODEL_HEADER = "sdsvm-model-v1"
+_TABLE_HEADER = "id label outlyingness trimmed f"
+
+
+def _text_ids(ids) -> list:
+    """str of each id, or SerializationError naming the first id that holds
+    whitespace (which would split its row)."""
+    texts = list(map(str, ids))
+    if any(map(str.isspace, "".join(texts))):
+        bad = next(t for t in texts if any(map(str.isspace, t)))
+        raise SerializationError(f"id {bad!r} contains whitespace")
+    return texts
 
 
 def _policy_to_text(policy: DirectionPolicy) -> str:
@@ -382,28 +400,43 @@ def _policy_from_text(text: str) -> DirectionPolicy:
 
 
 def fit_to_text(fit: FitResult) -> str:
-    """Single plain-text report: provenance, CV table, model block, samples."""
+    """Single plain-text report: provenance, CV table, model block, samples.
+
+    The model block is the model's one text form: a header with the kernel,
+    C and tol, one `id label alpha` row per retained sample and the bias.
+    Doubles are shortest round-trip decimals, so a read-back is exact.
+    """
+    model = fit.model
+    if model.spec is None:
+        raise SerializationError("model has no kernel spec attached")
+    ids = _text_ids(fit.ids)
     lines = [
         _FIT_HEADER,
         f"kappa {fit.plan.kappa!r}",
-        f"chosen-c {float(fit.model.c)!r}",
+        f"chosen-c {float(model.c)!r}",
         f"folds-used {fit.folds_used}",
         f"policy-minus {_policy_to_text(fit.policy_minus)}",
         f"policy-plus {_policy_to_text(fit.policy_plus)}",
-        f"kernel {fit.model.spec.describe()}",
+        f"kernel {model.spec.describe()}",
         f"cv-table {len(fit.cv_table)}",
     ]
     for c, err in fit.cv_table:
         lines.append(f"{float(c)!r} {float(err)!r}")
-    model_block = model_to_text(fit.model).rstrip("\n").splitlines()
-    lines.append(f"model {len(model_block)}")
-    lines.extend(model_block)
+    lines.append(f"model {model.n_retained + 2}")
+    lines.append(f"{_MODEL_HEADER} {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}")
+    lines.extend(
+        f"{ids[i]} {label} {a!r}"
+        for i, label, a in zip(
+            fit.plan.retained.tolist(), map(int, model.labels.tolist()), model.alpha.tolist()
+        )
+    )
+    lines.append(f"bias {float(model.bias)!r}")
     lines.append(f"samples {fit.n}")
-    lines.append("id label outlyingness trimmed f")
+    lines.append(_TABLE_HEADER)
     lines.extend(
         f"{sid} {label} {r!r} {'true' if cut else 'false'} {f!r}"
         for sid, label, r, cut, f in zip(
-            _text_ids(fit.ids),
+            ids,
             map(int, fit.labels.tolist()),
             fit.plan.outlyingness.tolist(),
             fit.plan.trimmed.tolist(),
@@ -416,12 +449,13 @@ def fit_to_text(fit: FitResult) -> str:
 def fit_from_text(text: str) -> FitResult:
     """Rebuild a FitResult from its report (samples are not serialized).
 
-    Raises SerializationError, and nothing else, on a malformed report, one
-    whose chosen-c or kernel line disagrees with its model block, one whose
-    samples line is negative or is not followed by exactly that many rows
-    (blank lines may trail), or one with a sample the outlier map cannot
-    draw: a label other than -1/+1, a negative or nan outlyingness (+inf is
-    kept) or a non-finite f.
+    Raises SerializationError, and nothing else, on a malformed report; on
+    one whose chosen-c or kernel line disagrees with its model block, or
+    whose model block names other ids or labels than the retained rows of
+    its sample table; on one whose samples line is negative or is not
+    followed by exactly that many rows (blank lines may trail); or on one
+    with a sample the outlier map cannot draw: a label other than -1/+1, a
+    negative or nan outlyingness (+inf is kept) or a non-finite f.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -441,6 +475,21 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError(f"expected {key!r} line, got {line!r}")
         return rest
 
+    def columns(count, width):
+        """The next count lines, each of exactly width fields, as width
+        tuples of fields."""
+        rows = []
+        for _ in range(count):
+            line = take()
+            parts = line.split()
+            if len(parts) != width:
+                raise SerializationError(f"bad row: {line!r}")
+            rows.append(parts)
+        return tuple(zip(*rows)) if rows else ((),) * width
+
+    def floats(col):
+        return np.array(list(map(float, col)), dtype=np.float64)
+
     try:
         kappa = float(keyed("kappa"))
         chosen_c = float(keyed("chosen-c"))
@@ -448,44 +497,49 @@ def fit_from_text(text: str) -> FitResult:
         policy_minus = _policy_from_text(keyed("policy-minus"))
         policy_plus = _policy_from_text(keyed("policy-plus"))
         kernel = keyed("kernel")
-        cv_rows = int(keyed("cv-table"))
-        cv_table = []
-        for _ in range(cv_rows):
-            c_txt, err_txt = take().split()
-            cv_table.append((float(c_txt), float(err_txt)))
-        model_lines = int(keyed("model"))
-        model = model_from_text("\n".join(lines[pos : pos + model_lines]))
-        pos += model_lines
-        if chosen_c != model.c or kernel != model.spec.describe():
+        grid, errors = columns(int(keyed("cv-table")), 2)
+        cv_table = tuple(zip(map(float, grid), map(float, errors)))
+        block = int(keyed("model"))
+        if block < 2:
+            raise SerializationError(f"model block needs a header and a bias line, got {block} lines")
+        fields = dict(tok.split("=", 1) for tok in keyed(_MODEL_HEADER).split())
+        c, tol = float(fields.pop("C")), float(fields.pop("tol"))
+        kind = fields.pop("kind")
+        types = {"gamma": float, "degree": int, "coef0": float, "kmer": int}
+        spec = KernelSpec(kind=kind, **{name: types[name](value) for name, value in fields.items()})
+        if chosen_c != c or kernel != spec.describe():
             raise SerializationError("chosen-c or kernel line disagrees with the model block")
+        model_ids, model_labels, alpha = columns(block - 2, 3)
+        bias = float(keyed("bias"))
         n = int(keyed("samples"))
         if n < 0:
             raise SerializationError(f"sample count must be >= 0, got {n}")
-        if take() != "id label outlyingness trimmed f":
+        if take() != _TABLE_HEADER:
             raise SerializationError("fit report missing sample table header")
-        ids, labels, r_vals, trimmed, f_vals = [], [], [], [], []
-        for _ in range(n):
-            parts = take().split()
-            if len(parts) != 5:
-                raise SerializationError(f"bad sample row: {lines[pos - 1]!r}")
-            ids.append(parts[0])
-            labels.append(float(parts[1]))
-            r_vals.append(float(parts[2]))
-            trimmed.append({"true": True, "false": False}[parts[3]])
-            f_vals.append(float(parts[4]))
+        ids, labels, r_vals, trimmed, f_vals = columns(n, 5)
         if any(line.strip() for line in lines[pos:]):
             raise SerializationError(f"fit report has lines after its {n} samples")
-        labels, r_vals, f_vals = np.array(labels), np.array(r_vals), np.array(f_vals)
+        labels, r_vals, f_vals = floats(labels), floats(r_vals), floats(f_vals)
+        trimmed = [{"true": True, "false": False}[cut] for cut in trimmed]
         if not (np.abs(labels) == 1.0).all():
             raise SerializationError("sample labels must be -1 or +1")
         if not (r_vals >= 0.0).all():
             raise SerializationError("sample outlyingness must be nonnegative and not nan")
         if not np.isfinite(f_vals).all():
             raise SerializationError("sample decision values must be finite")
+        plan = TrimPlan(kappa, r_vals, trimmed)
+        retained = plan.retained.tolist()
+        model_labels = floats(model_labels)
+        if model_ids != tuple(ids[i] for i in retained) or not np.array_equal(
+            model_labels, labels[retained]
+        ):
+            raise SerializationError(
+                "model block's ids or labels disagree with the retained rows of the sample table"
+            )
         return FitResult(
-            model=model,
-            plan=TrimPlan(kappa, r_vals, trimmed),
-            cv_table=tuple(cv_table),
+            model=SvmModel(floats(alpha), model_labels, bias, c, tol, spec),
+            plan=plan,
+            cv_table=cv_table,
             folds_used=folds_used,
             decision_values=f_vals,
             ids=ids,

@@ -31,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    SerializationError,
-    SingleClassError,
-)
-from .kernels import KernelMatrix, KernelSpec, _frozen, parse_spec
+from .errors import ConvergenceError, DimensionError, SingleClassError
+from .kernels import KernelMatrix, KernelSpec, _frozen
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -46,7 +41,9 @@ DEFAULT_MAX_ITER = 10_000_000
 # when computing the bias.
 _INTERIOR_TOL = 1e-8
 
-# Floor for the curvature of a two-variable subproblem (coincident points).
+# Floor for the curvature of a two-variable subproblem (coincident points),
+# relative to the pair's scale |K_ii + K_jj| so that the solve does not
+# depend on the data's unit; a pair of zero scale keeps the bare value.
 _CURVATURE_FLOOR = 1e-12
 
 
@@ -57,7 +54,6 @@ class SvmModel:
     alpha: np.ndarray
     labels: np.ndarray
     bias: float
-    ids: tuple
     c: float
     tol: float
     spec: KernelSpec | None = None
@@ -67,10 +63,9 @@ class SvmModel:
     def __post_init__(self):
         object.__setattr__(self, "alpha", _frozen(self.alpha))
         object.__setattr__(self, "labels", _frozen(self.labels))
-        object.__setattr__(self, "ids", tuple(self.ids))
-        a, y, ids = self.alpha, self.labels, self.ids
-        if y.shape != a.shape or a.shape != (len(ids),):
-            raise DimensionError(f"{len(ids)} ids and {y.size} labels for alpha of shape {a.shape}")
+        a, y = self.alpha, self.labels
+        if a.ndim != 1 or y.shape != a.shape:
+            raise DimensionError(f"{y.size} labels for alpha of shape {a.shape}")
 
     @property
     def n_retained(self) -> int:
@@ -91,13 +86,11 @@ def solve_dual(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     spec: KernelSpec | None = None,
-    ids=None,
     start=None,
 ) -> SvmModel:
     """Solve the dual on the retained set's kernel matrix and its -1/+1 labels.
 
-    The model records `ids` for its retained samples, 0..n-1 when none are
-    given, and the pair updates made and final KKT violation.
+    The model records the pair updates made and the final KKT violation.
 
     `start` is an alpha vector feasible for this C (in [0, C], with
     sum alpha_i y_i = 0), e.g. the solution at a smaller C; the solve
@@ -105,8 +98,8 @@ def solve_dual(
     ValueError.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
-    Raises DimensionError, before any update, when the kernel matrix or ids
-    do not match the labels in size, SingleClassError when one class is
+    Raises DimensionError, before any update, when the kernel matrix does
+    not match the labels in size, SingleClassError when one class is
     absent and ConvergenceError (carrying the residual violation) when the
     pair-update cap is hit or the violation turns nan.
     """
@@ -116,9 +109,6 @@ def solve_dual(
         raise ValueError("labels must be -1 or +1")
     if omega_t.k != n:
         raise DimensionError(f"kernel matrix is {omega_t.k}x{omega_t.k} but {n} labels given")
-    ids = range(n) if ids is None else tuple(ids)
-    if len(ids) != n:
-        raise DimensionError(f"{len(ids)} ids given for {n} labels")
     n_minus = int(np.count_nonzero(y < 0))
     if n_minus == 0 or n_minus == n:
         raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
@@ -191,7 +181,8 @@ def solve_dual(
                         max_violation=gap,
                     )
                 break
-            quad = max(diag[i] + diag[j] - 2.0 * kk.item(i, j), _CURVATURE_FLOOR)
+            scale = diag[i] + diag[j]
+            quad = max(scale - 2.0 * kk.item(i, j), _CURVATURE_FLOOR * abs(scale) or _CURVATURE_FLOOR)
             b_i, b_j = beta_l[i], beta_l[j]
             lam = min(upper_l[i] - b_i, b_j - lower_l[j], gap / quad)
             # Pin to the box exactly so bound membership stays an exact test.
@@ -229,7 +220,6 @@ def solve_dual(
         alpha=alpha,
         labels=y,
         bias=bias,
-        ids=ids,
         c=float(c),
         tol=float(tol),
         spec=spec,
@@ -251,69 +241,3 @@ def decision_values(model: SvmModel, omega_block) -> np.ndarray:
 def sign_labels(f) -> np.ndarray:
     """Predicted labels sign(f) as -1.0/+1.0; f == 0 resolves to +1."""
     return np.where(f >= 0.0, 1.0, -1.0)
-
-
-_MODEL_HEADER = "sdsvm-model-v1"
-
-
-def _text_ids(ids) -> list:
-    """str of each id, or SerializationError naming the first id that holds
-    whitespace (which would split its row)."""
-    texts = list(map(str, ids))
-    if any(map(str.isspace, "".join(texts))):
-        bad = next(t for t in texts if any(map(str.isspace, t)))
-        raise SerializationError(f"id {bad!r} contains whitespace")
-    return texts
-
-
-def model_to_text(model: SvmModel) -> str:
-    """Versioned plain-text form; doubles use shortest round-trip decimals."""
-    if model.spec is None:
-        raise SerializationError("model has no kernel spec attached")
-    lines = [f"{_MODEL_HEADER} {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}"]
-    lines.extend(
-        f"{sid} {label} {a!r}"
-        for sid, label, a in zip(
-            _text_ids(model.ids), map(int, model.labels.tolist()), model.alpha.tolist()
-        )
-    )
-    lines.append(f"bias {float(model.bias)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def model_from_text(text: str) -> SvmModel:
-    """Inverse of model_to_text (samples and solver statistics are not serialized).
-
-    Raises SerializationError, and nothing else, on a malformed block.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(_MODEL_HEADER + " "):
-        raise SerializationError("not a sdsvm model block")
-    try:
-        header = lines[0][len(_MODEL_HEADER) + 1 :]
-        fields = dict(tok.split("=", 1) for tok in header.split())
-        c = float(fields.pop("C"))
-        tol = float(fields.pop("tol"))
-        spec = parse_spec(" ".join(f"{k}={v}" for k, v in fields.items()))
-        if not lines[-1].startswith("bias "):
-            raise SerializationError("model block missing bias line")
-        bias = float(lines[-1].split(" ", 1)[1])
-        ids, labels, alpha = [], [], []
-        for ln in lines[1:-1]:
-            parts = ln.split()
-            if len(parts) != 3:
-                raise SerializationError(f"bad model sample line: {ln!r}")
-            ids.append(parts[0])
-            labels.append(float(parts[1]))
-            alpha.append(float(parts[2]))
-        return SvmModel(
-            alpha=np.array(alpha),
-            labels=np.array(labels),
-            bias=bias,
-            ids=tuple(ids),
-            c=c,
-            tol=tol,
-            spec=spec,
-        )
-    except (ValueError, IndexError, KeyError) as exc:
-        raise SerializationError(f"bad model block: {exc}") from exc

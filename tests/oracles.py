@@ -374,7 +374,7 @@ def select_c_cold(omega_t, labels_t, cv):
 
 
 def solve_dual_reference(
-    omega_t, labels, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, spec=None, ids=None, start=None
+    omega_t, labels, c, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, spec=None, start=None
 ):
     """svm.solve_dual as whole-vector numpy steps: every pair update rebuilds
     y * g and both masked candidate vectors.  The library's loop must give
@@ -426,7 +426,8 @@ def solve_dual_reference(
                         max_violation=float(gap),
                     )
                 break
-            quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], _CURVATURE_FLOOR)
+            floor = _CURVATURE_FLOOR * abs(kk[i, i] + kk[j, j]) or _CURVATURE_FLOOR
+            quad = max(kk[i, i] + kk[j, j] - 2.0 * kk[i, j], floor)
             lam = min(upper[i] - beta[i], beta[j] - lower[j], gap / quad)
             beta[i] = min(upper[i], beta[i] + lam)
             beta[j] = max(lower[j], beta[j] - lam)
@@ -451,7 +452,6 @@ def solve_dual_reference(
         alpha=alpha,
         labels=y,
         bias=bias,
-        ids=range(n) if ids is None else ids,
         c=float(c),
         tol=float(tol),
         spec=spec,
@@ -564,22 +564,26 @@ def rbf_gram_reference(x, gamma):
     return gram
 
 
-def model_to_text_reference(model):
-    """svm.model_to_text, one formatted sample at a time."""
-    if model.spec is None:
-        raise SerializationError("model has no kernel spec attached")
+def model_to_text_reference(model, ids):
+    """The model block of pipeline.fit_to_text, one formatted sample at a
+    time; ids are the text ids of the retained samples."""
     lines = [f"sdsvm-model-v1 {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}"]
-    for sid, label, a in zip(model.ids, model.labels, model.alpha):
-        text_id = str(sid)
-        if any(ch.isspace() for ch in text_id):
-            raise SerializationError(f"id {text_id!r} contains whitespace")
-        lines.append(f"{text_id} {int(label)} {float(a)!r}")
+    for sid, label, a in zip(ids, model.labels, model.alpha):
+        lines.append(f"{sid} {int(label)} {float(a)!r}")
     lines.append(f"bias {float(model.bias)!r}")
     return "\n".join(lines) + "\n"
 
 
 def fit_to_text_reference(fit):
     """pipeline.fit_to_text, one formatted sample at a time."""
+    if fit.model.spec is None:
+        raise SerializationError("model has no kernel spec attached")
+    ids = []
+    for sid in fit.ids:
+        text_id = str(sid)
+        if any(ch.isspace() for ch in text_id):
+            raise SerializationError(f"id {text_id!r} contains whitespace")
+        ids.append(text_id)
     lines = [
         "sdsvm-fit-v1",
         f"kappa {fit.plan.kappa!r}",
@@ -592,17 +596,15 @@ def fit_to_text_reference(fit):
     ]
     for c, err in fit.cv_table:
         lines.append(f"{float(c)!r} {float(err)!r}")
-    model_block = model_to_text_reference(fit.model).rstrip("\n").splitlines()
+    retained_ids = [ids[i] for i in range(fit.n) if not fit.plan.trimmed[i]]
+    model_block = model_to_text_reference(fit.model, retained_ids).rstrip("\n").splitlines()
     lines.append(f"model {len(model_block)}")
     lines.extend(model_block)
     lines.append(f"samples {fit.n}")
     lines.append("id label outlyingness trimmed f")
     for i in range(fit.n):
-        sid = str(fit.ids[i])
-        if any(ch.isspace() for ch in sid):
-            raise SerializationError(f"id {sid!r} contains whitespace")
         lines.append(
-            f"{sid} {int(fit.labels[i])} {float(fit.plan.outlyingness[i])!r} "
+            f"{ids[i]} {int(fit.labels[i])} {float(fit.plan.outlyingness[i])!r} "
             f"{'true' if fit.plan.trimmed[i] else 'false'} {float(fit.decision_values[i])!r}"
         )
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sdsvm import (
     select_C,
     solve_dual,
     trim,
+    TrimPlan,
 )
 from sdsvm.data import SimulationSpec
 from sdsvm.errors import (
@@ -229,9 +231,9 @@ class TestWarmCPath:
     def test_final_train_solve_starts_cold(self, monkeypatch):
         starts = []
 
-        def recording(omega, labels, c, tol=1e-3, spec=None, ids=None, start=None):
+        def recording(omega, labels, c, tol=1e-3, spec=None, start=None):
             starts.append(start)
-            return solve_dual(omega, labels, c, tol, spec=spec, ids=ids, start=start)
+            return solve_dual(omega, labels, c, tol, spec=spec, start=start)
 
         monkeypatch.setattr(sdsvm.pipeline, "solve_dual", recording)
         fit_sdsvm(gen_toy(1), LINEAR, cv=CvConfig(folds=3, grid=(0.01, 1.0)))
@@ -498,7 +500,10 @@ class TestFitReport:
         assert np.array_equal(back.plan.outlyingness, fit.plan.outlyingness)
         assert np.array_equal(back.plan.trimmed, fit.plan.trimmed)
         assert back.model.bias == fit.model.bias
+        assert back.model.tol == fit.model.tol
         assert np.array_equal(back.model.alpha, fit.model.alpha)
+        assert np.array_equal(back.model.labels, fit.model.labels)
+        assert back.model.updates == 0 and math.isnan(back.model.gap)  # not serialized
         # second serialization is byte-identical
         assert fit_to_text(back) == text
 
@@ -516,6 +521,9 @@ class TestFitReport:
             (4, "policy-minus exhaustive"),
             (6, "kernel gamma"),
             (10, "sdsvm-model-v1 kind=linear C=x tol=0.001"),
+            # an unknown kernel field was once dropped, so the model read
+            # back as another kernel than its header named
+            (10, "sdsvm-model-v1 kind=linear sigma=2.0 C=0.1 tol=0.001"),
             # well-formed lines that contradict the model block
             (2, "chosen-c 0.2"),
             (6, "kernel kind=rbf gamma=1.0"),
@@ -535,10 +543,68 @@ class TestFitReport:
             fit_from_text("\n".join(lines[:-3]))
 
     def test_negative_sample_count_raises_even_without_rows(self):
-        text = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR))
-        head = text[: text.index("id label outlyingness trimmed f\n")]
-        assert head.endswith("samples 66\n")
-        table = "id label outlyingness trimmed f\n"
-        assert fit_from_text(head.replace("samples 66", "samples 0") + table).n == 0
+        # samples 0 reads back only under an empty model block: a block of
+        # 33 rows over a 0-row table names ids the table does not retain.
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        at = lines.index("model 35")
+        assert lines[at + 36] == "samples 66"
+        head = lines[:at] + ["model 2", lines[at + 1], lines[at + 35]]
+        assert head[-1].startswith("bias ")
+        table = ["id label outlyingness trimmed f"]
+        assert fit_from_text("\n".join(head + ["samples 0"] + table)).n == 0
         with pytest.raises(SerializationError, match="sample count"):
-            fit_from_text(head.replace("samples 66", "samples -1") + table)
+            fit_from_text("\n".join(head + ["samples -1"] + table))
+        with pytest.raises(SerializationError, match="model block"):
+            fit_from_text("\n".join(lines[: at + 36] + ["samples 0"] + table))
+
+    @pytest.mark.parametrize("edit", ["id", "label", "drop", "swap"])
+    def test_model_block_must_name_the_retained_rows(self, edit):
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        at = lines.index("model 35")
+        first = at + 2  # the block's first sample row, after its header
+        sid, label, alpha = lines[first].split()
+        if edit == "id":
+            lines[first] = f"999 {label} {alpha}"
+        elif edit == "label":
+            lines[first] = f"{sid} {-int(label)} {alpha}"
+        elif edit == "drop":
+            lines[at : first + 1] = ["model 34", lines[at + 1]]
+        else:
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        with pytest.raises(SerializationError, match="model block"):
+            fit_from_text("\n".join(lines))
+
+    @pytest.mark.parametrize("count", ["model 1", "model 0", "model -1"])
+    def test_model_block_needs_header_and_bias(self, count):
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        lines[lines.index("model 35")] = count
+        with pytest.raises(SerializationError):
+            fit_from_text("\n".join(lines))
+
+
+def _shifted_retained(plan):
+    """plan with one more sample retained."""
+    trimmed = plan.trimmed.copy()
+    trimmed[np.flatnonzero(trimmed)[0]] = False
+    return replace(plan, trimmed=trimmed)
+
+
+class TestFitResult:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fit: {"ids": fit.ids[:-5]},
+            lambda fit: {"labels": fit.labels[:-1]},
+            lambda fit: {"decision_values": fit.decision_values[1:]},
+            lambda fit: {"plan": replace(fit.plan, outlyingness=fit.plan.outlyingness[:-1])},
+            lambda fit: {"plan": replace(fit.plan, trimmed=fit.plan.trimmed[:-1])},
+            lambda fit: {"plan": _shifted_retained(fit.plan)},
+        ],
+        ids=["ids", "labels", "decision_values", "outlyingness", "trimmed", "retained"],
+    )
+    def test_columns_and_model_must_agree(self, edit):
+        # A fit with 5 ids cut off was once written as a 61-sample report
+        # of a 66-sample fit, and read back without error.
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        with pytest.raises(ValueError):
+            replace(fit, **edit(fit))

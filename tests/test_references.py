@@ -17,7 +17,7 @@ from sdsvm.data import _csv_by_line
 from sdsvm.errors import SdsvmError
 from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
 from sdsvm.pipeline import FitResult, TrimPlan, fit_to_text
-from sdsvm.svm import SvmModel, model_to_text
+from sdsvm.svm import SvmModel
 
 from conftest import with_number_tokens
 from oracles import (
@@ -25,7 +25,6 @@ from oracles import (
     fit_to_text_reference,
     map_to_csv_reference,
     map_to_svg_reference,
-    model_to_text_reference,
     rbf_gram_reference,
 )
 
@@ -78,7 +77,6 @@ def fits(draw, n_max=6):
         alpha=draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)),
         labels=labels[kept],
         bias=draw(f_values),
-        ids=[ids[i] for i in kept],
         c=c,
         tol=1e-3,
         spec=draw(specs),
@@ -98,9 +96,9 @@ def fits(draw, n_max=6):
 
 class TestWriters:
     @given(fits())
-    def test_fit_and_model_text(self, fit):
+    def test_fit_text(self, fit):
+        # The reference writes the model block with model_to_text_reference.
         assert outcome(fit_to_text, fit) == outcome(fit_to_text_reference, fit)
-        assert outcome(model_to_text, fit.model) == outcome(model_to_text_reference, fit.model)
 
     @given(fits(), st.integers(-1, 8), st.sampled_from([None, 0.0, 2.5, 1e300]))
     def test_map(self, fit, label_top, threshold):

@@ -15,7 +15,6 @@ from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load
 from sdsvm.errors import SdsvmError
 from sdsvm.kernels import KernelSpec
 from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
-from sdsvm.svm import model_from_text, model_to_text
 
 from conftest import with_number_tokens
 from oracles import parse_csv
@@ -26,7 +25,10 @@ FASTA = ">a first\nACGT\nAC\n>b\nGGATT\n>c\nTTGA\n"
 FASTA_LABELS = "a 1\nb -1\nc -1\n"
 _FIT = fit_sdsvm(gen_toy(seed=1), KernelSpec())
 FIT_TEXT = fit_to_text(_FIT)
-MODEL_TEXT = model_to_text(_FIT.model)
+_FIT_LINES = FIT_TEXT.splitlines()
+_MODEL_AT = next(i for i, line in enumerate(_FIT_LINES) if line.startswith("model "))
+_MODEL_END = _MODEL_AT + 1 + int(_FIT_LINES[_MODEL_AT].split()[1])
+MODEL_TEXT = "\n".join(_FIT_LINES[_MODEL_AT + 1 : _MODEL_END]) + "\n"
 MAP_CSV = map_to_csv(build_map(_FIT))
 
 
@@ -102,6 +104,14 @@ def test_fit_from_text(text):
     parses_or_raises_sdsvm_error(rendered_from_text, text)
 
 
+def with_model_block(block):
+    """FIT_TEXT with block in place of its model block, its lines counted."""
+    lines = block.splitlines()
+    return "\n".join(
+        _FIT_LINES[:_MODEL_AT] + [f"model {len(lines)}"] + lines + _FIT_LINES[_MODEL_END:]
+    )
+
+
 @given(number_like(MODEL_TEXT))
-def test_model_from_text(text):
-    parses_or_raises_sdsvm_error(model_from_text, text)
+def test_model_block_in_fit_from_text(text):
+    parses_or_raises_sdsvm_error(rendered_from_text, with_model_block(text))

@@ -24,7 +24,7 @@ from .errors import (
 from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, check_kappa, fit_ranked, rank
-from .rng import Stream, check_seed, derive_key
+from .rng import Stream, check_integer, check_seed, derive_key
 from .svm import decision_values, sign_labels
 
 
@@ -87,8 +87,10 @@ class SimulationSpec:
     def __post_init__(self):
         sizes = {"n_per_group": 1, "dim": 1, "test_size": 2, "runs": 1, "outliers_per_group": 0}
         for name, least in sizes.items():
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            check_integer(name, value)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if not math.isfinite(self.shift):
             raise ValueError(f"shift must be finite, got {self.shift}")
         kappas = tuple(float(k) for k in self.kappas)

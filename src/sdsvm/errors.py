@@ -44,6 +44,13 @@ class ConvergenceError(SdsvmError):
         self.max_violation = max_violation
 
 
+class InvalidModel(SdsvmError, ValueError):
+    """A model's values are not a dual solution the solver could return.
+
+    A ValueError too, like any other bad setting or value.
+    """
+
+
 class GroupEmptyAfterTrim(SdsvmError):
     """Flooring kappa * group size left a group with zero retained samples."""
 

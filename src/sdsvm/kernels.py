@@ -18,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInput, KernelTypeError
+from .rng import check_integer
 
 KINDS = ("linear", "rbf", "polynomial", "spectrum", "precomputed")
 
@@ -78,7 +79,8 @@ class KernelSpec:
             raise ValueError(f"coef0 must be finite, got {self.coef0}")
         for name in ("degree", "kmer"):
             value = getattr(self, name)
-            if not (value >= 1 and value % 1 == 0):
+            check_integer(name, value)
+            if value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
 
     def describe(self) -> str:

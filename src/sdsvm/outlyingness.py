@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NoValidDirections, TooFewSamples
 from .kernels import KernelMatrix, _frozen
-from .rng import Stream, check_seed, derive_key
+from .rng import Stream, check_integer, check_seed, derive_key
 
 # A pair whose squared feature-space distance is at or below this fraction
 # of its own scale |d_i + d_j| is treated as coincident points: far above the
@@ -60,6 +60,7 @@ class DirectionPolicy:
     def __post_init__(self):
         if self.mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"mode must be 'auto', 'exhaustive' or 'sampled', got {self.mode!r}")
+        check_integer("count", self.count)
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
         check_seed(self.seed)
@@ -80,7 +81,7 @@ class OutlyingnessReport:
     policy: DirectionPolicy
     degenerate_pairs: int = 0
     directions: int = 0  # pairs enumerated, degenerate ones included
-    draws: int = 0  # candidates the sampler drew up to its stop; 0 when exhaustive
+    draws: int = 0  # candidates the sampler drew up to its stop; 0 when scanned exhaustively
 
     def __post_init__(self):
         arr = _frozen(self.r)
@@ -119,7 +120,8 @@ class Directions:
     feature-space distance sq[t] is above its degeneracy bound (see
     _pair_norms); len() counts them.
     `degenerate` counts the enumerated pairs left out, nan norms included;
-    `draws` the candidates the sampler drew up to its stop, 0 when exhaustive.
+    `draws` the candidates the sampler drew up to its stop, 0 when scanned
+    exhaustively.
     """
 
     policy: DirectionPolicy
@@ -138,15 +140,16 @@ def enumerate_directions(omega: KernelMatrix, policy: DirectionPolicy = Directio
     outlyingness scans; NoValidDirections when none is left.
 
     Auto mode resolves through default_policy, from omega.k and policy.seed.
-    Exhaustive mode enumerates every pair, sampled mode the pairs that a
-    loop drawing one pair at a time from the ("directions",) stream would
-    accept (see _sample_pairs); nan norms are counted as degenerate.
+    Exhaustive mode, and a sampled count of k(k-1)/2 or more, scan every
+    pair; a smaller count the pairs that a loop drawing one pair at a time
+    from the ("directions",) stream would accept (see _sample_pairs); nan
+    norms are counted as degenerate.
     """
     k = omega.k
     if policy.mode == "auto":
         policy = default_policy(k, policy.seed)
     entries = omega.entries
-    if policy.mode == "exhaustive":
+    if policy.mode == "exhaustive" or policy.count >= k * (k - 1) // 2:
         (lo, hi), draws = np.triu_indices(k, 1), 0
     else:
         lo, hi, draws = _sample_pairs(k, policy, entries)
@@ -165,23 +168,17 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
     are exactly those of one-pair-at-a-time draws.  A candidate is accepted
     when i != j, the pair is not degenerate and it is the pair's first
     non-degenerate occurrence; the block is cut where the one-at-a-time loop
-    would stop: count accepted, more than 100 * count rejections, or, when
-    count reaches the k(k-1)/2 pairs that exist, every non-degenerate pair
-    accepted.  draws counts the candidates up to that stop.
+    would stop: count accepted or more than 100 * count rejections.  draws
+    counts the candidates up to that stop.
     """
     stream = Stream(derive_key(policy.seed, "directions"))
-    count = target = policy.count
+    count = policy.count
     limit = 100 * count
-    if count >= k * (k - 1) // 2:
-        # Every pair can be accepted: stop once the non-degenerate ones are.
-        # ~(sq <= bound), not sq > bound: a nan norm is accepted, as below.
-        sq, bound = _pair_norms(entries, *np.triu_indices(k, 1))
-        target = int(np.count_nonzero(~(sq <= bound)))
     seen = np.empty(0, dtype=np.int64)  # lo * k + hi of every accepted pair
-    lo_parts, hi_parts = [seen], [seen]  # start empty, so a target of 0 yields no pairs
+    lo_parts, hi_parts = [], []
     accepted = rejections = draws = 0
-    while accepted < target and rejections <= limit:
-        block = min(max(target - accepted, _MIN_DRAW_BLOCK), _MAX_DRAW_BLOCK)
+    while accepted < count and rejections <= limit:
+        block = min(max(count - accepted, _MIN_DRAW_BLOCK), _MAX_DRAW_BLOCK)
         ij = stream.integers(2 * block, k)
         lo = np.minimum(ij[0::2], ij[1::2])
         hi = np.maximum(ij[0::2], ij[1::2])
@@ -195,7 +192,7 @@ def _sample_pairs(k: int, policy: DirectionPolicy, entries: np.ndarray):
         fresh[first[~np.isin(code[first], seen)]] = True
         accepted_after = accepted + np.cumsum(fresh)
         rejected_after = rejections + np.cumsum(~fresh)
-        stops = np.flatnonzero((accepted_after >= target) | (rejected_after > limit))
+        stops = np.flatnonzero((accepted_after >= count) | (rejected_after > limit))
         end = int(stops[0]) + 1 if stops.size else block
         keep = np.flatnonzero(fresh[:end])
         lo_parts.append(lo[keep])

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
-from .rng import Stream, check_seed, derive_key
+from .rng import Stream, check_integer, check_seed, derive_key
 from .svm import _INTERIOR_TOL, SvmModel, decision_values, sign_labels, solve_dual
 
 # Default C grid when optimization is requested without an explicit grid:
@@ -72,6 +72,7 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("folds", self.folds)
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
         grid = tuple(float(c) for c in self.grid)

@@ -59,11 +59,17 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValueError, its message starting with name, unless value is a
+    Python or numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer (not a bool) in [0, 2^64),
-    the seeds derive_key tells apart."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    """Raise ValueError unless seed is an integer (see check_integer) in
+    [0, 2^64), the seeds derive_key tells apart."""
+    check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 

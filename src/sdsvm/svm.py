@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, SingleClassError
+from .errors import ConvergenceError, DimensionError, InvalidModel, SingleClassError
 from .kernels import KernelMatrix, KernelSpec, _frozen
 
 DEFAULT_TOL = 1e-3
@@ -41,15 +41,30 @@ DEFAULT_MAX_ITER = 10_000_000
 # when computing the bias.
 _INTERIOR_TOL = 1e-8
 
+# Bound on |sum alpha_i y_i|, relative to C, for a model or a solve's start;
+# a solve leaves about 1e-12 * C at most.
+_BALANCE_TOL = 1e-9
+
 # Floor for the curvature of a two-variable subproblem (coincident points),
 # relative to the pair's scale |K_ii + K_jj| so that the solve does not
 # depend on the data's unit; a pair of zero scale keeps the bare value.
 _CURVATURE_FLOOR = 1e-12
 
 
+def _check_c_and_tol(c, tol) -> None:
+    for name, value in (("C", c), ("tol", tol)):
+        if not 0 < value < np.inf:
+            raise InvalidModel(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SvmModel:
-    """Fitted dual solution over the retained training samples."""
+    """Fitted dual solution over the retained training samples.
+
+    Holds only what a solve could return, checked on construction (an
+    InvalidModel otherwise): C and tol positive and finite, a finite bias,
+    every alpha in [0, C] and |sum alpha_i y_i| <= 1e-9 * C.
+    """
 
     alpha: np.ndarray
     labels: np.ndarray
@@ -66,6 +81,14 @@ class SvmModel:
         a, y = self.alpha, self.labels
         if a.ndim != 1 or y.shape != a.shape:
             raise DimensionError(f"{y.size} labels for alpha of shape {a.shape}")
+        _check_c_and_tol(self.c, self.tol)
+        if not np.isfinite(self.bias):
+            raise InvalidModel(f"bias must be finite, got {self.bias!r}")
+        if not ((a >= 0.0) & (a <= self.c)).all():
+            raise InvalidModel(f"every alpha must lie in [0, C] with C={self.c!r}")
+        balance = float(a @ y)
+        if not abs(balance) <= _BALANCE_TOL * self.c:
+            raise InvalidModel(f"sum alpha_i y_i must be 0 to within 1e-9 * C, got {balance!r}")
 
     @property
     def n_retained(self) -> int:
@@ -98,10 +121,11 @@ def solve_dual(
     ValueError.
 
     Convergence criterion is the maximal KKT violation m(a) - M(a) <= tol.
-    Raises DimensionError, before any update, when the kernel matrix does
+    Raises, before any update, DimensionError when the kernel matrix does
     not match the labels in size, SingleClassError when one class is
-    absent and ConvergenceError (carrying the residual violation) when the
-    pair-update cap is hit or the violation turns nan.
+    absent and InvalidModel (a ValueError) unless C and tol are positive
+    and finite; and ConvergenceError (carrying the residual violation)
+    when the pair-update cap is hit or the violation turns nan.
     """
     y = np.asarray(labels, dtype=np.float64).ravel()
     n = y.shape[0]
@@ -112,8 +136,7 @@ def solve_dual(
     n_minus = int(np.count_nonzero(y < 0))
     if n_minus == 0 or n_minus == n:
         raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
-    if not c > 0:
-        raise ValueError(f"C must be positive, got {c}")
+    _check_c_and_tol(c, tol)
     kk = omega_t.entries
 
     # Work in beta = y * alpha: bounds become [A, B] per sample and both
@@ -127,7 +150,7 @@ def solve_dual(
             raise ValueError(f"start has shape {alpha0.shape}, expected ({n},)")
         if not ((alpha0 >= 0.0) & (alpha0 <= c)).all():
             raise ValueError(f"start must lie in [0, C] with C={c}")
-        if abs(float(alpha0 @ y)) > 1e-9 * c:
+        if abs(float(alpha0 @ y)) > _BALANCE_TOL * c:
             raise ValueError("start violates sum alpha_i y_i = 0")
         beta = y * alpha0
         with np.errstate(invalid="ignore", over="ignore"):  # as in the loop below

@@ -31,6 +31,7 @@ from sdsvm.errors import (
     ConvergenceError,
     DimensionError,
     EmptyInput,
+    InvalidModel,
     NoValidDirections,
     ParseError,
     SdsvmError,
@@ -181,9 +182,7 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
     """(pairs, draws) of the sampled direction policy, one stream draw per pair.
 
     Rejects i == j, repeated and degenerate pairs and gives up after
-    100 * count rejections; draws counts every candidate pair drawn.  When
-    count reaches the k(k-1)/2 pairs that exist, it stops as soon as every
-    non-degenerate pair is accepted, and raises at once if there is none.
+    100 * count rejections; draws counts every candidate pair drawn.
     """
     stream = Stream(derive_key(seed, "directions"))
     pairs = []
@@ -191,16 +190,7 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
     rejections = 0
     draws = 0
     limit = 100 * count
-    target = count
-    if count >= k * (k - 1) // 2:
-        target = 0
-        for i, j in itertools.combinations(range(k), 2):
-            with np.errstate(over="ignore", invalid="ignore"):
-                scale = entries[i, i] + entries[j, j]
-                sq = scale - 2.0 * entries[i, j]
-            if not sq <= DEGENERACY_TOL * abs(scale):
-                target += 1
-    while len(pairs) < target and rejections <= limit:
+    while len(pairs) < count and rejections <= limit:
         i, j = (int(v) for v in stream.integers(2, k))
         draws += 1
         if i == j:
@@ -226,9 +216,10 @@ def sample_pairs_one_at_a_time(k, count, seed, entries):
 
 def policy_pairs(policy, entries):
     """(pairs, draws) an exhaustive or sampled policy enumerates, degenerate
-    pairs included: every i < j in order, or the one-at-a-time sampler's."""
+    pairs included: every i < j in order, also for a sampled count of
+    k(k-1)/2 or more, or else the one-at-a-time sampler's."""
     k = entries.shape[0]
-    if policy.mode == "exhaustive":
+    if policy.mode == "exhaustive" or policy.count >= k * (k - 1) // 2:
         return list(itertools.combinations(range(k), 2)), 0
     return sample_pairs_one_at_a_time(k, policy.count, policy.seed, entries)
 
@@ -389,8 +380,9 @@ def solve_dual_reference(
     n_minus = int(np.count_nonzero(y < 0))
     if n_minus == 0 or n_minus == n:
         raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
-    if not c > 0:
-        raise ValueError(f"C must be positive, got {c}")
+    for name, value in (("C", c), ("tol", tol)):
+        if not 0 < value < math.inf:
+            raise InvalidModel(f"{name} must be positive and finite, got {value!r}")
     kk = omega_t.entries
     if start is None:
         beta = np.zeros(n)

@@ -174,6 +174,37 @@ def prop_outly_exhaustive_dominates_sampled(rows, seed):
 
 
 @given(
+    kernel_spec_st(),
+    matrix_st(k_min=3, k_max=10, d_max=3, elements=grid_value),
+    st.integers(0, 9),
+    st.one_of(st.integers(0, 3), st.integers(0, 10**12)),
+    st.integers(0, 2**64 - 1),
+)
+def prop_outly_full_count_is_exhaustive(spec, rows, copies, extra, seed):
+    """A sampled count of k(k-1)/2 or more scans every pair: r is the
+    exhaustive r bit for bit, nothing is drawn, and the policy stays."""
+    rows[rows.shape[0] - copies :] = rows[0]  # up to 9 copies of sample 0
+    om = kernel_matrix(spec, samples_of(rows))
+    pairs = om.k * (om.k - 1) // 2
+    policy = DirectionPolicy(mode="sampled", count=pairs + extra, seed=seed)
+
+    def report(policy):
+        try:
+            return outlyingness(om, policy)
+        except NoValidDirections:
+            return None
+
+    exhaustive, sampled = report(DirectionPolicy(mode="exhaustive")), report(policy)
+    if exhaustive is None:
+        assert sampled is None
+        return
+    assert sampled.r.tobytes() == exhaustive.r.tobytes()
+    assert (sampled.directions, sampled.degenerate_pairs) == (pairs, exhaustive.degenerate_pairs)
+    assert sampled.draws == 0
+    assert sampled.policy == policy
+
+
+@given(
     matrix_st(k_min=3, k_max=8, d_max=3, elements=grid_value),
     npst.arrays(np.float64, 3, elements=grid_value),
 )

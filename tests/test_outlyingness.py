@@ -250,12 +250,14 @@ def _overflowing_matrix(k):
 
 
 class TestSampledPairsMatchOneAtATime:
-    """Block draws give the pairs of the one-pair-per-draw loop, in order;
-    the record keeps those with a squared norm above the degeneracy floor."""
+    """Block draws give the pairs of the one-pair-per-draw loop, in order,
+    and a count that covers every pair scans them all; the record keeps
+    those with a squared norm above the degeneracy floor."""
 
     @staticmethod
     def _check(k, count, seed, om):
-        expected, draws = sample_pairs_one_at_a_time(k, count, seed, om.entries)
+        policy = DirectionPolicy(mode="sampled", count=count, seed=seed)
+        expected, draws = policy_pairs(policy, om.entries)
         e = om.entries
         with np.errstate(over="ignore", invalid="ignore"):
             scanned = [
@@ -263,7 +265,8 @@ class TestSampledPairsMatchOneAtATime:
                 for i, j in expected
                 if (e[i, i] + e[j, j]) - 2.0 * e[i, j] > DEGENERACY_TOL * abs(e[i, i] + e[j, j])
             ]
-        directions = enumerate_directions(om, DirectionPolicy(mode="sampled", count=count, seed=seed))
+        directions = enumerate_directions(om, policy)
+        assert directions.policy == policy
         assert pair_list(directions) == scanned
         assert directions.degenerate == len(expected) - len(scanned)
         assert directions.draws == draws
@@ -280,7 +283,8 @@ class TestSampledPairsMatchOneAtATime:
 
     def test_duplicate_points_are_rejected_as_degenerate(self):
         # Row 0 and its 6 copies coincide: 21 of the 190 pairs are
-        # degenerate, so asking for 175 runs into the rejection limit.
+        # degenerate, so asking for 175 runs into the rejection limit, and
+        # asking for 190 scans every pair.
         om = _random_matrix(20, seed=1, duplicates=6)
         for count in (10, 175, 190):
             self._check(20, count, 9, om)
@@ -292,29 +296,34 @@ class TestSampledPairsMatchOneAtATime:
         assert len(directions) == 169
         assert directions.draws == 169 + 100 * 180 + 1
 
-    @pytest.mark.parametrize("k, count", [(3, 2000), (30, 10**12)])
-    def test_stops_once_every_valid_pair_is_accepted(self, k, count):
-        # count covers every pair, so the draw that accepts the last one
-        # ends the loop, long before the rejection limit.
-        directions = self._check(k, count, 5, _random_matrix(k, seed=2))
-        assert len(directions) == k * (k - 1) // 2
-        assert directions.draws < 100 * k * k
+    @pytest.mark.parametrize("k, count", [(3, 3), (3, 2000), (30, 435), (30, 10**12)])
+    def test_full_count_scans_every_pair(self, k, count):
+        # A count that covers all k(k-1)/2 pairs scans them in order and
+        # draws nothing; one pair fewer is still drawn.
+        om = _random_matrix(k, seed=2)
+        directions = self._check(k, count, 5, om)
+        assert pair_list(directions) == list(itertools.combinations(range(k), 2))
+        assert directions.draws == 0
+        assert self._check(k, k * (k - 1) // 2 - 1, 5, om).draws > 0
 
-    def test_no_valid_pair_raises_without_drawing(self):
+    def test_no_valid_pair_raises(self):
+        # A full count scans all 6 pairs; a smaller one draws until its
+        # rejection limit and keeps none.
         om = linear_matrix([[1.0, 1.0]] * 4)
-        policy = DirectionPolicy(mode="sampled", count=10**12)
+        for count, scanned in [(10**12, 6), (6, 6), (5, 0)]:
+            with pytest.raises(NoValidDirections, match=f"among {scanned} enumerated pairs"):
+                enumerate_directions(om, DirectionPolicy(mode="sampled", count=count))
         with pytest.raises(NoValidDirections):
-            enumerate_directions(om, policy)
-        with pytest.raises(NoValidDirections):
-            sample_pairs_one_at_a_time(4, policy.count, policy.seed, om.entries)
+            sample_pairs_one_at_a_time(4, 5, 0, om.entries)
 
     def test_nan_norm_is_accepted(self):
         # The squared norm of (0, 1) is (1e308 + 1e308) - 2e308 = inf - inf,
         # nan, which is not <= the degeneracy floor: the loop accepts it,
-        # and the record counts it as degenerate.
+        # and the record counts it as degenerate.  A count of 9 of the 10
+        # pairs keeps the sampler's rule in play.
         entries = np.eye(5)
         entries[:2, :2] = 1e308
-        directions = self._check(5, 10, 3, _unchecked(entries))
+        directions = self._check(5, 9, 3, _unchecked(entries))
         assert (0, 1) not in pair_list(directions) and directions.degenerate == 1
 
 

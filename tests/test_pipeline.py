@@ -581,6 +581,39 @@ class TestFitReport:
         with pytest.raises(SerializationError):
             fit_from_text("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("alpha", "nan", r"alpha must lie in \[0, C\]"),
+            ("alpha", "-5.0", r"alpha must lie in \[0, C\]"),
+            ("alpha", "1e9", r"alpha must lie in \[0, C\]"),
+            ("alpha", "0.05", r"sum alpha_i y_i must be 0"),
+            ("C", "-1.0", "C must be positive and finite"),
+            ("C", "0.0", "C must be positive and finite"),
+            ("C", "inf", "C must be positive and finite"),
+            ("bias", "nan", "bias must be finite"),
+            ("bias", "inf", "bias must be finite"),
+            ("tol", "-3.0", "tol must be positive and finite"),
+        ],
+    )
+    def test_model_must_be_one_a_solve_could_return(self, key, value, rule):
+        # Each of these edits once read back without error.
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        at = lines.index("model 35")
+        header, row = at + 1, at + 4  # the block's header and its row "4 -1 0.1"
+        if key == "alpha":
+            assert lines[row] == "4 -1 0.1"
+            lines[row] = f"4 -1 {value}"
+        elif key == "C":  # on both lines that carry it, which must agree
+            lines[2] = f"chosen-c {value}"
+            lines[header] = lines[header].replace("C=0.1", f"C={value}")
+        elif key == "tol":
+            lines[header] = lines[header].replace("tol=0.001", f"tol={value}")
+        else:
+            lines[at + 35] = f"bias {value}"
+        with pytest.raises(SerializationError, match=rule):
+            fit_from_text("\n".join(lines))
+
 
 def _shifted_retained(plan):
     """plan with one more sample retained."""

@@ -73,9 +73,17 @@ def fits(draw, n_max=6):
     trimmed = np.array(column(st.booleans()))
     kept = np.flatnonzero(~trimmed)
     c = draw(st.sampled_from([0.1, 1.0, 2.0**15]))
+    alpha = np.array(draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)))
+    # Scale the class with the larger alpha sum down to the other's, so that
+    # sum alpha_i y_i = 0 as a solve leaves it.
+    y = labels[kept]
+    sums = {s: alpha[y == s].sum() for s in (-1.0, 1.0)}
+    big = max(sums, key=sums.get)
+    if sums[big] > 0.0:
+        alpha[y == big] *= sums[-big] / sums[big]
     model = SvmModel(
-        alpha=draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)),
-        labels=labels[kept],
+        alpha=alpha,
+        labels=y,
         bias=draw(f_values),
         c=c,
         tol=1e-3,

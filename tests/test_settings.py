@@ -51,6 +51,22 @@ _BAD_FIELDS = [  # (settings type, bad field values, field the message names)
     (check_kappa, {"kappa": 1.01}, "kappa"),
     (check_kappa, {"kappa": math.nan}, "kappa"),
     (TrimPlan, {"kappa": 7.0, "outlyingness": (), "trimmed": ()}, "kappa"),
+    # Integer fields take integers only, as seeds do: each of these was once
+    # accepted, then failed in the fit or wrote a report that did not read back.
+    (CvConfig, {"folds": 2.5}, "folds"),
+    (CvConfig, {"folds": 10.0}, "folds"),
+    (DirectionPolicy, {"count": 2.5}, "count"),
+    (DirectionPolicy, {"count": True}, "count"),
+    (DirectionPolicy, {"count": np.float64(5.0)}, "count"),
+    (SimulationSpec, {"n_per_group": 2.5}, "n_per_group"),
+    (SimulationSpec, {"dim": 3.0}, "dim"),
+    (SimulationSpec, {"test_size": 600.0}, "test_size"),
+    (SimulationSpec, {"runs": True}, "runs"),
+    (SimulationSpec, {"outliers_per_group": 0.5}, "outliers_per_group"),
+    (KernelSpec, {"degree": 2.0}, "degree"),
+    (KernelSpec, {"degree": np.True_}, "degree"),
+    (KernelSpec, {"kmer": 2.0}, "kmer"),
+    (KernelSpec, {"kmer": "3"}, "kmer"),
 ]
 
 
@@ -85,3 +101,11 @@ def test_seed_must_be_an_integer(settings, seed):
 def test_integer_seeds_are_accepted(seed):
     assert DirectionPolicy(seed=seed).seed == seed
     assert CvConfig(seed=seed).seed == seed
+
+
+def test_numpy_integer_fields_are_accepted():
+    three = np.int64(3)
+    assert DirectionPolicy(count=three).count == 3
+    assert CvConfig(folds=three).folds == 3
+    assert KernelSpec(degree=three, kmer=three).describe() == "kind=linear"
+    assert SimulationSpec(n_per_group=three, dim=three, runs=three, test_size=three).runs == 3

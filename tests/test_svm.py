@@ -16,7 +16,7 @@ from sdsvm import (
     kernel_matrix,
     solve_dual,
 )
-from sdsvm.errors import ConvergenceError, DimensionError, SingleClassError
+from sdsvm.errors import ConvergenceError, DimensionError, InvalidModel, PipelineError, SingleClassError, run_stage
 from sdsvm.pipeline import DEFAULT_C_GRID
 from sdsvm.svm import sign_labels
 from sdsvm.rng import Stream, derive_key
@@ -98,6 +98,37 @@ class TestSolveDual:
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
         with pytest.raises(ValueError):
             solve_dual(om, [-1.0, 1.0], 0.0)
+
+    @pytest.mark.parametrize("c, tol", [(math.inf, 1e-3), (math.nan, 1e-3), (1.0, 0.0), (1.0, -1e-3), (1.0, math.inf)])
+    def test_c_and_tol_rejected_before_any_update(self, c, tol):
+        # tol <= 0 once ran on to the update cap: the gap test never passed.
+        om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
+        with pytest.raises(InvalidModel, match="must be positive and finite"):
+            solve_dual(om, [-1.0, 1.0], c, tol, max_iter=10**12)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"c": 0.0},
+            {"c": math.inf},
+            {"tol": -3.0},
+            {"bias": math.nan},
+            {"bias": -math.inf},
+            {"alpha": [math.nan, math.nan]},
+            {"alpha": [-5.0, -5.0]},
+            {"alpha": [1e9, 1e9]},
+            {"alpha": [0.5, 0.25]},  # in the box, but sum alpha_i y_i = -0.25
+        ],
+    )
+    def test_model_holds_only_what_a_solve_could_return(self, fields):
+        values = {"alpha": [0.5, 0.5], "labels": [1.0, -1.0], "bias": 0.0, "c": 1.0, "tol": 1e-3}
+        SvmModel(**values)
+        with pytest.raises(InvalidModel) as info:
+            SvmModel(**{**values, **fields})
+        # A ValueError like any bad value, and an SdsvmError that a stage names.
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(PipelineError, match="stage 'train'"):
+            run_stage("train", SvmModel, **{**values, **fields})
 
     def test_labels_must_match_alpha(self):
         with pytest.raises(DimensionError):

@@ -249,15 +249,28 @@ def _settings(parser, args) -> dict:
         parser.error(f"{flag} {rule}")
 
 
-def _load_dataset(parser, args):
+def _loader(parser, args):
+    """The dataset loader the data flags describe, checked before any work.
+
+    A data flag that does not apply to the input's format exits 1 naming
+    it: --labels with CSV, --coding or a --label-col other than last with
+    FASTA.  Under map --fit, which loads no dataset, the flags are checked
+    all the same (the format rule only under an explicit --format).
+    """
     fmt = args.format
-    if fmt == "auto":
+    if fmt == "auto" and args.data is not None:
         lower = args.data.lower()
         fmt = "fasta" if lower.endswith((".fa", ".fasta", ".fst", ".faa", ".fna")) else "csv"
     if fmt == "fasta":
-        if not args.labels:
+        if args.coding is not None:
+            parser.error("--coding applies to CSV input only")
+        if args.label_col != "last":
+            parser.error("--label-col applies to CSV input only")
+        if args.data is not None and not args.labels:
             parser.error("--labels is required for FASTA input")
-        return load_fasta(args.data, args.labels)
+        return functools.partial(load_fasta, args.data, args.labels)
+    if fmt == "csv" and args.labels is not None:
+        parser.error("--labels applies to FASTA input only")
     coding = None
     if args.coding is not None:
         parts = args.coding.split(",")
@@ -270,7 +283,7 @@ def _load_dataset(parser, args):
             label_col = int(label_col)
         except ValueError:
             parser.error(f"--label-col must be first/last or an index, got {label_col!r}")
-    return load_csv(args.data, label_col=label_col, coding=coding)
+    return functools.partial(load_csv, args.data, label_col=label_col, coding=coding)
 
 
 def _emit_map_outputs(args, fit):
@@ -288,7 +301,7 @@ def _emit_map_outputs(args, fit):
 
 def _cmd_fit(parser, args) -> int:
     settings = _settings(parser, args)
-    fit = fit_sdsvm(run_stage("load", _load_dataset, parser, args), **settings)
+    fit = fit_sdsvm(run_stage("load", _loader(parser, args)), **settings)
     run_stage("write", write_text, args.out_fit, fit_to_text(fit))
     return 0
 
@@ -296,12 +309,13 @@ def _cmd_fit(parser, args) -> int:
 def _cmd_map(parser, args) -> int:
     if (args.data is None) == (args.fit_report is None):
         parser.error("map needs a dataset path or --fit, not both")
-    # Built on the --fit path too, so that every flag map takes is checked.
+    # Both built on the --fit path too, so that every flag map takes is checked.
     settings = _settings(parser, args)
+    load = _loader(parser, args)
     if args.fit_report is not None:
         fit = run_stage("load", lambda: fit_from_text(read_text(args.fit_report)))
     else:
-        fit = fit_sdsvm(run_stage("load", _load_dataset, parser, args), **settings)
+        fit = fit_sdsvm(run_stage("load", load), **settings)
     run_stage("render", _emit_map_outputs, args, fit)
     return 0
 

@@ -267,63 +267,18 @@ def simulation_summary_csv(result: SimulationResult) -> str:
 def load_csv(path, label_col="last", coding=None) -> Dataset:
     """Rectangular numeric CSV (no header) with one label column.
 
-    label_col is "first", "last", or a 0-based column index.  Labels must be
-    +-1 unless a two-value coding (neg_token, pos_token) maps them; feature
-    cells must be finite numbers.  Cells are read as float() reads them.
+    label_col is "first", "last", or a 0-based column index (an integer).
+    Labels must be +-1 unless a two-value coding (neg_token, pos_token) maps
+    them; feature cells must be finite numbers.  Cells are read as float()
+    reads them.  A bad file raises for its first bad line in file order.
     """
-    lines = read_text(path).splitlines()
-    if coding is None:
-        dataset = _csv_in_bulk(lines, label_col)
-        if dataset is not None:
-            return dataset
-    return _csv_by_line(lines, label_col, coding)
-
-
-def _label_index(label_col, width: int) -> int:
-    if label_col == "last":
-        return width - 1
-    if label_col == "first":
-        return 0
-    return int(label_col)
-
-
-def _csv_in_bulk(lines, label_col) -> Dataset | None:
-    """The Dataset of a valid +-1-labeled CSV, all cells parsed as one array.
-
-    np.array converts each str cell with float(), so values and accepted
-    tokens are those of the line loop.  Returns None when any check fails,
-    and the line loop then reports the first bad line.
-    """
-    rows = [raw for raw in lines if raw.strip()]
-    if not rows:
-        return None
-    width = rows[0].count(",") + 1
-    if width < 2:
-        return None
-    col = _label_index(label_col, width)
-    if not 0 <= col < width or any(raw.count(",") != width - 1 for raw in rows):
-        return None
-    try:
-        cells = np.array(",".join(rows).split(","), dtype=np.float64)
-    except ValueError:
-        return None
-    cells = cells.reshape(len(rows), width)
-    labels = cells[:, col]
-    x = np.delete(cells, col, axis=1)
-    if not (np.all((labels == 1.0) | (labels == -1.0)) and np.all(np.isfinite(x))):
-        return None
-    return Dataset(x=x, labels=labels)
-
-
-def _csv_by_line(lines, label_col, coding) -> Dataset:
-    """load_csv one line at a time, raising for the first bad line."""
     rows = []
     labels = []
     width = None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
-        cells = [c.strip() for c in raw.split(",")]
+        cells = raw.split(",")
         if width is None:
             width = len(cells)
             if width < 2:
@@ -333,33 +288,47 @@ def _csv_by_line(lines, label_col, coding) -> Dataset:
                 raise ParseError(f"label column {col} outside row of width {width}", line=lineno)
         elif len(cells) != width:
             raise ParseError(f"ragged row: {len(cells)} cells, expected {width}", line=lineno)
-        token = cells[col]
-        if coding is not None:
-            neg, pos = coding
-            if token == str(neg):
-                label = -1.0
-            elif token == str(pos):
-                label = 1.0
-            else:
-                raise LabelError(f"label {token!r} not in coding {coding!r}", line=lineno)
-        else:
-            try:
-                label = float(token)
-            except ValueError:
-                raise LabelError(f"label {token!r} is not numeric", line=lineno) from None
-            if label not in (-1.0, 1.0):
-                raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
+        labels.append(_label(cells.pop(col).strip(), coding, lineno))
         try:
-            row = [float(c) for c in cells[:col] + cells[col + 1 :]]
-        except ValueError as exc:
-            raise ParseError(f"non-numeric cell: {exc}", line=lineno) from None
+            row = list(map(float, cells))
+        except ValueError:
+            try:  # float() strips a cell itself; the message quotes the stripped token
+                row = [float(c.strip()) for c in cells]
+            except ValueError as exc:
+                raise ParseError(f"non-numeric cell: {exc}", line=lineno) from None
         if not all(map(math.isfinite, row)):
             raise ParseError("non-finite cell (nan or inf)", line=lineno)
         rows.append(row)
-        labels.append(label)
     if not rows:
         raise ParseError("no data rows", line=1)
     return Dataset(x=np.array(rows), labels=np.array(labels))
+
+
+def _label_index(label_col, width: int) -> int:
+    if label_col == "last":
+        return width - 1
+    if label_col == "first":
+        return 0
+    check_integer("label_col", label_col)
+    return int(label_col)
+
+
+def _label(token: str, coding, lineno: int) -> float:
+    """The -1/+1 label of a stripped token: its coding's, or the number it reads as."""
+    if coding is not None:
+        neg, pos = coding
+        if token == str(neg):
+            return -1.0
+        if token == str(pos):
+            return 1.0
+        raise LabelError(f"label {token!r} not in coding {coding!r}", line=lineno)
+    try:
+        label = float(token)
+    except ValueError:
+        raise LabelError(f"label {token!r} is not numeric", line=lineno) from None
+    if label not in (-1.0, 1.0):
+        raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
+    return label
 
 
 def load_fasta(path, labels_path) -> Dataset:
@@ -407,13 +376,7 @@ def load_fasta(path, labels_path) -> Dataset:
         rid, token = parts
         if rid in label_of:
             raise DuplicateId(rid)
-        try:
-            value = float(token)
-        except ValueError:
-            raise LabelError(f"label {token!r} is not numeric", line=lineno) from None
-        if value not in (-1.0, 1.0):
-            raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
-        label_of[rid] = value
+        label_of[rid] = _label(token, None, lineno)
     ids, sequences = zip(*records)
     for rid in ids:
         if rid not in label_of:

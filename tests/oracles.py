@@ -14,7 +14,10 @@ shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
 stream that sdsvm.rng must match byte for byte.  rbf_gram_reference and the
 *_to_text, build_map and map_to_* references are the full-matrix and
 per-cell forms of the RBF Gram matrix and the text writers, which the
-library's triangle and column forms must match byte for byte.  parse_csv,
+library's triangle and column forms must match byte for byte.
+load_csv_reference is data.load_csv with every cell stripped before it is
+read and each label rule written out in place; load_csv must give its
+Dataset bytes or its error.  parse_csv,
 the inverse of outliermap.map_to_csv, is the round-trip reference for the
 map CSV; no program path reads one.  robust_location, robust_scale and
 projection_vector, with the two errors it raises, and kernel_entry are
@@ -32,12 +35,14 @@ from sdsvm.errors import (
     DimensionError,
     EmptyInput,
     InvalidModel,
+    LabelError,
     NoValidDirections,
     ParseError,
     SdsvmError,
     SerializationError,
     SingleClassError,
 )
+from sdsvm.data import Dataset
 from sdsvm.kernels import kernel_matrix
 from sdsvm.outliermap import CSV_HEADER, OutlierMapPoint
 from sdsvm.outlyingness import DEGENERACY_TOL
@@ -627,6 +632,61 @@ def map_to_csv_reference(points):
             f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
         )
     return "\n".join(lines) + "\n"
+
+
+def _label_index_reference(label_col, width: int) -> int:
+    if label_col == "last":
+        return width - 1
+    if label_col == "first":
+        return 0
+    return int(label_col)
+
+
+def load_csv_reference(lines, label_col, coding) -> Dataset:
+    """load_csv one line at a time, raising for the first bad line."""
+    rows = []
+    labels = []
+    width = None
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        cells = [c.strip() for c in raw.split(",")]
+        if width is None:
+            width = len(cells)
+            if width < 2:
+                raise ParseError("need at least one feature column and one label column", line=lineno)
+            col = _label_index_reference(label_col, width)
+            if not 0 <= col < width:
+                raise ParseError(f"label column {col} outside row of width {width}", line=lineno)
+        elif len(cells) != width:
+            raise ParseError(f"ragged row: {len(cells)} cells, expected {width}", line=lineno)
+        token = cells[col]
+        if coding is not None:
+            neg, pos = coding
+            if token == str(neg):
+                label = -1.0
+            elif token == str(pos):
+                label = 1.0
+            else:
+                raise LabelError(f"label {token!r} not in coding {coding!r}", line=lineno)
+        else:
+            try:
+                label = float(token)
+            except ValueError:
+                raise LabelError(f"label {token!r} is not numeric", line=lineno) from None
+            if label not in (-1.0, 1.0):
+                raise LabelError(f"label {token!r} is not -1 or +1", line=lineno)
+        try:
+            row = [float(c) for c in cells[:col] + cells[col + 1 :]]
+        except ValueError as exc:
+            raise ParseError(f"non-numeric cell: {exc}", line=lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError("non-finite cell (nan or inf)", line=lineno)
+        rows.append(row)
+        labels.append(label)
+    if not rows:
+        raise ParseError("no data rows", line=1)
+    return Dataset(x=np.array(rows), labels=np.array(labels))
 
 
 def parse_csv(text: str) -> list:

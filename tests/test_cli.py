@@ -352,6 +352,51 @@ class TestMap:
         assert svg.exists()
 
 
+class TestDataFlags:
+    """--coding and --label-col are read before any work, under map --fit
+    too, and a data flag that does not apply to the input's format exits 1
+    naming it."""
+
+    @pytest.fixture(scope="class")
+    def seqs(self, argv_dir):
+        fasta = "".join(f">s{i}\n{'ACGT' if i % 2 else 'AACCGT'}{'GT' * i}\n" for i in range(8))
+        (argv_dir / "seqs.fa").write_text(fasta)
+        (argv_dir / "seqs.labels").write_text("".join(f"s{i} {1 if i % 2 else -1}\n" for i in range(8)))
+        return argv_dir
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "{dir}/seqs.fa", "--labels", "{dir}/seqs.labels", "--kernel", "spectrum",
+              "--coding", "garbage", "--label-col", "zz"], "--coding applies to CSV input only"),
+            (["fit", "{dir}/seqs.fa", "--labels", "{dir}/seqs.labels", "--kernel", "spectrum",
+              "--coding", "no,yes"], "--coding applies to CSV input only"),
+            (["map", "{dir}/seqs.fa", "--labels", "{dir}/seqs.labels", "--kernel", "spectrum",
+              "--label-col", "first"], "--label-col applies to CSV input only"),
+            (["fit", "{dir}/toy.csv", "--labels", "{dir}/nonexistent"], "--labels applies to FASTA input only"),
+            (["map", "{dir}/toy.csv", "--format", "csv", "--labels", "{dir}/seqs.labels"],
+             "--labels applies to FASTA input only"),
+            (["map", "--fit", "{dir}/toy.fit", "--coding", "garbage", "--labels", "nothere",
+              "--label-col", "zz", "--format", "fasta"], "--coding applies to CSV input only"),
+            (["map", "--fit", "{dir}/toy.fit", "--coding", "garbage"], "--coding must be NEG,POS, got 'garbage'"),
+            (["map", "--fit", "{dir}/toy.fit", "--label-col", "zz"],
+             "--label-col must be first/last or an index, got 'zz'"),
+        ],
+    )
+    def test_bad_or_inapplicable_data_flag_exits_1(self, seqs, capsys, argv, message):
+        argv = [tok.format(dir=seqs) for tok in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"usage: sdsvm {argv[0]} ")
+        assert err.endswith(f"error: {message}\n")
+
+    def test_flags_that_apply_still_run(self, seqs, capsys):
+        fasta = ["fit", f"{seqs}/seqs.fa", "--labels", f"{seqs}/seqs.labels", "--kernel", "spectrum"]
+        assert run_cli(capsys, *fasta, "--label-col", "last")[0] == 0
+        assert run_cli(capsys, "map", "--fit", f"{seqs}/toy.fit", "--coding", "no,yes", "--label-col", "2")[0] == 0
+
+
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, tmp_path, capsys):
         outputs = []

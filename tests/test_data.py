@@ -43,10 +43,16 @@ class TestLoadCsv:
         ds = load_csv(self.write(tmp_path, "-1,5,6\n1,7,8\n"), label_col="first")
         assert np.array_equal(ds.x[0], [5.0, 6.0])
 
-    def test_integer_label_column(self, tmp_path):
-        ds = load_csv(self.write(tmp_path, "5,-1,6\n7,1,8\n"), label_col=1)
+    @pytest.mark.parametrize("label_col", [1, np.int64(1)])
+    def test_integer_label_column(self, tmp_path, label_col):
+        ds = load_csv(self.write(tmp_path, "5,-1,6\n7,1,8\n"), label_col=label_col)
         assert np.array_equal(ds.labels, [-1.0, 1.0])
         assert np.array_equal(ds.x[0], [5.0, 6.0])
+
+    @pytest.mark.parametrize("label_col", [2.7, True, "1"])
+    def test_label_column_must_be_an_integer(self, tmp_path, label_col):
+        with pytest.raises(ValueError, match="^label_col must be an integer"):
+            load_csv(self.write(tmp_path, "5,-1,6\n7,1,8\n"), label_col=label_col)
 
     def test_zero_label_rejected(self, tmp_path):
         with pytest.raises(LabelError) as excinfo:

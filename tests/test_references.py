@@ -1,7 +1,7 @@
 """The column and triangle paths against their per-cell and full-matrix forms.
 
 Writers must give the same bytes or the same error (class and message),
-load_csv's bulk path the Dataset or the error of its line loop, the RBF Gram
+load_csv the Dataset or the error of its stripped-cell reference, the RBF Gram
 matrix the bytes of the full-matrix passes, and KernelMatrix.take the
 entries of one fancy index.
 """
@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, kernel_matrix, load_csv
-from sdsvm.data import _csv_by_line
 from sdsvm.errors import SdsvmError
 from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
 from sdsvm.pipeline import FitResult, TrimPlan, fit_to_text
@@ -23,6 +22,7 @@ from conftest import with_number_tokens
 from oracles import (
     build_map_reference,
     fit_to_text_reference,
+    load_csv_reference,
     map_to_csv_reference,
     map_to_svg_reference,
     rbf_gram_reference,
@@ -121,27 +121,31 @@ class TestWriters:
 # -------------------------------------------------------------- load_csv ----
 
 label_tokens = st.sampled_from(["1", "-1", "1.0", "+1", "-1e0", "1_0", " -1 ", "١"])
+coded_tokens = st.sampled_from(["no", "yes", " yes ", "no\t", "maybe", "1"])
 cell_tokens = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-10**6, 10**6).map(str),
-    st.sampled_from(["1_0", " 2.5", "3 ", "٢", "-0.0", "1e-400"]),
+    st.sampled_from(["1_0", " 2.5", "3 ", "٢", "-0.0", "1e-400", "\u00a04", "x y", " "]),
 )
 
 
 @st.composite
-def csv_texts(draw):
+def csv_cases(draw):
+    """(text, coding) of a CSV: numeric labels without a coding, tokens
+    in and out of ("no", "yes") with it."""
+    coding = draw(st.sampled_from([None, ("no", "yes")]))
     width = draw(st.integers(1, 5))
     rows = draw(st.integers(0, 6))
     lines = []
     for _ in range(rows):
         cols = width + draw(st.sampled_from([0] * 6 + [-1, 1]))  # now and then a ragged row
         cells = draw(st.lists(cell_tokens, min_size=max(cols, 1), max_size=max(cols, 1)))
-        cells[draw(st.integers(0, len(cells) - 1))] = draw(label_tokens)
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(label_tokens if coding is None else coded_tokens)
         lines.append(",".join(cells))
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from(["", "  ", "\t"])))
     text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
-    return draw(st.one_of(st.just(text), with_number_tokens(text)))
+    return draw(st.one_of(st.just(text), with_number_tokens(text))), coding
 
 
 def dataset_fields(ds):
@@ -156,16 +160,32 @@ def workdir(tmp_path_factory):
 
 
 class TestLoadCsv:
-    @given(csv_texts(), st.sampled_from(["first", "last", 0, 1, 2, 4, -1]))
-    def test_bulk_matches_line_loop(self, workdir, text, label_col):
+    @given(csv_cases(), st.sampled_from(["first", "last", 0, 1, 2, 4, -1]))
+    def test_matches_reference(self, workdir, case, label_col):
+        text, coding = case
         path = workdir / "data.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         lines = path.read_text(encoding="utf-8").splitlines()
-        got = outcome(load_csv, path, label_col=label_col)
-        expected = outcome(_csv_by_line, lines, label_col, None)
+        got = outcome(load_csv, path, label_col=label_col, coding=coding)
+        expected = outcome(load_csv_reference, lines, label_col, coding)
         # An error's message carries its line number.
         assert dataset_fields(got) == dataset_fields(expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1,2,-1\n3,abc,1\n4,1\n",  # non-numeric on line 2, ragged on line 3
+            "1,2,-1\n3,inf,1\n4,5,2\n",  # inf on line 2, bad label on line 3
+            "1,2,-1\n3, ,1\n4,5\n",  # a blank cell on line 2
+        ],
+    )
+    def test_first_bad_line_matches_reference(self, workdir, text):
+        path = workdir / "data.csv"
+        path.write_text(text)
+        got = outcome(load_csv, path)
+        assert got == outcome(load_csv_reference, text.splitlines(), "last", None)
+        assert got[1].startswith("line 2: ")
 
 
 # ---------------------------------------------------------------- kernel ----

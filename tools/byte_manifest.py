@@ -17,8 +17,8 @@ the script against each tree's `src` and diff the two manifests:
     diff before.txt after.txt
 
 Names given as arguments run only those invocations, in list order; one
-that reads another's output (`map-fit`, `bench-rbf-2000-map`) needs that one
-named too.
+that reads another's output (`map-fit`, `map-fit-data-flags`,
+`bench-rbf-2000-map`) needs that one named too.
 """
 
 from __future__ import annotations
@@ -86,6 +86,14 @@ INVOCATIONS = (
     ("bad-directions", ["toy", "--directions", "0"]),
     ("bad-degree", ["toy", "--kernel", "polynomial", "--degree", "0"]),
     ("missing-file", ["fit", "absent.csv"]),
+    # Reader failures, and data flags that do not apply to the input's format.
+    ("csv-ragged-row", ["fit", "ragged.csv"]),
+    ("csv-token-outside-coding", ["fit", "label-outside.csv", "--label-col", "first", "--coding", "no,yes"]),
+    ("fasta-csv-flags", ["fit", "seqs.fa", "--labels", "seqs.labels", "--kernel", "spectrum",
+                         "--coding", "garbage", "--label-col", "zz"]),
+    ("csv-labels-flag", ["fit", "points.csv", "--labels", "nonexistent"]),
+    ("map-fit-data-flags", ["map", "--fit", "fit-cv-list/fit.txt", "--coding", "garbage", "--labels", "nothere",
+                            "--label-col", "zz", "--format", "fasta"]),
 )
 
 
@@ -105,7 +113,11 @@ def write_inputs(root: Path) -> None:
     """The data files the invocations read, from fixed seeds."""
     x, labels = _two_gaussians(1, 40, 5, 1.0)
     _csv(root / "points.csv", x, labels)
-    _csv(root / "label-first.csv", x, [{"-1": "no", "1": "yes"}[v] for v in labels], label_first=True)
+    coded = [{"-1": "no", "1": "yes"}[v] for v in labels]
+    _csv(root / "label-first.csv", x, coded, label_first=True)
+    _csv(root / "label-outside.csv", x, coded[:30] + ["maybe"] + coded[31:], label_first=True)
+    rows = (root / "points.csv").read_text().splitlines(keepends=True)
+    (root / "ragged.csv").write_text("".join(rows[:6] + ["0.5,1.5,-1\n"] + rows[6:]))
     _csv(root / "rbf-2000.csv", *_two_gaussians(2000, 1000, 20, 0.5))
     coincident = np.vstack([np.ones((4, 2)), np.arange(8.0).reshape(4, 2) ** 2])
     _csv(root / "coincident.csv", coincident, ["-1"] * 4 + ["1"] * 4)

@@ -11,12 +11,7 @@ from .data import (
 )
 from .errors import SdsvmError
 from .kernels import KernelMatrix, KernelSpec, kernel_cross, kernel_matrix
-from .outliermap import (
-    OutlierMapPoint,
-    build_map,
-    emit_csv,
-    emit_svg,
-)
+from .outliermap import map_to_csv, map_to_svg
 from .outlyingness import (
     DirectionPolicy,
     OutlyingnessReport,
@@ -51,18 +46,14 @@ __all__ = [
     "FitResult",
     "KernelMatrix",
     "KernelSpec",
-    "OutlierMapPoint",
     "OutlyingnessReport",
     "SdsvmError",
     "SimulationSpec",
     "SvmModel",
     "TrimPlan",
-    "build_map",
     "decision_values",
     "default_policy",
     "dual_objective",
-    "emit_csv",
-    "emit_svg",
     "fit_from_text",
     "fit_ranked",
     "fit_sdsvm",
@@ -73,6 +64,8 @@ __all__ = [
     "kernel_matrix",
     "load_csv",
     "load_fasta",
+    "map_to_csv",
+    "map_to_svg",
     "outlyingness",
     "rank",
     "run_simulation",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, outliermap
 from .data import (
     SimulationSpec,
     gen_toy,
@@ -28,7 +28,6 @@ from .data import (
 )
 from .errors import PipelineError, SdsvmError, read_text, run_stage, write_text
 from .kernels import KernelSpec
-from .outliermap import build_map, emit_csv, emit_svg
 from .outlyingness import DirectionPolicy
 from .pipeline import (
     DEFAULT_C,
@@ -174,6 +173,14 @@ def _check_threshold(parser, args):
         )
 
 
+def _numbers(parser, flag, text) -> tuple:
+    """The floats of a comma list; an empty or non-numeric token exits 1 naming flag."""
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        parser.error(f"{flag} must be a comma list of numbers, got {text!r}")
+
+
 def _grid_from_args(parser, args) -> tuple:
     if args.C is not None and args.cv_grid is not None:
         parser.error("use exactly one of --C / --cv-grid")
@@ -183,10 +190,7 @@ def _grid_from_args(parser, args) -> tuple:
         return (DEFAULT_C,)
     if args.cv_grid == "default":
         return DEFAULT_C_GRID
-    try:
-        return tuple(float(tok) for tok in args.cv_grid.split(","))
-    except ValueError:
-        parser.error(f"--cv-grid must be a comma list of numbers, got {args.cv_grid!r}")
+    return _numbers(parser, "--cv-grid", args.cv_grid)
 
 
 def _policy_from_args(parser, args) -> DirectionPolicy:
@@ -209,10 +213,7 @@ def _settings(parser, args) -> dict:
     """
     grid = _grid_from_args(parser, args)
     if args.command == "simulate":
-        try:
-            kappas = tuple(float(tok) for tok in args.kappas.split(",") if tok)
-        except ValueError:
-            parser.error(f"--kappas must be a comma list of numbers, got {args.kappas!r}")
+        kappas = _numbers(parser, "--kappas", args.kappas)
     try:
         kernel = KernelSpec(
             kind=args.kernel,
@@ -255,8 +256,10 @@ def _loader(parser, args):
     A data flag that does not apply to the input's format exits 1 naming
     it: --labels with CSV, --coding or a --label-col other than last with
     FASTA.  Under map --fit, which loads no dataset, the flags are checked
-    all the same (the format rule only under an explicit --format).
+    all the same (the format rule only under an explicit --format), and
+    --labels, which is read only with a FASTA dataset, exits 1.
     """
+    unread_labels = "--labels is read only with a FASTA dataset, and map --fit reads none"
     fmt = args.format
     if fmt == "auto" and args.data is not None:
         lower = args.data.lower()
@@ -268,9 +271,11 @@ def _loader(parser, args):
             parser.error("--label-col applies to CSV input only")
         if args.data is not None and not args.labels:
             parser.error("--labels is required for FASTA input")
+        if args.data is None and args.labels is not None:
+            parser.error(unread_labels)
         return functools.partial(load_fasta, args.data, args.labels)
-    if fmt == "csv" and args.labels is not None:
-        parser.error("--labels applies to FASTA input only")
+    if args.labels is not None:
+        parser.error("--labels applies to FASTA input only" if fmt == "csv" else unread_labels)
     coding = None
     if args.coding is not None:
         parts = args.coding.split(",")
@@ -287,16 +292,13 @@ def _loader(parser, args):
 
 
 def _emit_map_outputs(args, fit):
-    points = build_map(fit)
-    wrote = False
-    if args.out_csv is not None:
-        emit_csv(points, args.out_csv)
-        wrote = True
+    # The writers are looked up on their module, where perfbench/tracer.py
+    # wraps them.  With neither flag the CSV goes to stdout.
+    out_csv = "-" if args.out_csv is None and args.out_svg is None else args.out_csv
+    if out_csv is not None:
+        write_text(out_csv, outliermap.map_to_csv(fit))
     if args.out_svg is not None:
-        emit_svg(points, args.out_svg, args.label_top, args.threshold)
-        wrote = True
-    if not wrote:
-        emit_csv(points, "-")
+        write_text(args.out_svg, outliermap.map_to_svg(fit, args.label_top, args.threshold))
 
 
 def _cmd_fit(parser, args) -> int:

@@ -1,4 +1,4 @@
-"""Outlier map construction and rendering.
+"""Outlier map of a fit, as CSV or SVG text.
 
 One point per training sample: decision value f on the x axis, Stahel-Donoho
 outlyingness on the y axis.  Positive-label samples draw as circles, negative
@@ -11,89 +11,51 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
-from .errors import EmptyInput, write_text
+from .errors import EmptyInput
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
 
 
-@dataclass(frozen=True)
-class OutlierMapPoint:
-    """One row of the diagnostic plot."""
-
-    id: object
-    label: int
-    f: float
-    r: float
-    trimmed: bool
-    misclassified: bool
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.label}")
-        if not self.r >= 0.0:
-            raise ValueError(f"outlyingness must be nonnegative, got {self.r}")
-        if not math.isfinite(self.f):  # the map cannot draw it
-            raise ValueError(f"decision value must be finite, got {self.f}")
+def _rows(fit) -> list:
+    """(id, label, f, r, trimmed, misclassified) of each sample of a fit, in
+    order; misclassified when the label is not sign(f), with sign(0) = +1."""
+    wrong = sign_labels(fit.decision_values) != fit.labels
+    columns = fit.labels.astype(int), fit.decision_values, fit.plan.outlyingness, fit.plan.trimmed, wrong
+    return list(zip(fit.ids, *(column.tolist() for column in columns)))
 
 
-def build_map(fit) -> list:
-    """Points for every training sample of a fit, flags derived.
-
-    A sample counts as misclassified when its label disagrees with sign(f),
-    where f == 0 classifies as +1.
-    """
-    misclassified = sign_labels(fit.decision_values) != fit.labels
-    return [
-        OutlierMapPoint(sid, label, f, r, cut, wrong)
-        for sid, label, f, r, cut, wrong in zip(
-            fit.ids,
-            map(int, fit.labels.tolist()),
-            fit.decision_values.tolist(),
-            fit.plan.outlyingness.tolist(),
-            fit.plan.trimmed.tolist(),
-            misclassified.tolist(),
-        )
-    ]
-
-
-def map_to_csv(points) -> str:
-    # Floats print as the shortest round-trip repr; inf prints as 'inf'.
+def map_to_csv(fit) -> str:
+    """One row per sample, in sample order.  Floats print as the shortest
+    round-trip repr; inf prints as 'inf'."""
     lines = [CSV_HEADER]
     lines.extend(
-        f"{p.id},{p.label},{float(p.f)!r},{float(p.r)!r},"
-        f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
-        for p in points
+        f"{sid},{label},{f!r},{r!r},{str(cut).lower()},{str(wrong).lower()}"
+        for sid, label, f, r, cut, wrong in _rows(fit)
     )
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(points, destination) -> None:
-    """Write the map as CSV; rows stay in original sample order."""
-    write_text(destination, map_to_csv(points))
 
 
 def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> str:
+def map_to_svg(fit, label_top: int = 5, threshold: float | None = None) -> str:
     """Self-contained SVG 1.1 text; byte-stable for fixed inputs.
 
-    Ids are printed for the label_top largest-r points and every
+    Ids are printed for the label_top most outlying samples and every
     misclassified one; a threshold adds a dashed horizontal line.
     """
-    if not points:
+    rows = _rows(fit)
+    if not rows:
         raise EmptyInput("cannot render an empty outlier map")
     w, h, m = 640, 480, 4.0  # canvas size and marker radius
     ml, mr, mt, mb = 64, 20, 24, 48
 
-    max_abs_f = max((abs(p.f) for p in points), default=0.0)
+    max_abs_f = max(abs(row[2]) for row in rows)
     x_max = 1.05 * max_abs_f if max_abs_f > 0 else 1.0
-    finite_r = [p.r for p in points if math.isfinite(p.r)]
-    max_r = max(finite_r) if finite_r else 0.0
+    max_r = max((row[3] for row in rows if math.isfinite(row[3])), default=0.0)
     y_max = 1.05 * max_r if max_r > 0 else 1.0
     width = w - ml - mr
 
@@ -162,14 +124,14 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
         f"Stahel–Donoho outlyingness</text>\n"
     )
     # markers
-    for p in points:
-        x, y = px(p.f), py(p.r)
-        if math.isinf(p.r):
+    for _, label, f, r, _, _ in rows:
+        x, y = px(f), py(r)
+        if math.isinf(r):
             out.write(
                 f'<path d="M {x:.2f} {y - m:.2f} L {x - m:.2f} {y + m:.2f} '
                 f'L {x + m:.2f} {y + m:.2f} Z" fill="black" class="marker-inf"/>\n'
             )
-        elif p.label == 1:
+        elif label == 1:
             out.write(
                 f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{m:.2f}" '
                 f'fill="none" stroke="black" stroke-width="1.2" class="marker-plus"/>\n'
@@ -184,20 +146,15 @@ def map_to_svg(points, label_top: int = 5, threshold: float | None = None) -> st
     # id labels: top-N by outlyingness plus every misclassified point,
     # offset above-right (no collision layout; determinism wins).  The sort
     # is stable, so equal r keep ascending index order.
-    minus_r = [-p.r for p in points]
-    labeled = set(sorted(range(len(points)), key=minus_r.__getitem__)[: max(label_top, 0)])
-    labeled.update(i for i, p in enumerate(points) if p.misclassified)
+    labeled = set(sorted(range(len(rows)), key=lambda i: -rows[i][3])[: max(label_top, 0)])
+    labeled.update(i for i, row in enumerate(rows) if row[5])
     for i in sorted(labeled):
-        p = points[i]
-        x, y = px(p.f), py(p.r)
+        sid, _, f, r, _, _ = rows[i]
+        x, y = px(f), py(r)
         out.write(
             f'<text x="{x + m + 1:.2f}" y="{y - m - 1:.2f}" font-size="10" '
-            f'font-family="monospace">{_xml_escape(str(p.id))}</text>\n'
+            f'font-family="monospace">{_xml_escape(str(sid))}</text>\n'
         )
     out.write("</svg>\n")
     return out.getvalue()
 
-
-def emit_svg(points, destination="-", label_top: int = 5, threshold: float | None = None) -> None:
-    """Render and write the SVG map."""
-    write_text(destination, map_to_svg(points, label_top, threshold))

@@ -99,6 +99,9 @@ class FitResult:
 
     ids, labels, decision_values and the plan's columns are aligned with
     the dataset; the model holds the plan's retained samples, in order.
+    Every sample is one the outlier map can draw: its label is -1 or +1,
+    its outlyingness nonnegative and not nan (+inf is kept) and its f
+    finite; a ValueError otherwise.
     """
 
     model: SvmModel
@@ -125,6 +128,12 @@ class FitResult:
                 f"{n} ids vs labels, decision values, outlyingness and trimmed of shapes "
                 f"{[column.shape for column in columns]}"
             )
+        if not (np.abs(self.labels) == 1.0).all():
+            raise ValueError("sample labels must be -1 or +1")
+        if not (self.plan.outlyingness >= 0.0).all():
+            raise ValueError("sample outlyingness must be nonnegative and not nan")
+        if not np.isfinite(self.decision_values).all():
+            raise ValueError("sample decision values must be finite")
         if self.model.n_retained != self.plan.retained.size:
             raise ValueError(
                 f"model has {self.model.n_retained} samples but the plan retains "
@@ -453,10 +462,10 @@ def fit_from_text(text: str) -> FitResult:
     Raises SerializationError, and nothing else, on a malformed report; on
     one whose chosen-c or kernel line disagrees with its model block, or
     whose model block names other ids or labels than the retained rows of
-    its sample table; on one whose samples line is negative or is not
-    followed by exactly that many rows (blank lines may trail); or on one
-    with a sample the outlier map cannot draw: a label other than -1/+1, a
-    negative or nan outlyingness (+inf is kept) or a non-finite f.
+    its sample table; on one whose folds-used, cv-table or samples count
+    is negative, or whose samples line is not followed by exactly that many
+    rows (blank lines may trail); or on one that is not a valid FitResult,
+    such as one with a sample the outlier map cannot draw.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -488,17 +497,23 @@ def fit_from_text(text: str) -> FitResult:
             rows.append(parts)
         return tuple(zip(*rows)) if rows else ((),) * width
 
+    def count(key):
+        value = int(keyed(key))
+        if value < 0:
+            raise SerializationError(f"{key} count must be >= 0, got {value}")
+        return value
+
     def floats(col):
         return np.array(list(map(float, col)), dtype=np.float64)
 
     try:
         kappa = float(keyed("kappa"))
         chosen_c = float(keyed("chosen-c"))
-        folds_used = int(keyed("folds-used"))
+        folds_used = count("folds-used")
         policy_minus = _policy_from_text(keyed("policy-minus"))
         policy_plus = _policy_from_text(keyed("policy-plus"))
         kernel = keyed("kernel")
-        grid, errors = columns(int(keyed("cv-table")), 2)
+        grid, errors = columns(count("cv-table"), 2)
         cv_table = tuple(zip(map(float, grid), map(float, errors)))
         block = int(keyed("model"))
         if block < 2:
@@ -512,9 +527,7 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError("chosen-c or kernel line disagrees with the model block")
         model_ids, model_labels, alpha = columns(block - 2, 3)
         bias = float(keyed("bias"))
-        n = int(keyed("samples"))
-        if n < 0:
-            raise SerializationError(f"sample count must be >= 0, got {n}")
+        n = count("samples")
         if take() != _TABLE_HEADER:
             raise SerializationError("fit report missing sample table header")
         ids, labels, r_vals, trimmed, f_vals = columns(n, 5)
@@ -522,12 +535,6 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError(f"fit report has lines after its {n} samples")
         labels, r_vals, f_vals = floats(labels), floats(r_vals), floats(f_vals)
         trimmed = [{"true": True, "false": False}[cut] for cut in trimmed]
-        if not (np.abs(labels) == 1.0).all():
-            raise SerializationError("sample labels must be -1 or +1")
-        if not (r_vals >= 0.0).all():
-            raise SerializationError("sample outlyingness must be nonnegative and not nan")
-        if not np.isfinite(f_vals).all():
-            raise SerializationError("sample decision values must be finite")
         plan = TrimPlan(kappa, r_vals, trimmed)
         retained = plan.retained.tolist()
         model_labels = floats(model_labels)

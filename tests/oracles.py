@@ -12,14 +12,15 @@ solve_dual_reference is the whole-vector dual loop that svm.solve_dual must
 match bit for bit, and stream_uniforms_reference/stream_normals_reference and
 shuffled_one_at_a_time the fresh-array and per-draw forms of the counter
 stream that sdsvm.rng must match byte for byte.  rbf_gram_reference and the
-*_to_text, build_map and map_to_* references are the full-matrix and
-per-cell forms of the RBF Gram matrix and the text writers, which the
-library's triangle and column forms must match byte for byte.
-load_csv_reference is data.load_csv with every cell stripped before it is
-read and each label rule written out in place; load_csv must give its
-Dataset bytes or its error.  parse_csv,
-the inverse of outliermap.map_to_csv, is the round-trip reference for the
-map CSV; no program path reads one.  robust_location, robust_scale and
+*_to_text and map_to_* references are the full-matrix and per-cell forms of
+the RBF Gram matrix and the text writers, which the library's triangle and
+column forms must match byte for byte; map_rows is the per-sample form of
+the map's columns.  load_csv_reference is data.load_csv with every cell
+stripped before it is read and each label rule written out in place;
+load_csv must give its Dataset bytes or its error.  parse_csv, the inverse
+of outliermap.map_to_csv, is the round-trip reference for the map CSV; no
+program path reads one.  fit_from_rows builds the FitResult of a table of
+samples.  robust_location, robust_scale and
 projection_vector, with the two errors it raises, and kernel_entry are
 helpers that only the tests use.
 """
@@ -43,10 +44,10 @@ from sdsvm.errors import (
     SingleClassError,
 )
 from sdsvm.data import Dataset
-from sdsvm.kernels import kernel_matrix
-from sdsvm.outliermap import CSV_HEADER, OutlierMapPoint
-from sdsvm.outlyingness import DEGENERACY_TOL
-from sdsvm.pipeline import CvSelection, _fold_assignment, _policy_to_text
+from sdsvm.kernels import KernelSpec, kernel_matrix
+from sdsvm.outliermap import CSV_HEADER
+from sdsvm.outlyingness import DEGENERACY_TOL, DirectionPolicy
+from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, _fold_assignment, _policy_to_text
 from sdsvm.rng import Stream, derive_key
 from sdsvm.svm import (
     _CURVATURE_FLOOR,
@@ -607,29 +608,54 @@ def fit_to_text_reference(fit):
     return "\n".join(lines) + "\n"
 
 
-def build_map_reference(fit):
-    """outliermap.build_map, one indexed sample at a time."""
-    misclassified = sign_labels(fit.decision_values) != fit.labels
+def fit_from_rows(rows, kappa=0.5):
+    """A FitResult whose samples are rows of (id, label, f, r, trimmed).
+
+    The model holds the retained samples at alpha = 0 and bias 0 (a solve's
+    start), so it agrees with any rows; a row FitResult rejects raises its
+    ValueError.
+    """
+    ids, labels, f, r, trimmed = zip(*rows) if rows else ((),) * 5
+    labels = np.array(labels, dtype=np.float64)
+    trimmed = np.array(trimmed, dtype=bool)
+    kept = labels[~trimmed]
+    exhaustive = DirectionPolicy(mode="exhaustive")
+    return FitResult(
+        model=SvmModel(np.zeros(kept.size), kept, 0.0, 1.0, DEFAULT_TOL, KernelSpec()),
+        plan=TrimPlan(kappa, np.array(r, dtype=np.float64), trimmed),
+        cv_table=((1.0, math.nan),),
+        folds_used=0,
+        decision_values=np.array(f, dtype=np.float64),
+        ids=ids,
+        labels=labels,
+        policy_minus=exhaustive,
+        policy_plus=exhaustive,
+    )
+
+
+def map_rows(fit):
+    """(id, label, f, r, trimmed, misclassified) of each sample of a fit, one
+    indexed sample at a time; f == 0 predicts +1."""
     return [
-        OutlierMapPoint(
-            id=fit.ids[i],
-            label=int(fit.labels[i]),
-            f=float(fit.decision_values[i]),
-            r=float(fit.plan.outlyingness[i]),
-            trimmed=bool(fit.plan.trimmed[i]),
-            misclassified=bool(misclassified[i]),
+        (
+            fit.ids[i],
+            int(fit.labels[i]),
+            float(fit.decision_values[i]),
+            float(fit.plan.outlyingness[i]),
+            bool(fit.plan.trimmed[i]),
+            bool((1 if fit.decision_values[i] >= 0.0 else -1) != fit.labels[i]),
         )
         for i in range(fit.n)
     ]
 
 
-def map_to_csv_reference(points):
-    """outliermap.map_to_csv, one formatted point at a time."""
+def map_to_csv_reference(fit):
+    """outliermap.map_to_csv, one formatted sample at a time."""
     lines = ["id,label,f,outlyingness,trimmed,misclassified"]
-    for p in points:
+    for sid, label, f, r, trimmed, misclassified in map_rows(fit):
         lines.append(
-            f"{p.id},{p.label},{repr(float(p.f))},{repr(float(p.r))},"
-            f"{'true' if p.trimmed else 'false'},{'true' if p.misclassified else 'false'}"
+            f"{sid},{label},{repr(f)},{repr(r)},"
+            f"{'true' if trimmed else 'false'},{'true' if misclassified else 'false'}"
         )
     return "\n".join(lines) + "\n"
 
@@ -689,40 +715,39 @@ def load_csv_reference(lines, label_col, coding) -> Dataset:
     return Dataset(x=np.array(rows), labels=np.array(labels))
 
 
-def parse_csv(text: str) -> list:
-    """Inverse of outliermap.map_to_csv: the points of a map CSV's text.
+def parse_csv(text: str):
+    """Inverse of outliermap.map_to_csv: the fit (built by fit_from_rows) of
+    a map CSV's text.
 
-    A malformed row, or one that is not a valid OutlierMapPoint (such as a
-    non-finite f), raises ParseError with its line number.
+    A malformed row, one that FitResult rejects (such as a non-finite f) or
+    one whose misclassified flag disagrees with its label and f raises
+    ParseError with its line number.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
-    points = []
+    rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != 6:
             raise ParseError(f"expected 6 columns, got {len(parts)}", line=lineno)
         try:
-            points.append(
-                OutlierMapPoint(
-                    id=parts[0],
-                    label=int(parts[1]),
-                    f=float(parts[2]),
-                    r=float(parts[3]),
-                    trimmed={"true": True, "false": False}[parts[4]],
-                    misclassified={"true": True, "false": False}[parts[5]],
-                )
-            )
+            trimmed, misclassified = ({"true": True, "false": False}[cell] for cell in parts[4:])
+            row = (parts[0], int(parts[1]), float(parts[2]), float(parts[3]), trimmed)
+            derived = map_rows(fit_from_rows([row]))[0][5]
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad row: {exc}", line=lineno) from exc
-    return points
+        if misclassified != derived:
+            raise ParseError("misclassified flag disagrees with label and f", line=lineno)
+        rows.append(row)
+    return fit_from_rows(rows)
 
 
-def map_to_svg_reference(points, label_top=5, threshold=None):
+def map_to_svg_reference(fit, label_top=5, threshold=None):
     """outliermap.map_to_svg with a formatting call per number and a tuple
     sort key.  Valid while 2 * 1.05 * max|f| is finite; beyond it this form
     draws nan."""
+    points = map_rows(fit)
     if not points:
         raise EmptyInput("cannot render an empty outlier map")
 
@@ -731,9 +756,9 @@ def map_to_svg_reference(points, label_top=5, threshold=None):
 
     w, h, m = 640, 480, 4.0
     ml, mr, mt, mb = 64, 20, 24, 48
-    max_abs_f = max((abs(p.f) for p in points), default=0.0)
+    max_abs_f = max((abs(p[2]) for p in points), default=0.0)
     x_max = 1.05 * max_abs_f if max_abs_f > 0 else 1.0
-    finite_r = [p.r for p in points if math.isfinite(p.r)]
+    finite_r = [p[3] for p in points if math.isfinite(p[3])]
     max_r = max(finite_r) if finite_r else 0.0
     y_max = 1.05 * max_r if max_r > 0 else 1.0
 
@@ -781,14 +806,14 @@ def map_to_svg_reference(points, label_top=5, threshold=None):
         f'transform="rotate(-90 16 {num((mt + h - mb) / 2)})">'
         f"Stahel–Donoho outlyingness</text>\n"
     )
-    for p in points:
-        x, y = px(p.f), py(p.r)
-        if math.isinf(p.r):
+    for _, label, f, r, _, _ in points:
+        x, y = px(f), py(r)
+        if math.isinf(r):
             out.append(
                 f'<path d="M {num(x)} {num(y - m)} L {num(x - m)} {num(y + m)} '
                 f'L {num(x + m)} {num(y + m)} Z" fill="black" class="marker-inf"/>\n'
             )
-        elif p.label == 1:
+        elif label == 1:
             out.append(
                 f'<circle cx="{num(x)}" cy="{num(y)}" r="{num(m)}" '
                 f'fill="none" stroke="black" stroke-width="1.2" class="marker-plus"/>\n'
@@ -799,13 +824,13 @@ def map_to_svg_reference(points, label_top=5, threshold=None):
                 f'M {num(x - m)} {num(y + m)} L {num(x + m)} {num(y - m)}" '
                 f'stroke="black" stroke-width="1.2" class="marker-minus"/>\n'
             )
-    order = sorted(range(len(points)), key=lambda i: (-points[i].r, i))
+    order = sorted(range(len(points)), key=lambda i: (-points[i][3], i))
     labeled = set(order[: max(label_top, 0)])
-    labeled.update(i for i, p in enumerate(points) if p.misclassified)
+    labeled.update(i for i, p in enumerate(points) if p[5])
     for i in sorted(labeled):
-        p = points[i]
-        x, y = px(p.f), py(p.r)
-        escaped = str(p.id).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        sid, _, f, r, _, _ = points[i]
+        x, y = px(f), py(r)
+        escaped = str(sid).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         out.append(
             f'<text x="{num(x + m + 1)}" y="{num(y - m - 1)}" font-size="10" '
             f'font-family="monospace">{escaped}</text>\n'

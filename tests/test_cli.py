@@ -145,6 +145,13 @@ class TestValidation:
             (["fit", "{toy}", "--kernel", "linear", "--gamma", "0"], "--gamma"),
             (["toy", "--kappa", "0.4"], "--kappa"),
             (["simulate", "--runs", "1", "--kappas", "0.4"], "--kappas"),
+            # comma lists: an empty or non-numeric item
+            (["simulate", "--runs", "1", "--kappas", "0.5,,1"], "--kappas"),
+            (["simulate", "--runs", "1", "--kappas", "0.5,"], "--kappas"),
+            (["simulate", "--runs", "1", "--kappas", "0.5,x"], "--kappas"),
+            (["toy", "--cv-grid", "0.1,1,"], "--cv-grid"),
+            (["fit", "{toy}", "--cv-grid", "0.1,,1"], "--cv-grid"),
+            (["fit", "{toy}", "--cv-grid", "0.1,x"], "--cv-grid"),
             (["map", "--fit", "{report}", "--seed", "-1"], "--seed"),
             (["map", "--fit", "{report}", "--gamma", "nan"], "--gamma"),
         ],
@@ -381,6 +388,11 @@ class TestDataFlags:
             (["map", "--fit", "{dir}/toy.fit", "--coding", "garbage"], "--coding must be NEG,POS, got 'garbage'"),
             (["map", "--fit", "{dir}/toy.fit", "--label-col", "zz"],
              "--label-col must be first/last or an index, got 'zz'"),
+            # map --fit reads no dataset, so no labels file either
+            (["map", "--fit", "{dir}/toy.fit", "--labels", "{dir}/seqs.labels"],
+             "--labels is read only with a FASTA dataset, and map --fit reads none"),
+            (["map", "--fit", "{dir}/toy.fit", "--labels", "{dir}/seqs.labels", "--format", "fasta"],
+             "--labels is read only with a FASTA dataset, and map --fit reads none"),
         ],
     )
     def test_bad_or_inapplicable_data_flag_exits_1(self, seqs, capsys, argv, message):

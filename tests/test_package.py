@@ -19,18 +19,14 @@ def test_exported_names_are_pinned():
         "FitResult",
         "KernelMatrix",
         "KernelSpec",
-        "OutlierMapPoint",
         "OutlyingnessReport",
         "SdsvmError",
         "SimulationSpec",
         "SvmModel",
         "TrimPlan",
-        "build_map",
         "decision_values",
         "default_policy",
         "dual_objective",
-        "emit_csv",
-        "emit_svg",
         "fit_from_text",
         "fit_ranked",
         "fit_sdsvm",
@@ -41,6 +37,8 @@ def test_exported_names_are_pinned():
         "kernel_matrix",
         "load_csv",
         "load_fasta",
+        "map_to_csv",
+        "map_to_svg",
         "outlyingness",
         "rank",
         "run_simulation",

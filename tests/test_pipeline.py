@@ -537,6 +537,46 @@ class TestFitReport:
         with pytest.raises(SerializationError):
             fit_from_text("\n".join(lines))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # cv-table -1 over no rows once read back, and was written again as cv-table 0
+            lambda lines: lines[:7] + ["cv-table -1"] + lines[9:],
+            lambda lines: lines[:3] + ["folds-used -7"] + lines[4:],
+        ],
+        ids=["cv-table", "folds-used"],
+    )
+    def test_negative_count_raises_serialization_error(self, edit):
+        lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
+        assert lines[3] == "folds-used 0" and lines[7] == "cv-table 1"
+        with pytest.raises(SerializationError, match="count must be >= 0"):
+            fit_from_text("\n".join(edit(lines)))
+
+    @pytest.mark.parametrize(
+        "column, value, rule",
+        [
+            (1, "0.5", "labels must be -1 or"),
+            (2, "-1.0", "outlyingness must be nonnegative"),
+            (2, "-inf", "outlyingness must be nonnegative"),
+            (2, "nan", "outlyingness must be nonnegative"),
+            (4, "nan", "decision values must be finite"),
+            (4, "inf", "decision values must be finite"),
+            (4, "-inf", "decision values must be finite"),
+        ],
+    )
+    def test_sample_the_map_cannot_draw_raises_serialization_error(self, column, value, rule):
+        # FitResult's rule, reported as a bad report; the row is a trimmed
+        # one, so that the model block still names the retained rows.
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        lines = fit_to_text(fit).splitlines()
+        row = lines.index("id label outlyingness trimmed f") + 1 + int(np.flatnonzero(fit.plan.trimmed)[0])
+        cells = lines[row].split()
+        assert cells[3] == "true"
+        cells[column] = value
+        lines[row] = " ".join(cells)
+        with pytest.raises(SerializationError, match=f"bad fit report: sample {rule}"):
+            fit_from_text("\n".join(lines))
+
     def test_truncated_report_raises_serialization_error(self):
         lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
         with pytest.raises(SerializationError):
@@ -552,7 +592,7 @@ class TestFitReport:
         assert head[-1].startswith("bias ")
         table = ["id label outlyingness trimmed f"]
         assert fit_from_text("\n".join(head + ["samples 0"] + table)).n == 0
-        with pytest.raises(SerializationError, match="sample count"):
+        with pytest.raises(SerializationError, match="samples count must be >= 0"):
             fit_from_text("\n".join(head + ["samples -1"] + table))
         with pytest.raises(SerializationError, match="model block"):
             fit_from_text("\n".join(lines[: at + 36] + ["samples 0"] + table))
@@ -641,3 +681,23 @@ class TestFitResult:
         fit = fit_sdsvm(gen_toy(5), LINEAR)
         with pytest.raises(ValueError):
             replace(fit, **edit(fit))
+
+    @pytest.mark.parametrize(
+        "column, value, rule",
+        [
+            ("labels", 0.0, "labels must be -1 or"),
+            ("labels", 2.0, "labels must be -1 or"),
+            ("outlyingness", -1.0, "outlyingness must be nonnegative"),
+            ("outlyingness", math.nan, "outlyingness must be nonnegative"),
+            ("decision_values", math.nan, "decision values must be finite"),
+            ("decision_values", math.inf, "decision values must be finite"),
+            ("decision_values", -math.inf, "decision values must be finite"),
+        ],
+    )
+    def test_every_sample_is_one_the_map_can_draw(self, column, value, rule):
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        values = (fit.plan.outlyingness if column == "outlyingness" else getattr(fit, column)).copy()
+        values[0] = value
+        edit = {"plan": replace(fit.plan, outlyingness=values)} if column == "outlyingness" else {column: values}
+        with pytest.raises(ValueError, match=rule):
+            replace(fit, **edit)

@@ -14,13 +14,12 @@ from hypothesis import given, strategies as st
 
 from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, kernel_matrix, load_csv
 from sdsvm.errors import SdsvmError
-from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
+from sdsvm.outliermap import map_to_csv, map_to_svg
 from sdsvm.pipeline import FitResult, TrimPlan, fit_to_text
 from sdsvm.svm import SvmModel
 
 from conftest import with_number_tokens
 from oracles import (
-    build_map_reference,
     fit_to_text_reference,
     load_csv_reference,
     map_to_csv_reference,
@@ -110,11 +109,9 @@ class TestWriters:
 
     @given(fits(), st.integers(-1, 8), st.sampled_from([None, 0.0, 2.5, 1e300]))
     def test_map(self, fit, label_top, threshold):
-        points = build_map(fit)
-        assert points == build_map_reference(fit)
-        assert map_to_csv(points) == map_to_csv_reference(points)
-        assert map_to_svg(points, label_top, threshold) == map_to_svg_reference(
-            points, label_top, threshold
+        assert map_to_csv(fit) == map_to_csv_reference(fit)
+        assert map_to_svg(fit, label_top, threshold) == map_to_svg_reference(
+            fit, label_top, threshold
         )
 
 

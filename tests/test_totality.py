@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from sdsvm import fit_from_text, fit_sdsvm, fit_to_text, gen_toy, load_csv, load_fasta
 from sdsvm.errors import SdsvmError
 from sdsvm.kernels import KernelSpec
-from sdsvm.outliermap import build_map, map_to_csv, map_to_svg
+from sdsvm.outliermap import map_to_csv, map_to_svg
 
 from conftest import with_number_tokens
 from oracles import parse_csv
@@ -29,7 +29,7 @@ _FIT_LINES = FIT_TEXT.splitlines()
 _MODEL_AT = next(i for i, line in enumerate(_FIT_LINES) if line.startswith("model "))
 _MODEL_END = _MODEL_AT + 1 + int(_FIT_LINES[_MODEL_AT].split()[1])
 MODEL_TEXT = "\n".join(_FIT_LINES[_MODEL_AT + 1 : _MODEL_END]) + "\n"
-MAP_CSV = map_to_csv(build_map(_FIT))
+MAP_CSV = map_to_csv(_FIT)
 
 
 def text_like(valid):
@@ -80,9 +80,9 @@ def test_load_fasta(workdir, fasta, labels):
     )
 
 
-def drawn(points):
-    """The SVG of an outlier map; a nan coordinate fails the test."""
-    svg = map_to_svg(points)
+def drawn(fit):
+    """The SVG of a fit's outlier map; a nan coordinate fails the test."""
+    svg = map_to_svg(fit)
     assert not re.search(r'[" ]-?nan[" ]', svg), svg
     return svg
 
@@ -95,7 +95,7 @@ def test_parse_csv(text):
 
 def rendered_from_text(text):
     """The outlier map of a fit report, drawn as the CLI's map --fit does."""
-    return drawn(build_map(fit_from_text(text)))
+    return drawn(fit_from_text(text))
 
 
 @given(number_like(FIT_TEXT))

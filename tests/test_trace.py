@@ -32,9 +32,12 @@ def test_toy_fit_is_traced_at_every_layer(tmp_path):
     exhaustive = _traced_toy(tmp_path)
     sampled = _traced_toy(tmp_path, "--directions", "40")
     for tracer in (exhaustive, sampled):
-        # data.fit_sdsvm is the simulation's route, which the toy does not take.
-        assert tracer.absent == ["sdsvm.data.fit_sdsvm"]
+        # data.fit_sdsvm is the simulation's route, which the toy does not
+        # take; the map is drawn from the fit itself, with no build_map step.
+        assert tracer.absent == ["sdsvm.cli.build_map", "sdsvm.data.fit_sdsvm"]
         assert tracer.counts["trace.hook_errors"] == 0
+        # A map writer the tracer cannot see would leave this at 0.
+        assert tracer.counts["outliermap.bytes"] > 0
     # Every pair of the 30- and 36-sample toy groups: 435 + 630.
     assert exhaustive.counts["outlyingness.directions"] == 1065
     assert sampled.counts["outlyingness.directions"] == 80

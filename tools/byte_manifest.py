@@ -34,6 +34,7 @@ from unittest import mock
 
 import numpy as np
 
+from sdsvm import KernelSpec, fit_sdsvm, fit_to_text, gen_toy
 from sdsvm.cli import main as cli_main
 
 # (name, argv); "{out}" is the invocation's own, initially empty, directory.
@@ -94,6 +95,11 @@ INVOCATIONS = (
     ("csv-labels-flag", ["fit", "points.csv", "--labels", "nonexistent"]),
     ("map-fit-data-flags", ["map", "--fit", "fit-cv-list/fit.txt", "--coding", "garbage", "--labels", "nothere",
                             "--label-col", "zz", "--format", "fasta"]),
+    ("map-fit-labels", ["map", "--fit", "toy.fit", "--labels", "nothere"]),
+    # Reports a fit never writes: an f the map cannot draw, a negative count.
+    ("map-fit-inf-f", ["map", "--fit", "toy-inf-f.fit", "--out-svg", "{out}/map.svg"]),
+    ("map-fit-negative-cv-table", ["map", "--fit", "toy-negative-cv-table.fit", "--out-csv", "{out}/map.csv"]),
+    ("sim-kappas-empty-item", ["simulate", "--runs", "1", "--d", "100", "--kappas", "0.5,,1"]),
 )
 
 
@@ -129,6 +135,14 @@ def write_inputs(root: Path) -> None:
         label_lines.append(f"s{i} {1 if i % 2 else -1}")
     (root / "seqs.fa").write_text("\n".join(fasta) + "\n")
     (root / "seqs.labels").write_text("\n".join(label_lines) + "\n")
+    report = fit_to_text(fit_sdsvm(gen_toy(1), KernelSpec()))
+    (root / "toy.fit").write_text(report)
+    lines = report.splitlines(keepends=True)
+    first = lines.index("id label outlyingness trimmed f\n") + 1
+    lines[first] = lines[first].rsplit(" ", 1)[0] + " inf\n"
+    (root / "toy-inf-f.fit").write_text("".join(lines))
+    # The toy's fixed C gives a one-row table; -1 rows read as none.
+    (root / "toy-negative-cv-table.fit").write_text(report.replace("cv-table 1\n0.1 nan\n", "cv-table -1\n"))
 
 
 def _sha256(data) -> str:

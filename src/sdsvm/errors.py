@@ -127,7 +127,7 @@ def read_text(path) -> str:
 
 
 def write_text(destination, text) -> None:
-    """Write text to '-' (stdout), an open stream, or a path.
+    """Write text to '-' (stdout) or a path.
 
     Files are written as UTF-8 with Unix line ends; an OSError becomes an
     IoError.
@@ -135,8 +135,6 @@ def write_text(destination, text) -> None:
     try:
         if destination == "-":
             sys.stdout.write(text)
-        elif hasattr(destination, "write"):
-            destination.write(text)
         else:
             with open(destination, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

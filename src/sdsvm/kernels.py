@@ -60,8 +60,9 @@ class KernelSpec:
     """Which kernel to use and its hyperparameters.
 
     The only place kernel identity lives; passed around immutably.  The
-    numeric fields must be valid for every kind, used or not.  For the
-    precomputed kind the data is the Gram matrix itself (see kernel_matrix).
+    numeric fields must be valid for every kind, used or not, and are stored
+    as Python floats and ints.  For the precomputed kind the data is the
+    Gram matrix itself (see kernel_matrix).
     """
 
     kind: str = "linear"
@@ -73,6 +74,8 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "coef0", float(self.coef0))
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not np.isfinite(self.coef0):
@@ -82,6 +85,7 @@ class KernelSpec:
             check_integer(name, value)
             if value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
 
     def describe(self) -> str:
         """Stable single-line rendering used by the fit report."""

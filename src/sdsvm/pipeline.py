@@ -11,7 +11,7 @@ included, since the outlier map plots them all).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
 from .rng import Stream, check_integer, check_seed, derive_key
-from .svm import _INTERIOR_TOL, SvmModel, decision_values, sign_labels, solve_dual
+from .svm import SvmModel, decision_values, sign_labels, solve_dual
 
 # Default C grid when optimization is requested without an explicit grid:
 # 11 log-spaced points 2^-5, 2^-3, ..., 2^15.
@@ -86,11 +86,28 @@ class CvConfig:
 
 @dataclass(frozen=True)
 class CvSelection:
-    """Chosen C plus the per-grid-point mean CV error table."""
+    """The choice of C: the mean CV error per grid point and the folds used.
 
-    c: float
+    c is the C of least error, ties to the smallest C.  A fixed C is the
+    one-row table ((C, nan),) with 0 folds; any other table needs >= 2
+    folds and a finite error.  Every C must be positive and finite and
+    every error nan or in [0, 1]; a ValueError otherwise.
+    """
+
     table: tuple  # ((C, mean_error), ...) in grid order; error nan if skipped
     folds_used: int
+    c: float = field(init=False)
+
+    def __post_init__(self):
+        check_integer("folds_used", self.folds_used)
+        table = tuple((float(c), float(err)) for c, err in self.table)
+        scored = [(err, c) for c, err in table if not math.isnan(err)]
+        in_range = all(0 < c < math.inf for c, _ in table) and all(0 <= err <= 1 for err, _ in scored)
+        fixed = self.folds_used == 0 and len(table) == 1 and not scored
+        if not (in_range and (fixed or self.folds_used >= 2 and scored)):
+            raise ValueError(f"folds_used {self.folds_used} over the table {table} is no choice of C")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "c", table[0][0] if fixed else min(scored)[1])
 
 
 @dataclass(frozen=True)
@@ -98,16 +115,15 @@ class FitResult:
     """Everything the outlier map and downstream reporting need.
 
     ids, labels, decision_values and the plan's columns are aligned with
-    the dataset; the model holds the plan's retained samples, in order.
-    Every sample is one the outlier map can draw: its label is -1 or +1,
-    its outlyingness nonnegative and not nan (+inf is kept) and its f
-    finite; a ValueError otherwise.
+    the dataset; the model holds the plan's retained samples, in order, and
+    its C is cv.c.  Every sample is one the outlier map can draw: its label
+    is -1 or +1, its outlyingness nonnegative and not nan (+inf is kept) and
+    its f finite; a ValueError otherwise.
     """
 
     model: SvmModel
     plan: TrimPlan
-    cv_table: tuple
-    folds_used: int
+    cv: CvSelection
     decision_values: np.ndarray
     ids: tuple
     labels: np.ndarray
@@ -139,6 +155,8 @@ class FitResult:
                 f"model has {self.model.n_retained} samples but the plan retains "
                 f"{self.plan.retained.size}"
             )
+        if self.model.c != self.cv.c:
+            raise ValueError(f"model has C={self.model.c!r} but the C choice is {self.cv.c!r}")
 
     @property
     def n(self) -> int:
@@ -200,7 +218,7 @@ def _fold_assignment(labels: np.ndarray, folds: int, seed: int):
 
 
 def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
-    """Mean CV misclassification per grid point; argmin, ties to smallest C.
+    """Mean CV misclassification per grid point, as the CvSelection it picks.
 
     labels_t is the -1/+1 label array of the retained set.
 
@@ -211,16 +229,8 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     recorded as nan and skipped; if every point fails the ConvergenceError
     propagates.
 
-    A fold stops solving once a solve at C_t makes 0 pair updates and leaves
-    every alpha below C_t - _INTERIOR_TOL (on separable data the path stops
-    moving once no alpha is at its bound): every larger C of that fold gets
-    C_t's error rate.  This is exact.  With 0 updates the solve returned its
-    start, so a solve at C' >= C_t from that alpha validates its start,
-    recomputes the same beta and g, builds the same rise/fall candidates (no
-    alpha is at C_t, so none is at C'), finds the same gap and again makes 0
-    updates, and takes its bias over the same free set (alpha < C_t - tol
-    <= C' - tol) or from the same candidates.  The model differs only in c,
-    so the rate is the same.
+    A fold stops solving once its model at C_t is settled (SvmModel.settled):
+    every larger C of that fold gets C_t's error rate, exactly.
     """
     y = np.asarray(labels_t, dtype=np.float64)
     n_minus = int(np.count_nonzero(y < 0))
@@ -259,26 +269,14 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
             start = model.alpha
             wrong = np.count_nonzero(sign_labels(decision_values(model, cross)) != y_test)
             rates[t].append(wrong / y_test.shape[0])
-            if model.updates == 0 and start.max() < model.c - _INTERIOR_TOL:
+            if model.settled:
                 fixed_rate = rates[t][-1]
 
-    table = []
-    best = None
-    for t, c in enumerate(cv.grid):
-        if t in failures:
-            table.append((c, math.nan))
-            continue
-        mean_rate = float(np.mean(rates[t]))
-        table.append((c, mean_rate))
-        if best is None or mean_rate < best[0] or (mean_rate == best[0] and c < best[1]):
-            best = (mean_rate, c)
-    if best is None:
-        last_failure = failures[len(cv.grid) - 1]
-        raise ConvergenceError(
-            f"every C in the grid failed to converge (last: {last_failure})",
-            max_violation=last_failure.max_violation,
-        )
-    return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
+    if len(failures) == len(cv.grid):
+        last = failures[len(cv.grid) - 1]
+        raise ConvergenceError(f"every C in the grid failed to converge (last: {last})", last.max_violation)
+    errors = [math.nan if t in failures else np.mean(rates[t]) for t in range(len(cv.grid))]
+    return CvSelection(tuple(zip(cv.grid, errors)), folds)
 
 
 @dataclass(frozen=True)
@@ -338,30 +336,16 @@ def fit_ranked(
     omega_t = omega.take(retained)
 
     if len(cv.grid) == 1:
-        chosen_c = cv.grid[0]
-        cv_table = ((chosen_c, math.nan),)
-        folds_used = 0
+        selection = CvSelection(((cv.grid[0], math.nan),), folds_used=0)
     else:
         selection = run_stage("select-c", select_C, omega_t, labels_t, cv)
-        chosen_c = selection.c
-        cv_table = selection.table
-        folds_used = selection.folds_used
-
-    model = run_stage(
-        "train",
-        solve_dual,
-        omega_t,
-        labels_t,
-        chosen_c,
-        spec=ranking.spec,
-    )
+    model = run_stage("train", solve_dual, omega_t, labels_t, selection.c, spec=ranking.spec)
     del omega_t  # freed before the n_retained x n decision block is gathered
 
     return FitResult(
         model=model,
         plan=plan,
-        cv_table=tuple(cv_table),
-        folds_used=folds_used,
+        cv=selection,
         decision_values=decision_values(model, omega.entries[retained]),
         ids=dataset.ids,
         labels=labels,
@@ -424,14 +408,13 @@ def fit_to_text(fit: FitResult) -> str:
         _FIT_HEADER,
         f"kappa {fit.plan.kappa!r}",
         f"chosen-c {float(model.c)!r}",
-        f"folds-used {fit.folds_used}",
+        f"folds-used {fit.cv.folds_used}",
         f"policy-minus {_policy_to_text(fit.policy_minus)}",
         f"policy-plus {_policy_to_text(fit.policy_plus)}",
         f"kernel {model.spec.describe()}",
-        f"cv-table {len(fit.cv_table)}",
+        f"cv-table {len(fit.cv.table)}",
     ]
-    for c, err in fit.cv_table:
-        lines.append(f"{float(c)!r} {float(err)!r}")
+    lines.extend(f"{c!r} {err!r}" for c, err in fit.cv.table)
     lines.append(f"model {model.n_retained + 2}")
     lines.append(f"{_MODEL_HEADER} {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}")
     lines.extend(
@@ -464,8 +447,8 @@ def fit_from_text(text: str) -> FitResult:
     whose model block names other ids or labels than the retained rows of
     its sample table; on one whose folds-used, cv-table or samples count
     is negative, or whose samples line is not followed by exactly that many
-    rows (blank lines may trail); or on one that is not a valid FitResult,
-    such as one with a sample the outlier map cannot draw.
+    rows (blank lines may trail); on one whose trimmed column is not the trim
+    of its outlyingness; or on one that is not a valid CvSelection or FitResult.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -513,8 +496,7 @@ def fit_from_text(text: str) -> FitResult:
         policy_minus = _policy_from_text(keyed("policy-minus"))
         policy_plus = _policy_from_text(keyed("policy-plus"))
         kernel = keyed("kernel")
-        grid, errors = columns(count("cv-table"), 2)
-        cv_table = tuple(zip(map(float, grid), map(float, errors)))
+        cv = CvSelection(tuple(zip(*columns(count("cv-table"), 2))), folds_used)
         block = int(keyed("model"))
         if block < 2:
             raise SerializationError(f"model block needs a header and a bias line, got {block} lines")
@@ -544,16 +526,20 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError(
                 "model block's ids or labels disagree with the retained rows of the sample table"
             )
-        return FitResult(
+        fit = FitResult(
             model=SvmModel(floats(alpha), model_labels, bias, c, tol, spec),
             plan=plan,
-            cv_table=cv_table,
-            folds_used=folds_used,
+            cv=cv,
             decision_values=f_vals,
             ids=ids,
             labels=labels,
             policy_minus=policy_minus,
             policy_plus=policy_plus,
         )
-    except (ValueError, IndexError, KeyError) as exc:
+        sides = ((-1.0, policy_minus), (1.0, policy_plus))
+        reports = [OutlyingnessReport(r_vals[labels == side], policy) for side, policy in sides]
+        if not np.array_equal(trim(*reports, labels, kappa).trimmed, plan.trimmed):
+            raise SerializationError("trimmed column is not the trim of the outlyingness column")
+        return fit
+    except (ValueError, IndexError, KeyError, GroupEmptyAfterTrim) as exc:
         raise SerializationError(f"bad fit report: {exc}") from exc

@@ -94,6 +94,17 @@ class SvmModel:
     def n_retained(self) -> int:
         return self.alpha.shape[0]
 
+    @property
+    def settled(self) -> bool:
+        """0 pair updates and every alpha below C - _INTERIOR_TOL, as on
+        separable data once no alpha is at its bound.  A solve at any C' >= C
+        from this alpha then returns this model but for c: it recomputes the
+        start's beta, g, rise/fall candidates (no alpha is at C, so none is
+        at C') and gap, again makes 0 updates, and takes its bias over the
+        same free set (alpha < C - tol <= C' - tol) or the same candidates.
+        """
+        return self.updates == 0 and bool((self.alpha < self.c - _INTERIOR_TOL).all())
+
 
 def dual_objective(omega: KernelMatrix, labels, alpha) -> float:
     """Value of the dual objective at a coefficient vector."""

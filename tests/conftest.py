@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 # Acceptance demands >= 200 cases per property; deadline off because single
@@ -12,13 +11,6 @@ settings.register_profile(
     derandomize=True,
 )
 settings.load_profile("sdsvm")
-
-
-@pytest.fixture
-def linear_spec():
-    from sdsvm import KernelSpec
-
-    return KernelSpec(kind="linear")
 
 
 def make_vectors(rows):

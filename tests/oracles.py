@@ -349,7 +349,6 @@ def select_c_cold(omega_t, labels_t, cv):
     assignment = _fold_assignment(y, folds, cv.seed)
     entries = omega_t.entries
     table = []
-    best = None
     for c in cv.grid:
         rates = []
         try:
@@ -363,11 +362,8 @@ def select_c_cold(omega_t, labels_t, cv):
         except ConvergenceError:
             table.append((c, math.nan))
             continue
-        mean_rate = float(np.mean(rates))
-        table.append((c, mean_rate))
-        if best is None or mean_rate < best[0] or (mean_rate == best[0] and c < best[1]):
-            best = (mean_rate, c)
-    return CvSelection(c=best[1], table=tuple(table), folds_used=folds)
+        table.append((c, float(np.mean(rates))))
+    return CvSelection(table=tuple(table), folds_used=folds)
 
 
 def solve_dual_reference(
@@ -586,13 +582,13 @@ def fit_to_text_reference(fit):
         "sdsvm-fit-v1",
         f"kappa {fit.plan.kappa!r}",
         f"chosen-c {float(fit.model.c)!r}",
-        f"folds-used {fit.folds_used}",
+        f"folds-used {fit.cv.folds_used}",
         f"policy-minus {_policy_to_text(fit.policy_minus)}",
         f"policy-plus {_policy_to_text(fit.policy_plus)}",
         f"kernel {fit.model.spec.describe()}",
-        f"cv-table {len(fit.cv_table)}",
+        f"cv-table {len(fit.cv.table)}",
     ]
-    for c, err in fit.cv_table:
+    for c, err in fit.cv.table:
         lines.append(f"{float(c)!r} {float(err)!r}")
     retained_ids = [ids[i] for i in range(fit.n) if not fit.plan.trimmed[i]]
     model_block = model_to_text_reference(fit.model, retained_ids).rstrip("\n").splitlines()
@@ -623,8 +619,7 @@ def fit_from_rows(rows, kappa=0.5):
     return FitResult(
         model=SvmModel(np.zeros(kept.size), kept, 0.0, 1.0, DEFAULT_TOL, KernelSpec()),
         plan=TrimPlan(kappa, np.array(r, dtype=np.float64), trimmed),
-        cv_table=((1.0, math.nan),),
-        folds_used=0,
+        cv=CvSelection(table=((1.0, math.nan),), folds_used=0),
         decision_values=np.array(f, dtype=np.float64),
         ids=ids,
         labels=labels,

@@ -74,6 +74,23 @@ class TestKernelSpec:
         assert fit_from_text(fit_to_text(fit)).model.spec == spec
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        KernelSpec(kind="rbf", gamma=1),
+        KernelSpec(kind="polynomial", gamma=0.5, coef0=1),
+        KernelSpec(kind="rbf", gamma=np.float64(0.5)),
+    ],
+    ids=["int-gamma", "int-coef0", "numpy-gamma"],
+)
+def test_spec_of_any_number_type_reads_back(spec):
+    # Each once wrote a kernel line its own reader rejected: gamma=1 read
+    # back as 1.0, and np.float64(0.5) wrote its repr.
+    assert type(spec.gamma) is float and type(spec.coef0) is float
+    fit = fit_sdsvm(gen_toy(1), spec)
+    assert fit_from_text(fit_to_text(fit)).model.spec == spec
+
+
 class TestEvalKernel:
     def test_linear_dot_by_hand(self):
         value = kernel_entry(KernelSpec(), [1.0, 2.0], [3.0, 4.0])

@@ -70,6 +70,5 @@ def test_cross_module_private_imports_are_pinned():
         ("data", "kernels._frozen"),
         ("outlyingness", "kernels._frozen"),
         ("pipeline", "kernels._frozen"),
-        ("pipeline", "svm._INTERIOR_TOL"),
         ("svm", "kernels._frozen"),
     ]

@@ -38,7 +38,7 @@ from sdsvm.errors import (
     SerializationError,
     TooFewSamples,
 )
-from sdsvm.pipeline import DEFAULT_C_GRID
+from sdsvm.pipeline import DEFAULT_C_GRID, CvSelection
 
 from oracles import select_c_cold
 
@@ -149,6 +149,51 @@ class TestSelectC:
         om = kernel_matrix(LINEAR, ds.x)
         selection = select_C(om, ds.labels, CvConfig(folds=10, grid=(0.1, 1.0)))
         assert selection.folds_used == 9
+
+
+class TestCvSelection:
+    """The record of the C choice derives its C from its table."""
+
+    @pytest.mark.parametrize(
+        "table, c",
+        [
+            (((10.0, 0.2), (0.5, 0.1), (2.0, 0.1)), 0.5),  # a tie goes to the smallest C
+            (((0.1, math.nan), (1.0, 0.3), (10.0, 0.4)), 1.0),  # a failed C is skipped
+            (((1.0, 0.0), (1.0, 0.0)), 1.0),  # a grid may repeat a C
+        ],
+    )
+    def test_c_is_least_error_ties_to_smallest(self, table, c):
+        assert CvSelection(table, folds_used=3).c == c
+
+    def test_fixed_c_is_one_nan_row_and_no_folds(self):
+        selection = CvSelection(((0.25, math.nan),), folds_used=0)
+        assert selection.c == 0.25 and selection.folds_used == 0
+
+    @pytest.mark.parametrize(
+        "table, folds",
+        [
+            (((0.1, math.nan),), 9),  # folds over a fixed C
+            (((0.1, 0.3),), 0),  # an error on a fixed C
+            (((0.1, math.nan), (1.0, math.nan)), 0),  # a fixed C is one row
+            ((), 0),
+            ((), 3),
+            (((0.1, math.nan), (1.0, math.nan)), 3),  # no C converged
+            (((0.1, 0.3),), 1),  # one fold is no cross-validation
+            (((0.1, 0.3),), -2),
+            (((0.1, 0.0), (-5.0, 0.5)), 3),  # a C no grid holds
+            (((0.1, 0.0), (math.inf, 0.5)), 3),
+            (((0.1, 0.0), (1.0, 7.5)), 3),  # an error rate above 1
+            (((0.1, -0.5), (1.0, 0.5)), 3),
+            (((0.0, math.nan),), 0),
+        ],
+    )
+    def test_any_other_table_or_fold_count_raises(self, table, folds):
+        with pytest.raises(ValueError, match="is no choice of C"):
+            CvSelection(table, folds_used=folds)
+
+    def test_folds_used_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="folds_used must be an integer"):
+            CvSelection(((0.1, 0.3),), folds_used=2.5)
 
 
 def toy_retained(spec):
@@ -351,8 +396,14 @@ class TestFitSdsvm:
         np.testing.assert_allclose(
             fit.decision_values, decision_values(plain, om.entries), atol=1e-8
         )
-        assert fit.model.c == 0.25
-        assert fit.folds_used == 0
+        assert fit.model.c == fit.cv.c == 0.25
+        assert fit.cv.folds_used == 0
+        assert len(fit.cv.table) == 1 and math.isnan(fit.cv.table[0][1])
+
+    def test_model_c_must_be_the_chosen_c(self):
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        with pytest.raises(ValueError, match="model has C=0.1 but the C choice is 0.2"):
+            replace(fit, cv=CvSelection(((0.2, math.nan),), folds_used=0))
 
     def test_contaminated_outliers_all_trimmed(self):
         spec = SimulationSpec(n_per_group=12, dim=40, outliers_per_group=4, test_size=10, runs=1)
@@ -493,7 +544,7 @@ class TestFitReport:
         back = fit_from_text(text)
         assert back.plan.kappa == fit.plan.kappa
         assert back.model.c == fit.model.c
-        assert back.folds_used == fit.folds_used
+        assert back.cv.folds_used == fit.cv.folds_used == 0
         assert back.ids == tuple(str(i) for i in fit.ids)
         assert np.array_equal(back.labels, fit.labels)
         assert np.array_equal(back.decision_values, fit.decision_values)
@@ -509,10 +560,52 @@ class TestFitReport:
 
     def test_cv_table_round_trip(self):
         ds = wide_margin_dataset()
-        fit = fit_sdsvm(ds, LINEAR, cv=CvConfig(folds=3, grid=(0.01, 1.0)))
+        fit = fit_sdsvm(ds, LINEAR, cv=CvConfig(folds=3, grid=(0.1, 1.0, 10.0)))
         back = fit_from_text(fit_to_text(fit))
-        assert back.cv_table == fit.cv_table
-        assert back.folds_used == fit.folds_used
+        assert back.cv == fit.cv
+        assert back.cv.folds_used == 3 and back.model.c == back.cv.c
+
+    @pytest.mark.parametrize(
+        "edit, rule",
+        [
+            (lambda text: text.replace("\nfolds-used 0\n", "\nfolds-used 9\n"), "is no choice of C"),
+            (lambda text: text.replace("\n0.1 nan\n", "\n0.1 0.3\n"), "is no choice of C"),
+            (
+                lambda text: text.replace("chosen-c 0.1", "chosen-c 0.2").replace("C=0.1", "C=0.2"),
+                "model has C=0.2 but the C choice is 0.1",
+            ),
+        ],
+        ids=["folds-over-fixed-c", "error-on-fixed-c", "c-not-in-table"],
+    )
+    def test_cv_block_the_writer_never_writes_raises(self, edit, rule):
+        # Each of these edits once read back without error.
+        text = fit_to_text(fit_sdsvm(gen_toy(1), KernelSpec()))
+        edited = edit(text)
+        assert edited != text
+        with pytest.raises(SerializationError, match=rule):
+            fit_from_text(edited)
+
+    @pytest.mark.parametrize("edit", ["kappa", "swap"])
+    def test_trimmed_column_must_be_the_trim(self, edit):
+        # Each of these edits once read back, with 33 of 66 samples retained.
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        text = fit_to_text(fit)
+        if edit == "kappa":
+            text = text.replace("\nkappa 0.5\n", "\nkappa 0.9\n")
+        else:
+            # swap r between a trimmed and a retained minus sample
+            lines = text.splitlines()
+            at = lines.index("id label outlyingness trimmed f") + 1
+            minus = fit.labels < 0
+            cut = at + int(np.flatnonzero(minus & fit.plan.trimmed)[0])
+            kept = at + int(np.flatnonzero(minus & ~fit.plan.trimmed)[0])
+            rows = {row: lines[row].split() for row in (cut, kept)}
+            rows[cut][2], rows[kept][2] = rows[kept][2], rows[cut][2]
+            for row, cells in rows.items():
+                lines[row] = " ".join(cells)
+            text = "\n".join(lines) + "\n"
+        with pytest.raises(SerializationError, match="trimmed column is not the trim"):
+            fit_from_text(text)
 
     @pytest.mark.parametrize(
         "line, replacement",
@@ -583,15 +676,17 @@ class TestFitReport:
             fit_from_text("\n".join(lines[:-3]))
 
     def test_negative_sample_count_raises_even_without_rows(self):
-        # samples 0 reads back only under an empty model block: a block of
-        # 33 rows over a 0-row table names ids the table does not retain.
+        # samples 0 fails under an empty model block too: trimming a group of
+        # 0 samples retains none.  A block of 33 rows over a 0-row table
+        # names ids the table does not retain.
         lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
         at = lines.index("model 35")
         assert lines[at + 36] == "samples 66"
         head = lines[:at] + ["model 2", lines[at + 1], lines[at + 35]]
         assert head[-1].startswith("bias ")
         table = ["id label outlyingness trimmed f"]
-        assert fit_from_text("\n".join(head + ["samples 0"] + table)).n == 0
+        with pytest.raises(SerializationError, match="h-=0, h\\+=0"):
+            fit_from_text("\n".join(head + ["samples 0"] + table))
         with pytest.raises(SerializationError, match="samples count must be >= 0"):
             fit_from_text("\n".join(head + ["samples -1"] + table))
         with pytest.raises(SerializationError, match="model block"):

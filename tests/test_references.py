@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, kernel_matrix, load_csv
 from sdsvm.errors import SdsvmError
 from sdsvm.outliermap import map_to_csv, map_to_svg
-from sdsvm.pipeline import FitResult, TrimPlan, fit_to_text
+from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, fit_to_text
 from sdsvm.svm import SvmModel
 
 from conftest import with_number_tokens
@@ -58,6 +58,20 @@ specs = st.sampled_from(
 policies = st.sampled_from(
     [DirectionPolicy(mode="exhaustive"), DirectionPolicy(mode="sampled", count=7, seed=3)]
 )
+c_values = st.sampled_from([0.1, 1.0, 2.0**15])
+
+
+@st.composite
+def cv_selections(draw):
+    """A C choice a fit can hold: a fixed C, or a CV table over a grid
+    (repeats and any order allowed) with >= 2 folds and a finite error."""
+    if draw(st.booleans()):
+        return CvSelection(table=((draw(c_values), math.nan),), folds_used=0)
+    errors = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, math.nan])
+    table = [(g, draw(errors)) for g in draw(st.lists(c_values, min_size=1, max_size=4))]
+    finite = draw(st.integers(0, len(table) - 1))
+    table[finite] = (table[finite][0], draw(st.floats(0.0, 1.0)))
+    return CvSelection(table=tuple(table), folds_used=draw(st.integers(2, 10)))
 
 
 @st.composite
@@ -71,7 +85,8 @@ def fits(draw, n_max=6):
     labels = np.array(column(st.sampled_from([-1.0, 1.0])))
     trimmed = np.array(column(st.booleans()))
     kept = np.flatnonzero(~trimmed)
-    c = draw(st.sampled_from([0.1, 1.0, 2.0**15]))
+    cv = draw(cv_selections())
+    c = cv.c
     alpha = np.array(draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)))
     # Scale the class with the larger alpha sum down to the other's, so that
     # sum alpha_i y_i = 0 as a solve leaves it.
@@ -91,8 +106,7 @@ def fits(draw, n_max=6):
     return FitResult(
         model=model,
         plan=TrimPlan(draw(st.sampled_from([0.5, 0.75, 1.0])), column(r_values), trimmed),
-        cv_table=tuple((g, draw(st.floats(0.0, 1.0) | st.just(math.nan))) for g in (0.1, c)),
-        folds_used=draw(st.integers(0, 10)),
+        cv=cv,
         decision_values=column(f_values),
         ids=ids,
         labels=labels,

@@ -209,6 +209,22 @@ class TestWarmStart:
         assert warm.updates == 0
         assert np.array_equal(warm.alpha, cold.alpha)
 
+    def test_settled_model_solves_to_itself_at_any_larger_c(self):
+        om = kernel_matrix(LINEAR, self.X)
+        cold = solve_dual(om, self.Y, 5.0, tol=1e-9)
+        warm = solve_dual(om, self.Y, 5.0, start=cold.alpha)
+        assert not cold.settled and warm.settled  # cold made updates
+        for c in (5.0, 50.0, 2.0**15):
+            again = solve_dual(om, self.Y, c, start=warm.alpha)
+            assert again.settled and again.c == c
+            assert np.array_equal(again.alpha, warm.alpha) and again.bias == warm.bias
+
+    def test_alpha_at_its_bound_is_not_settled(self):
+        om = kernel_matrix(LINEAR, self.X)
+        tight = solve_dual(om, self.Y, 1e-3)
+        assert tight.alpha.max() == 1e-3
+        assert not solve_dual(om, self.Y, 1e-3, start=tight.alpha).settled
+
     @pytest.mark.parametrize("seed", range(6))
     def test_warm_solve_at_larger_c_reaches_oracle(self, seed):
         x, y, c = random_instance(seed)

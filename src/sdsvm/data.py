@@ -24,7 +24,7 @@ from .errors import (
 from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, check_kappa, fit_ranked, rank
-from .rng import Stream, check_integer, check_seed, derive_key
+from .rng import Stream, check_integer, check_real, check_reals, check_seed, derive_key
 from .svm import decision_values, sign_labels
 
 
@@ -91,20 +91,40 @@ class SimulationSpec:
             check_integer(name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if not math.isfinite(self.shift):
-            raise ValueError(f"shift must be finite, got {self.shift}")
-        kappas = tuple(float(k) for k in self.kappas)
-        if not kappas:
-            raise ValueError("kappas must list at least one value")
+        object.__setattr__(self, "shift", check_real("shift", self.shift))
+        kappas = check_reals("kappas", self.kappas)
         for kappa in kappas:
             check_kappa(kappa)
         object.__setattr__(self, "kappas", kappas)
         check_seed(self.seed)
 
 
-def _normal_rows(seed, run_index, stream_name, count, dim):
-    stream = Stream(derive_key(seed, "sim", run_index, stream_name))
-    return stream.normals(count * dim).reshape(count, dim)
+def _normal_rows(x, groups):
+    """Fill x's rows in place, group after group, and return x.
+
+    A group is (stream key, row count, scale, center): its rows are the
+    key's stream of normals, row by row, times scale, plus center unless
+    center is None.
+    """
+    start = 0
+    for key, count, scale, center in groups:
+        rows = x[start : start + count]
+        Stream(key).normals(rows.size, out=rows)
+        if scale != 1.0:
+            rows *= scale
+        if center is not None:
+            rows += center
+        start += count
+    return x
+
+
+def _simulation_set(spec, run_index, groups):
+    """The Dataset of (stream name, row count, label, mean) groups, in order."""
+    names, counts, labels, means = zip(*groups)
+    x = np.empty((sum(counts), spec.dim))
+    keys = [derive_key(spec.seed, "sim", run_index, name) for name in names]
+    _normal_rows(x, zip(keys, counts, [1.0] * len(counts), means))
+    return Dataset(x=x, labels=np.repeat(labels, counts))
 
 
 def gen_simulation(spec: SimulationSpec, run_index: int):
@@ -113,33 +133,22 @@ def gen_simulation(spec: SimulationSpec, run_index: int):
     Negative group ~ N(0, I), positive group ~ N(shift, I); the contaminated
     variant appends outliers_per_group samples at mean OUTLIER_MEAN_MINUS
     labeled -1 and as many at OUTLIER_MEAN_PLUS labeled +1.  The test set is
-    clean, split evenly between groups.
+    clean, split evenly between groups.  Each group's rows come from the
+    stream derive_key(seed, "sim", run_index, name), named as below.
     """
-    n, d = spec.n_per_group, spec.dim
-    blocks = [
-        _normal_rows(spec.seed, run_index, "train-minus", n, d),
-        _normal_rows(spec.seed, run_index, "train-plus", n, d) + spec.shift,
-    ]
-    labels = [-np.ones(n), np.ones(n)]
-    if spec.outliers_per_group:
-        m = spec.outliers_per_group
-        blocks.append(_normal_rows(spec.seed, run_index, "outliers-minus", m, d) + OUTLIER_MEAN_MINUS)
-        labels.append(-np.ones(m))
-        blocks.append(_normal_rows(spec.seed, run_index, "outliers-plus", m, d) + OUTLIER_MEAN_PLUS)
-        labels.append(np.ones(m))
-    train = Dataset(x=np.vstack(blocks), labels=np.concatenate(labels))
+    n, m = spec.n_per_group, spec.outliers_per_group
+    train = [("train-minus", n, -1.0, None), ("train-plus", n, 1.0, spec.shift)]
+    if m:
+        train += [
+            ("outliers-minus", m, -1.0, OUTLIER_MEAN_MINUS),
+            ("outliers-plus", m, 1.0, OUTLIER_MEAN_PLUS),
+        ]
     n_test_minus = spec.test_size // 2
-    n_test_plus = spec.test_size - n_test_minus
-    test = Dataset(
-        x=np.vstack(
-            [
-                _normal_rows(spec.seed, run_index, "test-minus", n_test_minus, d),
-                _normal_rows(spec.seed, run_index, "test-plus", n_test_plus, d) + spec.shift,
-            ]
-        ),
-        labels=np.concatenate([-np.ones(n_test_minus), np.ones(n_test_plus)]),
-    )
-    return train, test
+    test = [
+        ("test-minus", n_test_minus, -1.0, None),
+        ("test-plus", spec.test_size - n_test_minus, 1.0, spec.shift),
+    ]
+    return _simulation_set(spec, run_index, train), _simulation_set(spec, run_index, test)
 
 
 # Jitter spread of the toy outlier clusters ("around" a position).
@@ -154,20 +163,14 @@ def gen_toy(seed: int = 0) -> Dataset:
     N(0, 0.1 I).  Id 66: exactly (0,0), labeled +1.
     """
     jitter = math.sqrt(TOY_JITTER_VARIANCE)
-
-    def rows(name, count, center, scale=1.0):
-        stream = Stream(derive_key(seed, "toy", name))
-        return stream.normals(count * 2).reshape(count, 2) * scale + np.asarray(center)
-
-    x = np.vstack(
-        [
-            rows("minus", 30, (0.0, 0.0)),
-            rows("plus", 30, (1.5, 1.5)),
-            rows("far", 3, (5.0, 7.0), jitter),
-            rows("low", 2, (5.0, -5.0), jitter),
-            np.array([[0.0, 0.0]]),
-        ]
-    )
+    groups = [
+        ("minus", 30, 1.0, (0.0, 0.0)),
+        ("plus", 30, 1.0, (1.5, 1.5)),
+        ("far", 3, jitter, (5.0, 7.0)),
+        ("low", 2, jitter, (5.0, -5.0)),
+    ]
+    x = np.zeros((66, 2))  # id 66 stays at (0, 0)
+    _normal_rows(x, [(derive_key(seed, "toy", name), *rest) for name, *rest in groups])
     return Dataset(x=x, labels=np.concatenate([-np.ones(30), np.ones(36)]))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, EmptyInput, KernelTypeError
-from .rng import check_integer
+from .rng import check_integer, check_real
 
 KINDS = ("linear", "rbf", "polynomial", "spectrum", "precomputed")
 
@@ -73,13 +73,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kernel kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "coef0", float(self.coef0))
-        if not 0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not np.isfinite(self.coef0):
-            raise ValueError(f"coef0 must be finite, got {self.coef0}")
+            raise ValueError(f"kind {self.kind!r} is an unknown kernel kind; expected one of {KINDS}")
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, positive=True))
+        object.__setattr__(self, "coef0", check_real("coef0", self.coef0))
         for name in ("degree", "kmer"):
             value = getattr(self, name)
             check_integer(name, value)

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
-from .rng import Stream, check_integer, check_seed, derive_key
+from .rng import Stream, check_integer, check_real, check_reals, check_seed, derive_key
 from .svm import SvmModel, decision_values, sign_labels, solve_dual
 
 # Default C grid when optimization is requested without an explicit grid:
@@ -39,8 +39,9 @@ DEFAULT_C = 0.1
 
 
 def check_kappa(kappa) -> None:
-    """Raise ValueError unless kappa, the retained fraction per group, is in [0.5, 1]."""
-    if not 0.5 <= kappa <= 1.0:
+    """Raise ValueError unless kappa, the retained fraction per group, is a
+    real number (see check_real) in [0.5, 1]."""
+    if not 0.5 <= check_real("kappa", kappa) <= 1.0:
         raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
 
 
@@ -75,12 +76,7 @@ class CvConfig:
         check_integer("folds", self.folds)
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
-        grid = tuple(float(c) for c in self.grid)
-        if not grid:
-            raise ValueError("grid must be nonempty")
-        if not all(0 < c < math.inf for c in grid):
-            raise ValueError(f"grid must hold positive finite values, got {list(grid)}")
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", check_reals("grid", self.grid, positive=True))
         check_seed(self.seed)
 
 

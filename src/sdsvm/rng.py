@@ -21,9 +21,19 @@ from this description alone:
 
 GOLDEN = 0x9E3779B97F4A7C15.  Streams derived from distinct word tuples are
 independent for practical purposes and can be consumed in any order.
+
+Output c is a pure function of (key, c), so any block of outputs can be made
+on its own from its first counter.  Stream.normals makes its pairs in blocks
+of _NORMAL_BLOCK; a call of two or more blocks is filled by the calling
+thread and one short-lived worker thread, each taking the next block left,
+and the values do not depend on which thread fills which block.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import threading
 
 import numpy as np
 
@@ -66,6 +76,35 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def check_real(name: str, value, positive: bool = False) -> float:
+    """value as a float.  Raise ValueError, its message starting with name,
+    unless value is a Python or numpy real number, not a bool, that is
+    finite (and > 0 if positive)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not (0 < number < math.inf if positive else math.isfinite(number)):
+        rule = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return number
+
+
+def check_reals(name: str, values, positive: bool = False) -> tuple:
+    """values as a nonempty tuple of floats, each one checked by check_real
+    under name; a ValueError, its message starting with name, for anything
+    else (a string, a number, an empty sequence)."""
+    try:
+        items = () if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        items = ()
+    if not items:
+        raise ValueError(f"{name} must be a nonempty sequence of real numbers, got {values!r}")
+    return tuple(check_real(name, value, positive) for value in items)
+
+
 def check_seed(seed) -> None:
     """Raise ValueError unless seed is an integer (see check_integer) in
     [0, 2^64), the seeds derive_key tells apart."""
@@ -83,6 +122,82 @@ def derive_key(seed: int, *words) -> int:
     return key
 
 
+def _uniforms(x, steps, base, scratch):
+    """The uniforms of outputs base + steps[j], written in scratch's memory.
+
+    base + steps[j] is key + (c + 1) * GOLDEN (mod 2**64) for the counter c
+    of value j.  The mix runs in x, with scratch (uint64, x's size) for the
+    shifts; scratch may be steps itself.  No array of x's size is allocated.
+    """
+    np.add(steps, base, out=x)
+    np.right_shift(x, _U30, scratch)
+    x ^= scratch
+    x *= _U_MIX1
+    np.right_shift(x, _U27, scratch)
+    x ^= scratch
+    x *= _U_MIX2
+    np.right_shift(x, _U31, scratch)
+    x ^= scratch
+    x >>= _U11
+    u = scratch.view(np.float64)
+    np.copyto(u, x.view(np.int64), casting="unsafe")  # exact: x < 2**53
+    u *= 2.0**-53
+    return u
+
+
+def _steps(n: int) -> np.ndarray:
+    """(j + 1) * GOLDEN mod 2**64 for j < n: the offsets of n consecutive outputs."""
+    steps = np.arange(1, n + 1, dtype=np.uint64)
+    steps *= _U_GOLDEN
+    return steps
+
+
+def _box_muller(z, steps, base, shifted, trig):
+    """Fill z (an even number of doubles) with the normal pairs of the uniform
+    pairs at outputs base + steps[j], in z's own memory.
+
+    shifted (uint64) and trig (float64) are scratch of at least z.size and
+    z.size / 2 values.
+    """
+    u = _uniforms(z.view(np.uint64), steps[: z.size], base, shifted[: z.size])
+    u0, u1 = u[0::2], u[1::2]
+    z0, z1 = z[0::2], z[1::2]
+    radius = trig[: u1.size]
+    np.subtract(1.0, u0, out=radius)  # 1 - u0 in (0, 1]: keeps log() finite
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    u1 *= 2.0 * np.pi  # angle
+    np.cos(u1, out=z0)
+    np.sin(u1, out=z1)
+    z0 *= radius
+    z1 *= radius
+
+
+def _scratch(width: int):
+    """One thread's scratch for blocks of up to width pairs: (shifted, trig)."""
+    return np.empty(2 * width, dtype=np.uint64), np.empty(width)
+
+
+def _fill_blocks(z, steps, base, firsts, scratch, errors):
+    """Fill the blocks of z whose first pair index the shared iterator firsts
+    hands out, until none is left.
+
+    Runs on the calling thread and on the worker of Stream.normals, each
+    with its own scratch; next() on the shared range iterator is one call
+    under the interpreter lock, so no block is handed out twice.  An
+    exception (an interrupt too) ends this thread's share and is appended
+    to errors, for the caller to raise once the worker is joined; the other
+    thread then takes the blocks left.
+    """
+    try:
+        for first in firsts:
+            offset = (base + 2 * first * _GOLDEN) & _MASK64
+            _box_muller(z[2 * first : 2 * (first + _NORMAL_BLOCK)], steps, np.uint64(offset), *scratch)
+    except BaseException as exc:
+        errors.append(exc)
+
+
 class Stream:
     """Sequential consumer of one keyed counter stream."""
 
@@ -90,52 +205,52 @@ class Stream:
         self.key = int(key) & _MASK64
         self._counter = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        x = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+    def _take(self, n: int) -> int:
+        """Consume n outputs; key + GOLDEN * (first counter) mod 2**64, the
+        base that _steps offsets."""
+        base = (self.key + self._counter * _GOLDEN) & _MASK64
         self._counter += n
-        # mix64(key + c * GOLDEN) in place, with one shift buffer; uint64
-        # arithmetic wraps mod 2**64.
-        x *= _U_GOLDEN
-        x += np.uint64(self.key)
-        shifted = np.empty_like(x)
-        np.right_shift(x, _U30, shifted)
-        x ^= shifted
-        x *= _U_MIX1
-        np.right_shift(x, _U27, shifted)
-        x ^= shifted
-        x *= _U_MIX2
-        np.right_shift(x, _U31, shifted)
-        x ^= shifted
-        return x
+        return base
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform in [0, 1)."""
-        top = self._raw(n)
-        top >>= _U11
-        # Converted and scaled in top's own memory.
-        return np.multiply(top, 2.0**-53, top.view(np.float64))
+        steps = _steps(n)
+        return _uniforms(np.empty(n, dtype=np.uint64), steps, np.uint64(self._take(n)), steps)
 
-    def normals(self, n: int) -> np.ndarray:
+    def normals(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """n standard normal doubles via Box-Muller on uniform pairs.
 
-        The pairs are made _NORMAL_BLOCK at a time, so the temporaries of a
-        block stay in cache; the counters run on across blocks, so the
-        values are those of one pass over all pairs.
+        Fills and returns out, a C-contiguous float64 array of n values, or
+        a fresh array.  The pairs are made _NORMAL_BLOCK at a time in the
+        array's own memory; a block depends only on its first counter, so
+        a call of two or more blocks is filled by this thread and one
+        worker, each taking the next block left, with the values of one
+        pass over all pairs.  For an odd n the last pair's second value is
+        dropped, and the stream continues past it.
         """
-        pairs = (n + 1) // 2
-        z = np.empty((pairs, 2))
-        for first in range(0, pairs, _NORMAL_BLOCK):
-            block = z[first : first + _NORMAL_BLOCK]
-            u = self.uniforms(2 * block.shape[0]).reshape(-1, 2)
-            radius = np.log(1.0 - u[:, 0])  # 1 - u0 in (0, 1]: keeps log() finite
-            radius *= -2.0
-            np.sqrt(radius, out=radius)
-            angle = (2.0 * np.pi) * u[:, 1]
-            trig = np.cos(angle)
-            np.multiply(radius, trig, out=block[:, 0])
-            np.sin(angle, out=trig)
-            np.multiply(radius, trig, out=block[:, 1])
-        return z.reshape(-1)[:n]
+        if out is None:
+            out = np.empty(n)
+        elif out.dtype != np.float64 or out.size != n or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of {n} values")
+        z = out.reshape(-1)
+        pairs = n // 2
+        width = min(_NORMAL_BLOCK, pairs)
+        fill = (z[: 2 * pairs], _steps(2 * width), self._take(2 * pairs), iter(range(0, pairs, _NORMAL_BLOCK)))
+        scratch, errors = _scratch(width), []
+        if pairs > _NORMAL_BLOCK:
+            worker = threading.Thread(target=_fill_blocks, args=(*fill, _scratch(width), errors))
+            worker.start()
+            _fill_blocks(*fill, scratch, errors)
+            worker.join()
+        else:
+            _fill_blocks(*fill, scratch, errors)
+        if errors:
+            raise errors[0]
+        if n % 2:
+            last = np.empty(2)
+            _box_muller(last, _steps(2), np.uint64(self._take(2)), *_scratch(1))
+            z[-1] = last[0]
+        return out
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound); bias < bound * 2**-53 is ignored."""

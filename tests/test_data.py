@@ -13,10 +13,12 @@ from sdsvm import (
     load_fasta,
     run_simulation,
 )
-from sdsvm.data import simulation_rows_csv, simulation_summary_csv
+from sdsvm.data import OUTLIER_MEAN_MINUS, OUTLIER_MEAN_PLUS, simulation_rows_csv, simulation_summary_csv
 from sdsvm.errors import DuplicateId, LabelError, MissingLabel, ParseError
+from sdsvm.rng import derive_key
 
 from conftest import write_csv
+from oracles import stream_normals_reference
 
 LINEAR = KernelSpec(kind="linear")
 
@@ -154,6 +156,40 @@ class TestGenerators:
         a, _ = gen_simulation(spec, 0)
         b, _ = gen_simulation(spec, 1)
         assert not np.array_equal(a.x[0], b.x[0])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SimulationSpec(n_per_group=3, dim=7, test_size=9, seed=4),
+            SimulationSpec(n_per_group=5, dim=9, shift=-0.0, outliers_per_group=3, test_size=4, seed=5),
+            # test-plus draws 301 * 333 = 100,233 normals: an odd count over
+            # several blocks, filled by two threads.
+            SimulationSpec(n_per_group=25, dim=333, outliers_per_group=4, test_size=601, seed=2),
+        ],
+    )
+    @pytest.mark.parametrize("run", [0, 3])
+    def test_simulation_is_the_documented_construction(self, spec, run):
+        # Each group's rows are its own stream's normals plus the group's
+        # mean; minus groups add nothing, so -0.0 stays -0.0 there.
+        def rows(name, count, mean=None):
+            key = derive_key(spec.seed, "sim", run, name)
+            block = stream_normals_reference(key, 0, count * spec.dim).reshape(count, spec.dim)
+            return block if mean is None else block + mean
+
+        n, m = spec.n_per_group, spec.outliers_per_group
+        train = [rows("train-minus", n), rows("train-plus", n, spec.shift)]
+        train_labels = [-1.0] * n + [1.0] * n
+        if m:
+            train += [rows("outliers-minus", m, OUTLIER_MEAN_MINUS), rows("outliers-plus", m, OUTLIER_MEAN_PLUS)]
+            train_labels += [-1.0] * m + [1.0] * m
+        half = spec.test_size // 2
+        test = [rows("test-minus", half), rows("test-plus", spec.test_size - half, spec.shift)]
+        test_labels = [-1.0] * half + [1.0] * (spec.test_size - half)
+        got_train, got_test = gen_simulation(spec, run)
+        assert got_train.x.tobytes() == np.vstack(train).tobytes()
+        assert got_test.x.tobytes() == np.vstack(test).tobytes()
+        assert got_train.labels.tolist() == train_labels
+        assert got_test.labels.tolist() == test_labels
 
     def test_toy_layout(self):
         ds = gen_toy(0)

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from sdsvm import rng
 from sdsvm.rng import _NORMAL_BLOCK, Stream, derive_key
 
 from oracles import shuffled_one_at_a_time, stream_normals_reference, stream_uniforms_reference
@@ -79,3 +83,129 @@ class TestShuffledMatchesOneDrawPerPosition:
         assert fast.shuffled(items) == shuffled_one_at_a_time(slow, items)
         assert fast.shuffled(items[::-1]) == shuffled_one_at_a_time(slow, items[::-1])
         assert fast.uniforms(3).tobytes() == slow.uniforms(3).tobytes()
+
+
+# The counts about the first one that starts the worker (2 * _NORMAL_BLOCK + 2,
+# one pair more than a block) and about two blocks, and an odd count over
+# several blocks.
+OUT_SIZES = (
+    SIZES
+    + [2 * _NORMAL_BLOCK + k for k in (-1, 0, 1, 2, 3)]
+    + [4 * _NORMAL_BLOCK + k for k in (-2, -1, 0, 1, 2)]
+    + [5 * _NORMAL_BLOCK + 7]
+)
+
+
+class TestNormalsInPlace:
+    """normals(n, out=a) fills a with the reference bytes, whichever thread
+    fills which block."""
+
+    @pytest.mark.parametrize("n", OUT_SIZES)
+    def test_fills_and_returns_out(self, n):
+        key = derive_key(3, "rng-test")
+        out = np.full(n, np.nan)
+        assert Stream(key).normals(n, out=out) is out
+        assert out.tobytes() == stream_normals_reference(key, 0, n).tobytes()
+
+    def test_fills_rows_of_a_matrix(self):
+        key = derive_key(4, "rng-test")
+        x = np.zeros((7, 2 * _NORMAL_BLOCK + 1))
+        Stream(key).normals(5 * x.shape[1], out=x[1:6])
+        assert x[1:6].tobytes() == stream_normals_reference(key, 0, x[1:6].size).tobytes()
+        assert not x[0].any() and not x[6].any()
+
+    def test_continued_stream_after_out(self):
+        key = derive_key(12, "rng-test")
+        stream = Stream(key)
+        n = 3 * _NORMAL_BLOCK + 5  # an odd count consumes its whole last pair
+        out = np.empty(n)
+        stream.normals(n, out=out)
+        assert out.tobytes() == stream_normals_reference(key, 0, n).tobytes()
+        assert stream.normals(9).tobytes() == stream_normals_reference(key, n + 1, 9).tobytes()
+        assert stream.uniforms(2).tobytes() == stream_uniforms_reference(key, n + 11, 2).tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty(5, dtype=np.float32), np.empty(4), np.empty(10)[::2], np.empty((5, 2))[:, 0]],
+    )
+    def test_out_must_be_contiguous_float64_of_n_values(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            Stream(1).normals(5, out=out)
+
+    @pytest.mark.parametrize("runs_target", [False, True])
+    def test_bytes_do_not_depend_on_which_thread_fills(self, monkeypatch, runs_target):
+        # One stub never runs the worker, so the caller fills every block;
+        # the other runs it inside start(), so the worker fills every block.
+        started = []
+
+        class Stub:
+            def __init__(self, target, args):
+                self.target, self.args = target, args
+
+            def start(self):
+                started.append(self)
+                if runs_target:
+                    self.target(*self.args)
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(threading, "Thread", Stub)
+        key = derive_key(6, "rng-test")
+        n = 4 * _NORMAL_BLOCK + 3
+        assert Stream(key).normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 2 * _NORMAL_BLOCK, 600, 25_000])
+    def test_one_block_starts_no_thread(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a call of one block started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        key = derive_key(7, "rng-test")
+        assert Stream(key).normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        caller = threading.current_thread()
+        fill = rng._box_muller
+
+        def fails_off_the_caller(*args):
+            if threading.current_thread() is not caller:
+                raise MemoryError("worker")
+            fill(*args)
+
+        monkeypatch.setattr(rng, "_box_muller", fails_off_the_caller)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker"):
+            Stream(1).normals(8 * _NORMAL_BLOCK)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        Stream(2).normals(6 * _NORMAL_BLOCK + 1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_under_fast_switching(self):
+        # Four callers and their four workers share two or fewer cores and
+        # switch every microsecond; a block claimed twice or never would
+        # change the bytes.
+        n = 6 * _NORMAL_BLOCK + 3
+        keys = [derive_key(seed, "rng-stress") for seed in range(4)]
+        got = {}
+
+        def draw(key):
+            got[key] = Stream(key).normals(n)
+
+        callers = [threading.Thread(target=draw, args=(key,)) for key in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for key in keys:
+            assert got[key].tobytes() == stream_normals_reference(key, 0, n).tobytes()

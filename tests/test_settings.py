@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sdsvm import CvConfig, DirectionPolicy, KernelSpec, TrimPlan
 from sdsvm.data import SimulationSpec
@@ -109,3 +110,88 @@ def test_numpy_integer_fields_are_accepted():
     assert CvConfig(folds=three).folds == 3
     assert KernelSpec(degree=three, kmer=three).describe() == "kind=linear"
     assert SimulationSpec(n_per_group=three, dim=three, runs=three, test_size=three).runs == 3
+
+
+# Every field of every settings type, each with the names its ValueError may
+# start with: an item of kappas is checked as a kappa.
+_FIELDS = [
+    *((KernelSpec, name, (name,)) for name in ("kind", "gamma", "degree", "coef0", "kmer")),
+    *((CvConfig, name, (name,)) for name in ("folds", "grid", "seed")),
+    *((DirectionPolicy, name, (name,)) for name in ("mode", "count", "seed")),
+    *(
+        (SimulationSpec, name, ("kappa", name) if name == "kappas" else (name,))
+        for name in (
+            "n_per_group", "dim", "shift", "outliers_per_group", "test_size", "runs", "kappas", "seed",
+        )
+    ),
+]
+
+_ANY_VALUE = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from(["linear", "rbf", "sampled", "3", "0.7", "nan"]),
+    st.booleans(),
+    st.sampled_from([np.True_, np.False_]),
+    st.integers(-3, 20),
+    st.sampled_from([10**400, -(10**400), 2**63, 2**64]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(-3, 20).map(np.int64),
+    st.integers(0, 20).map(np.uint64),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.floats(-2.0, 2.0, width=32).map(np.float32),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.array),  # 0-d arrays are not scalars
+)
+
+
+@given(data=st.data())
+def test_every_field_takes_any_value_or_names_itself(data):
+    # Once, a huge int raised OverflowError, None a TypeError, and a string
+    # gamma a ValueError that did not name its field.
+    settings, name, starts = data.draw(st.sampled_from(_FIELDS))
+    value = data.draw(_ANY_VALUE)
+    if name in ("grid", "kappas") and data.draw(st.booleans()):
+        value = (value,)
+    try:
+        settings(**{name: value})
+    except ValueError as exc:
+        assert str(exc).split(" ", 1)[0] in starts, str(exc)
+
+
+@pytest.mark.parametrize(
+    "settings, values, field",
+    [
+        (CvConfig, {"grid": (10**400,)}, "grid"),
+        (KernelSpec, {"gamma": 10**400}, "gamma"),
+        (KernelSpec, {"coef0": -(10**400)}, "coef0"),
+        (SimulationSpec, {"shift": 10**400}, "shift"),
+        (KernelSpec, {"gamma": None}, "gamma"),
+        (KernelSpec, {"gamma": "a"}, "gamma"),
+        (KernelSpec, {"gamma": "2"}, "gamma"),
+        (KernelSpec, {"coef0": True}, "coef0"),
+        (CvConfig, {"grid": (None,)}, "grid"),
+        (CvConfig, {"grid": 1.0}, "grid"),
+        (CvConfig, {"grid": "1"}, "grid"),
+        (SimulationSpec, {"kappas": (None,)}, "kappas"),
+        (SimulationSpec, {"kappas": None}, "kappas"),
+        (SimulationSpec, {"shift": None}, "shift"),
+        (SimulationSpec, {"shift": "x"}, "shift"),
+        (SimulationSpec, {"shift": np.True_}, "shift"),
+        (check_kappa, {"kappa": None}, "kappa"),
+        (check_kappa, {"kappa": "0.7"}, "kappa"),
+        (KernelSpec, {"kind": None}, "kind"),
+    ],
+)
+def test_real_field_rejects_what_is_not_a_finite_number(settings, values, field):
+    with pytest.raises(ValueError) as info:
+        settings(**values)
+    assert str(info.value).startswith(f"{field} "), str(info.value)
+
+
+def test_real_fields_are_stored_as_floats():
+    kernel = KernelSpec(gamma=np.float32(0.5), coef0=2**70)
+    assert (type(kernel.gamma), type(kernel.coef0)) == (float, float)
+    assert kernel.coef0 == float(2**70)
+    assert type(SimulationSpec(shift=np.int64(1)).shift) is float
+    assert CvConfig(grid=np.array([0.5, 2])).grid == (0.5, 2.0)
+    assert SimulationSpec(kappas=[np.float64(0.5), 1]).kappas == (0.5, 1.0)

@@ -71,6 +71,9 @@ INVOCATIONS = (
     ("sim-exhaustive", ["simulate", "--runs", "2", "--d", "100", "--directions", "exhaustive"]),
     ("sim-sampled", ["simulate", "--runs", "2", "--d", "100", "--directions", "150", "--seed", "7"]),
     ("sim-full-count", ["simulate", "--runs", "1", "--d", "100", "--directions", "1000"]),
+    # The test-plus stream draws 301 x 333 = 100,233 normals: an odd count
+    # over several blocks of pairs.
+    ("sim-odd-blocks", ["simulate", "--runs", "1", "--d", "333", "--test-size", "601", "--seed", "2"]),
     # One op of each benchmark workload.
     ("bench-sim-contaminated", ["simulate", "--contaminated", "--runs", "1", "--kappas", "0.5,0.7,0.9,1",
                                 "--C", "0.1", "--seed", "1"]),

@@ -225,8 +225,7 @@ def _settings(parser, args) -> dict:
         cv = CvConfig(folds=args.folds, grid=grid, seed=args.seed)
         policy = _policy_from_args(parser, args)
         if args.command != "simulate":
-            check_kappa(args.kappa)
-            return {"spec": kernel, "kappa": args.kappa, "cv": cv, "policy": policy}
+            return {"spec": kernel, "kappa": check_kappa(args.kappa), "cv": cv, "policy": policy}
         spec = SimulationSpec(
             n_per_group=args.n,
             dim=args.d,

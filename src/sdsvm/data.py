@@ -24,7 +24,7 @@ from .errors import (
 from .kernels import KernelSpec, _frozen, kernel_cross
 from .outlyingness import DirectionPolicy
 from .pipeline import CvConfig, check_kappa, fit_ranked, rank
-from .rng import Stream, check_integer, check_real, check_reals, check_seed, derive_key
+from .rng import Stream, check_integer, check_labels, check_real, check_reals, check_seed, derive_key
 from .svm import decision_values, sign_labels
 
 
@@ -52,8 +52,7 @@ class Dataset:
         labels = _frozen(self.labels).ravel()
         if len(x) != labels.shape[0]:
             raise ValueError(f"{len(x)} samples vs {labels.shape[0]} labels")
-        if labels.size and not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
+        check_labels("labels", labels)
         ids = tuple(range(1, len(x) + 1)) if self.ids is None else tuple(self.ids)
         if len(ids) != len(x):
             raise ValueError(f"{len(ids)} ids vs {len(x)} samples")
@@ -87,16 +86,10 @@ class SimulationSpec:
     def __post_init__(self):
         sizes = {"n_per_group": 1, "dim": 1, "test_size": 2, "runs": 1, "outliers_per_group": 0}
         for name, least in sizes.items():
-            value = getattr(self, name)
-            check_integer(name, value)
-            if value < least:
-                raise ValueError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         object.__setattr__(self, "shift", check_real("shift", self.shift))
-        kappas = check_reals("kappas", self.kappas)
-        for kappa in kappas:
-            check_kappa(kappa)
-        object.__setattr__(self, "kappas", kappas)
-        check_seed(self.seed)
+        object.__setattr__(self, "kappas", tuple(map(check_kappa, check_reals("kappas", self.kappas))))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def _normal_rows(x, groups):
@@ -312,8 +305,7 @@ def _label_index(label_col, width: int) -> int:
         return width - 1
     if label_col == "first":
         return 0
-    check_integer("label_col", label_col)
-    return int(label_col)
+    return check_integer("label_col", label_col)
 
 
 def _label(token: str, coding, lineno: int) -> float:

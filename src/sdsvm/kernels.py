@@ -77,11 +77,7 @@ class KernelSpec:
         object.__setattr__(self, "gamma", check_real("gamma", self.gamma, positive=True))
         object.__setattr__(self, "coef0", check_real("coef0", self.coef0))
         for name in ("degree", "kmer"):
-            value = getattr(self, name)
-            check_integer(name, value)
-            if value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
 
     def describe(self) -> str:
         """Stable single-line rendering used by the fit report."""

@@ -60,10 +60,8 @@ class DirectionPolicy:
     def __post_init__(self):
         if self.mode not in ("auto", "exhaustive", "sampled"):
             raise ValueError(f"mode must be 'auto', 'exhaustive' or 'sampled', got {self.mode!r}")
-        check_integer("count", self.count)
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        check_seed(self.seed)
+        object.__setattr__(self, "count", check_integer("count", self.count, 1))
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def default_policy(k: int, seed: int = 0) -> DirectionPolicy:

@@ -27,7 +27,7 @@ from .errors import (
 )
 from .kernels import KernelMatrix, KernelSpec, _frozen, kernel_matrix
 from .outlyingness import DirectionPolicy, OutlyingnessReport, outlyingness
-from .rng import Stream, check_integer, check_real, check_reals, check_seed, derive_key
+from .rng import Stream, check_integer, check_labels, check_real, check_reals, check_seed, derive_key
 from .svm import SvmModel, decision_values, sign_labels, solve_dual
 
 # Default C grid when optimization is requested without an explicit grid:
@@ -38,11 +38,13 @@ DEFAULT_C_GRID = tuple(2.0**p for p in range(-5, 16, 2))
 DEFAULT_C = 0.1
 
 
-def check_kappa(kappa) -> None:
-    """Raise ValueError unless kappa, the retained fraction per group, is a
-    real number (see check_real) in [0.5, 1]."""
-    if not 0.5 <= check_real("kappa", kappa) <= 1.0:
+def check_kappa(kappa) -> float:
+    """kappa, the retained fraction per group, as a float.  Raise ValueError
+    unless it is a real number (see check_real) in [0.5, 1]."""
+    value = check_real("kappa", kappa)
+    if not 0.5 <= value <= 1.0:
         raise ValueError(f"kappa must be in [0.5, 1], got {kappa}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class TrimPlan:
     trimmed: np.ndarray  # bool, aligned with the dataset
 
     def __post_init__(self):
-        check_kappa(self.kappa)
+        object.__setattr__(self, "kappa", check_kappa(self.kappa))
         object.__setattr__(self, "outlyingness", _frozen(self.outlyingness))
         object.__setattr__(self, "trimmed", _frozen(self.trimmed, bool))
 
@@ -73,11 +75,9 @@ class CvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("folds", self.folds)
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, got {self.folds}")
+        object.__setattr__(self, "folds", check_integer("folds", self.folds, 2))
         object.__setattr__(self, "grid", check_reals("grid", self.grid, positive=True))
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,9 @@ class CvSelection:
 
     c is the C of least error, ties to the smallest C.  A fixed C is the
     one-row table ((C, nan),) with 0 folds; any other table needs >= 2
-    folds and a finite error.  Every C must be positive and finite and
-    every error nan or in [0, 1]; a ValueError otherwise.
+    folds and a finite error.  Every C must be a positive and finite real
+    number and every error nan or in [0, 1] (see check_real); a ValueError
+    otherwise.
     """
 
     table: tuple  # ((C, mean_error), ...) in grid order; error nan if skipped
@@ -95,14 +96,17 @@ class CvSelection:
     c: float = field(init=False)
 
     def __post_init__(self):
-        check_integer("folds_used", self.folds_used)
-        table = tuple((float(c), float(err)) for c, err in self.table)
+        folds = check_integer("folds_used", self.folds_used)
+        try:
+            table = tuple((check_real("C", c, True), check_real("error", err, nan=True)) for c, err in self.table)
+        except (TypeError, ValueError):  # not pairs of a C > 0 and an error: no choice of C
+            table = ()
         scored = [(err, c) for c, err in table if not math.isnan(err)]
-        in_range = all(0 < c < math.inf for c, _ in table) and all(0 <= err <= 1 for err, _ in scored)
-        fixed = self.folds_used == 0 and len(table) == 1 and not scored
-        if not (in_range and (fixed or self.folds_used >= 2 and scored)):
-            raise ValueError(f"folds_used {self.folds_used} over the table {table} is no choice of C")
+        fixed = folds == 0 and len(table) == 1 and not scored
+        if not (all(0 <= err <= 1 for err, _ in scored) and (fixed or folds >= 2 and scored)):
+            raise ValueError(f"folds_used {folds} over the table {self.table} is no choice of C")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "folds_used", folds)
         object.__setattr__(self, "c", table[0][0] if fixed else min(scored)[1])
 
 
@@ -140,8 +144,7 @@ class FitResult:
                 f"{n} ids vs labels, decision values, outlyingness and trimmed of shapes "
                 f"{[column.shape for column in columns]}"
             )
-        if not (np.abs(self.labels) == 1.0).all():
-            raise ValueError("sample labels must be -1 or +1")
+        check_labels("sample labels", self.labels)
         if not (self.plan.outlyingness >= 0.0).all():
             raise ValueError("sample outlyingness must be nonnegative and not nan")
         if not np.isfinite(self.decision_values).all():
@@ -178,7 +181,7 @@ def trim(
     Ties at the cut are broken by ascending original index; +inf outlyingness
     always sorts last, so such samples are trimmed first.
     """
-    check_kappa(kappa)
+    kappa = check_kappa(kappa)
     y = np.asarray(labels, dtype=np.float64)
     minus_idx = np.flatnonzero(y < 0)
     plus_idx = np.flatnonzero(y > 0)
@@ -200,7 +203,7 @@ def trim(
     ):
         r_full[group_idx] = report.r
         trimmed[group_idx[np.lexsort((group_idx, report.r))[:h]]] = False
-    return TrimPlan(kappa=float(kappa), outlyingness=r_full, trimmed=trimmed)
+    return TrimPlan(kappa=kappa, outlyingness=r_full, trimmed=trimmed)
 
 
 def _fold_assignment(labels: np.ndarray, folds: int, seed: int):
@@ -403,7 +406,7 @@ def fit_to_text(fit: FitResult) -> str:
     lines = [
         _FIT_HEADER,
         f"kappa {fit.plan.kappa!r}",
-        f"chosen-c {float(model.c)!r}",
+        f"chosen-c {model.c!r}",
         f"folds-used {fit.cv.folds_used}",
         f"policy-minus {_policy_to_text(fit.policy_minus)}",
         f"policy-plus {_policy_to_text(fit.policy_plus)}",
@@ -412,14 +415,14 @@ def fit_to_text(fit: FitResult) -> str:
     ]
     lines.extend(f"{c!r} {err!r}" for c, err in fit.cv.table)
     lines.append(f"model {model.n_retained + 2}")
-    lines.append(f"{_MODEL_HEADER} {model.spec.describe()} C={float(model.c)!r} tol={float(model.tol)!r}")
+    lines.append(f"{_MODEL_HEADER} {model.spec.describe()} C={model.c!r} tol={model.tol!r}")
     lines.extend(
         f"{ids[i]} {label} {a!r}"
         for i, label, a in zip(
             fit.plan.retained.tolist(), map(int, model.labels.tolist()), model.alpha.tolist()
         )
     )
-    lines.append(f"bias {float(model.bias)!r}")
+    lines.append(f"bias {model.bias!r}")
     lines.append(f"samples {fit.n}")
     lines.append(_TABLE_HEADER)
     lines.extend(
@@ -492,7 +495,8 @@ def fit_from_text(text: str) -> FitResult:
         policy_minus = _policy_from_text(keyed("policy-minus"))
         policy_plus = _policy_from_text(keyed("policy-plus"))
         kernel = keyed("kernel")
-        cv = CvSelection(tuple(zip(*columns(count("cv-table"), 2))), folds_used)
+        grid, errors = map(floats, columns(count("cv-table"), 2))
+        cv = CvSelection(tuple(zip(grid.tolist(), errors.tolist())), folds_used)
         block = int(keyed("model"))
         if block < 2:
             raise SerializationError(f"model block needs a header and a bias line, got {block} lines")

@@ -69,24 +69,28 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ValueError, its message starting with name, unless value is a
-    Python or numpy integer and not a bool."""
+def check_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int.  Raise ValueError, its message starting with name,
+    unless value is a Python or numpy integer, not a bool, and >= least
+    when least is given."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
-def check_real(name: str, value, positive: bool = False) -> float:
+def check_real(name: str, value, positive: bool = False, nan: bool = False) -> float:
     """value as a float.  Raise ValueError, its message starting with name,
     unless value is a Python or numpy real number, not a bool, that is
-    finite (and > 0 if positive)."""
+    finite (and > 0 if positive) or, if nan, nan."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:  # an int beyond the float range
         number = math.inf if value > 0 else -math.inf
-    if not (0 < number < math.inf if positive else math.isfinite(number)):
+    if not (0 < number < math.inf if positive else math.isfinite(number) or nan and math.isnan(number)):
         rule = "positive and finite" if positive else "finite"
         raise ValueError(f"{name} must be {rule}, got {value}")
     return number
@@ -105,12 +109,21 @@ def check_reals(name: str, values, positive: bool = False) -> tuple:
     return tuple(check_real(name, value, positive) for value in items)
 
 
-def check_seed(seed) -> None:
-    """Raise ValueError unless seed is an integer (see check_integer) in
-    [0, 2^64), the seeds derive_key tells apart."""
-    check_integer("seed", seed)
+def check_seed(seed) -> int:
+    """seed as an int.  Raise ValueError unless seed is an integer (see
+    check_integer) in [0, 2^64), the seeds derive_key tells apart."""
+    seed = check_integer("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
+def check_labels(name: str, labels: np.ndarray) -> np.ndarray:
+    """labels, a float array.  Raise ValueError, its message starting with
+    name, unless every entry is -1 or +1."""
+    if not (np.abs(labels) == 1.0).all():
+        raise ValueError(f"{name} must be -1 or +1")
+    return labels
 
 
 def derive_key(seed: int, *words) -> int:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, InvalidModel, SingleClassError
 from .kernels import KernelMatrix, KernelSpec, _frozen
+from .rng import check_labels, check_real
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -51,10 +52,12 @@ _BALANCE_TOL = 1e-9
 _CURVATURE_FLOOR = 1e-12
 
 
-def _check_c_and_tol(c, tol) -> None:
-    for name, value in (("C", c), ("tol", tol)):
-        if not 0 < value < np.inf:
-            raise InvalidModel(f"{name} must be positive and finite, got {value!r}")
+def _as_model(check, *args):
+    """check(*args), its ValueError raised as InvalidModel with the same text."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise InvalidModel(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -62,8 +65,9 @@ class SvmModel:
     """Fitted dual solution over the retained training samples.
 
     Holds only what a solve could return, checked on construction (an
-    InvalidModel otherwise): C and tol positive and finite, a finite bias,
-    every alpha in [0, C] and |sum alpha_i y_i| <= 1e-9 * C.
+    InvalidModel otherwise): C and tol positive and finite and bias finite
+    (see check_real; stored as floats), every label -1 or +1, every alpha
+    in [0, C] and |sum alpha_i y_i| <= 1e-9 * C.
     """
 
     alpha: np.ndarray
@@ -81,9 +85,10 @@ class SvmModel:
         a, y = self.alpha, self.labels
         if a.ndim != 1 or y.shape != a.shape:
             raise DimensionError(f"{y.size} labels for alpha of shape {a.shape}")
-        _check_c_and_tol(self.c, self.tol)
-        if not np.isfinite(self.bias):
-            raise InvalidModel(f"bias must be finite, got {self.bias!r}")
+        object.__setattr__(self, "c", _as_model(check_real, "C", self.c, True))
+        object.__setattr__(self, "tol", _as_model(check_real, "tol", self.tol, True))
+        object.__setattr__(self, "bias", _as_model(check_real, "bias", self.bias))
+        _as_model(check_labels, "labels", y)
         if not ((a >= 0.0) & (a <= self.c)).all():
             raise InvalidModel(f"every alpha must lie in [0, C] with C={self.c!r}")
         balance = float(a @ y)
@@ -138,16 +143,14 @@ def solve_dual(
     and finite; and ConvergenceError (carrying the residual violation)
     when the pair-update cap is hit or the violation turns nan.
     """
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    y = check_labels("labels", np.asarray(labels, dtype=np.float64).ravel())
     n = y.shape[0]
-    if not (np.abs(y) == 1.0).all():
-        raise ValueError("labels must be -1 or +1")
     if omega_t.k != n:
         raise DimensionError(f"kernel matrix is {omega_t.k}x{omega_t.k} but {n} labels given")
     n_minus = int(np.count_nonzero(y < 0))
     if n_minus == 0 or n_minus == n:
         raise SingleClassError(f"training needs both classes, got n-={n_minus} n+={n - n_minus}")
-    _check_c_and_tol(c, tol)
+    c, tol = _as_model(check_real, "C", c, True), _as_model(check_real, "tol", tol, True)
     kk = omega_t.entries
 
     # Work in beta = y * alpha: bounds become [A, B] per sample and both
@@ -250,16 +253,7 @@ def solve_dual(
         up, low = candidates(beta)
         bias = 0.5 * (float(up.max()) + float(low.min()))
 
-    return SvmModel(
-        alpha=alpha,
-        labels=y,
-        bias=bias,
-        c=float(c),
-        tol=float(tol),
-        spec=spec,
-        updates=iterations - 1,
-        gap=float(gap),
-    )
+    return SvmModel(alpha, y, bias, c, tol, spec, updates=iterations - 1, gap=gap)
 
 
 def decision_values(model: SvmModel, omega_block) -> np.ndarray:

@@ -558,6 +558,17 @@ class TestFitReport:
         # second serialization is byte-identical
         assert fit_to_text(back) == text
 
+    def test_kappa_of_any_number_type_reads_back(self):
+        # A numpy kappa was once stored as given and written as
+        # "kappa np.float64(0.5)", a line its own reader rejected.
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        fit = replace(fit, plan=TrimPlan(np.float64(0.5), fit.plan.outlyingness, fit.plan.trimmed))
+        text = fit_to_text(fit)
+        assert "\nkappa 0.5\n" in text
+        back = fit_from_text(text)
+        assert type(back.plan.kappa) is float and back.plan.kappa == 0.5
+        assert fit_to_text(back) == text
+
     def test_cv_table_round_trip(self):
         ds = wide_margin_dataset()
         fit = fit_sdsvm(ds, LINEAR, cv=CvConfig(folds=3, grid=(0.1, 1.0, 10.0)))
@@ -584,6 +595,21 @@ class TestFitReport:
         assert edited != text
         with pytest.raises(SerializationError, match=rule):
             fit_from_text(edited)
+
+    @pytest.mark.parametrize(
+        "row, rule",
+        [
+            ("0.1 abc", "could not convert string to float: 'abc'"),
+            ("abc nan", "could not convert string to float: 'abc'"),
+            ("inf nan", r"folds_used 0 over the table \(\(inf, nan\),\) is no choice of C"),
+            ("0.1 inf", "is no choice of C"),
+        ],
+    )
+    def test_cv_table_cells_are_read_as_numbers(self, row, rule):
+        # The reader parses the table's cells; CvSelection takes numbers, not text.
+        text = fit_to_text(fit_sdsvm(gen_toy(1), KernelSpec()))
+        with pytest.raises(SerializationError, match=rule):
+            fit_from_text(text.replace("\n0.1 nan\n", f"\n{row}\n"))
 
     @pytest.mark.parametrize("edit", ["kappa", "swap"])
     def test_trimmed_column_must_be_the_trim(self, edit):

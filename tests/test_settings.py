@@ -1,4 +1,4 @@
-"""Each settings type checks its own fields.
+"""Each settings type, and each record of a fit's numbers, checks its own fields.
 
 The CLI reports a settings ValueError under the flag of the field its
 message starts with, so every rule here must name its field first.
@@ -10,9 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdsvm import CvConfig, DirectionPolicy, KernelSpec, TrimPlan
+from sdsvm import CvConfig, DirectionPolicy, KernelSpec, SvmModel, TrimPlan
 from sdsvm.data import SimulationSpec
-from sdsvm.pipeline import check_kappa
+from sdsvm.errors import InvalidModel
+from sdsvm.pipeline import CvSelection, check_kappa
+
+
+def _model(**values):
+    """A valid two-sample SvmModel with values in place; a ValueError it
+    raises must be an InvalidModel."""
+    fields = {"alpha": [0.5, 0.5], "labels": [1.0, -1.0], "bias": 0.0, "c": 1.0, "tol": 1e-3}
+    try:
+        return SvmModel(**{**fields, **values})
+    except ValueError as exc:
+        assert isinstance(exc, InvalidModel), repr(exc)
+        raise
+
+
+def _selection(**values):
+    """The fixed-C CvSelection ((0.1, nan),) over 0 folds, values in place."""
+    return CvSelection(**{"table": ((0.1, math.nan),), "folds_used": 0, **values})
+
 
 _BAD_FIELDS = [  # (settings type, bad field values, field the message names)
     (KernelSpec, {"gamma": 0.0}, "gamma"),
@@ -110,6 +128,15 @@ def test_numpy_integer_fields_are_accepted():
     assert CvConfig(folds=three).folds == 3
     assert KernelSpec(degree=three, kmer=three).describe() == "kind=linear"
     assert SimulationSpec(n_per_group=three, dim=three, runs=three, test_size=three).runs == 3
+    # Each record stores the Python int its check returns.
+    policy = DirectionPolicy(count=three, seed=np.uint64(2**64 - 1))
+    assert (type(policy.count), type(policy.seed)) == (int, int)
+    cv = CvConfig(folds=three, seed=three)
+    assert (type(cv.folds), type(cv.seed)) == (int, int)
+    sizes = ("n_per_group", "dim", "outliers_per_group", "runs", "test_size", "seed")
+    sim = SimulationSpec(**dict.fromkeys(sizes, three))
+    assert {type(getattr(sim, name)) for name in sizes} == {int}
+    assert type(_selection(table=((0.1, 0.2),), folds_used=three).folds_used) is int
 
 
 # Every field of every settings type, each with the names its ValueError may
@@ -124,6 +151,10 @@ _FIELDS = [
             "n_per_group", "dim", "shift", "outliers_per_group", "test_size", "runs", "kappas", "seed",
         )
     ),
+    # The records share the rules: a model's bad number is an InvalidModel
+    # (see _model), and a bad C table is no choice of C.
+    *((_model, name, (start,)) for name, start in (("c", "C"), ("tol", "tol"), ("bias", "bias"))),
+    *((_selection, name, ("folds_used",)) for name in ("table", "folds_used")),
 ]
 
 _ANY_VALUE = st.one_of(
@@ -152,6 +183,8 @@ def test_every_field_takes_any_value_or_names_itself(data):
     value = data.draw(_ANY_VALUE)
     if name in ("grid", "kappas") and data.draw(st.booleans()):
         value = (value,)
+    if name == "table" and data.draw(st.booleans()):
+        value = (data.draw(st.sampled_from([(value, math.nan), (0.1, value), (value, 0.2)])),)
     try:
         settings(**{name: value})
     except ValueError as exc:
@@ -180,6 +213,16 @@ def test_every_field_takes_any_value_or_names_itself(data):
         (check_kappa, {"kappa": None}, "kappa"),
         (check_kappa, {"kappa": "0.7"}, "kappa"),
         (KernelSpec, {"kind": None}, "kind"),
+        # Each of these once raised TypeError or OverflowError, or was accepted.
+        (_model, {"c": None}, "C"),
+        (_model, {"c": 10**400}, "C"),
+        (_model, {"c": True}, "C"),
+        (_model, {"tol": "a"}, "tol"),
+        (_model, {"bias": None}, "bias"),
+        (_selection, {"table": ((None, 0.1),), "folds_used": 2}, "folds_used"),
+        (_selection, {"table": ((10**400, 0.1),), "folds_used": 2}, "folds_used"),
+        (_selection, {"table": ((True, "0.2"),), "folds_used": 2}, "folds_used"),
+        (_selection, {"table": None}, "folds_used"),
     ],
 )
 def test_real_field_rejects_what_is_not_a_finite_number(settings, values, field):
@@ -195,3 +238,10 @@ def test_real_fields_are_stored_as_floats():
     assert type(SimulationSpec(shift=np.int64(1)).shift) is float
     assert CvConfig(grid=np.array([0.5, 2])).grid == (0.5, 2.0)
     assert SimulationSpec(kappas=[np.float64(0.5), 1]).kappas == (0.5, 1.0)
+    # The records too: each stores the float its check returns.
+    assert type(TrimPlan(np.float64(0.5), (), ()).kappa) is float
+    model = _model(c=np.float32(2.0), tol=np.float64(0.01), bias=np.int64(-1))
+    assert (type(model.c), type(model.tol), type(model.bias)) == (float, float, float)
+    selection = _selection(table=((np.float64(0.5), np.float32(0.25)), (2, 0)), folds_used=2)
+    assert selection.table == ((0.5, 0.25), (2.0, 0.0)) and type(selection.c) is float
+    assert {type(x) for row in selection.table for x in row} == {float}

@@ -118,6 +118,8 @@ class TestSolveDual:
             {"alpha": [-5.0, -5.0]},
             {"alpha": [1e9, 1e9]},
             {"alpha": [0.5, 0.25]},  # in the box, but sum alpha_i y_i = -0.25
+            {"labels": [2.0, -2.0]},  # balanced, but not -1/+1 labels
+            {"labels": [0.0, 0.0]},
         ],
     )
     def test_model_holds_only_what_a_solve_could_return(self, fields):

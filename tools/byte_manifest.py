@@ -101,12 +101,13 @@ INVOCATIONS = (
     ("map-fit-labels", ["map", "--fit", "toy.fit", "--labels", "nothere"]),
     # Reports a fit never writes: an f the map cannot draw, a negative count,
     # folds over a fixed C, a C outside the CV table, a trimmed column that
-    # is not the trim of its kappa.
+    # is not the trim of its kappa, a CV table cell that is not a number.
     ("map-fit-inf-f", ["map", "--fit", "toy-inf-f.fit", "--out-svg", "{out}/map.svg"]),
     ("map-fit-negative-cv-table", ["map", "--fit", "toy-negative-cv-table.fit", "--out-csv", "{out}/map.csv"]),
     ("map-fit-folds-over-fixed-c", ["map", "--fit", "toy-folds-9.fit", "--out-csv", "{out}/map.csv"]),
     ("map-fit-c-not-in-table", ["map", "--fit", "toy-c-0.2.fit", "--out-csv", "{out}/map.csv"]),
     ("map-fit-kappa-not-the-trim", ["map", "--fit", "toy-kappa-0.9.fit", "--out-csv", "{out}/map.csv"]),
+    ("map-fit-cv-table-token", ["map", "--fit", "toy-cv-table-token.fit", "--out-csv", "{out}/map.csv"]),
     ("sim-kappas-empty-item", ["simulate", "--runs", "1", "--d", "100", "--kappas", "0.5,,1"]),
 )
 
@@ -154,6 +155,7 @@ def write_inputs(root: Path) -> None:
     (root / "toy-folds-9.fit").write_text(report.replace("\nfolds-used 0\n", "\nfolds-used 9\n"))
     (root / "toy-c-0.2.fit").write_text(report.replace("chosen-c 0.1", "chosen-c 0.2").replace("C=0.1", "C=0.2"))
     (root / "toy-kappa-0.9.fit").write_text(report.replace("\nkappa 0.5\n", "\nkappa 0.9\n"))
+    (root / "toy-cv-table-token.fit").write_text(report.replace("cv-table 1\n0.1 nan\n", "cv-table 1\n0.1 abc\n"))
 
 
 def _sha256(data) -> str:

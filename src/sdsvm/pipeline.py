@@ -480,10 +480,7 @@ def fit_from_text(text: str) -> FitResult:
         return tuple(zip(*rows)) if rows else ((),) * width
 
     def count(key):
-        value = int(keyed(key))
-        if value < 0:
-            raise SerializationError(f"{key} count must be >= 0, got {value}")
-        return value
+        return check_integer(key, int(keyed(key)), 0)
 
     def floats(col):
         return np.array(list(map(float, col)), dtype=np.float64)

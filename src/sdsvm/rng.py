@@ -24,16 +24,14 @@ independent for practical purposes and can be consumed in any order.
 
 Output c is a pure function of (key, c), so any block of outputs can be made
 on its own from its first counter.  Stream.normals makes its pairs in blocks
-of _NORMAL_BLOCK; a call of two or more blocks is filled by the calling
-thread and one short-lived worker thread, each taking the next block left,
-and the values do not depend on which thread fills which block.
+of _NORMAL_BLOCK, in order, on the calling thread, and the values are those
+of one pass over all pairs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import threading
 
 import numpy as np
 
@@ -170,7 +168,7 @@ def _box_muller(z, steps, base, shifted, trig):
     pairs at outputs base + steps[j], in z's own memory.
 
     shifted (uint64) and trig (float64) are scratch of at least z.size and
-    z.size / 2 values.
+    z.size / 2 values; a call allocates no array of z's size.
     """
     u = _uniforms(z.view(np.uint64), steps[: z.size], base, shifted[: z.size])
     u0, u1 = u[0::2], u[1::2]
@@ -185,30 +183,6 @@ def _box_muller(z, steps, base, shifted, trig):
     np.sin(u1, out=z1)
     z0 *= radius
     z1 *= radius
-
-
-def _scratch(width: int):
-    """One thread's scratch for blocks of up to width pairs: (shifted, trig)."""
-    return np.empty(2 * width, dtype=np.uint64), np.empty(width)
-
-
-def _fill_blocks(z, steps, base, firsts, scratch, errors):
-    """Fill the blocks of z whose first pair index the shared iterator firsts
-    hands out, until none is left.
-
-    Runs on the calling thread and on the worker of Stream.normals, each
-    with its own scratch; next() on the shared range iterator is one call
-    under the interpreter lock, so no block is handed out twice.  An
-    exception (an interrupt too) ends this thread's share and is appended
-    to errors, for the caller to raise once the worker is joined; the other
-    thread then takes the blocks left.
-    """
-    try:
-        for first in firsts:
-            offset = (base + 2 * first * _GOLDEN) & _MASK64
-            _box_muller(z[2 * first : 2 * (first + _NORMAL_BLOCK)], steps, np.uint64(offset), *scratch)
-    except BaseException as exc:
-        errors.append(exc)
 
 
 class Stream:
@@ -234,12 +208,11 @@ class Stream:
         """n standard normal doubles via Box-Muller on uniform pairs.
 
         Fills and returns out, a C-contiguous float64 array of n values, or
-        a fresh array.  The pairs are made _NORMAL_BLOCK at a time in the
-        array's own memory; a block depends only on its first counter, so
-        a call of two or more blocks is filled by this thread and one
-        worker, each taking the next block left, with the values of one
-        pass over all pairs.  For an odd n the last pair's second value is
-        dropped, and the stream continues past it.
+        a fresh array.  The pairs are made _NORMAL_BLOCK at a time, in order,
+        in the array's own memory, with one steps table and one scratch set
+        of a block's size; a block depends only on its first counter, so the
+        values are those of one pass over all pairs.  For an odd n the last
+        pair's second value is dropped, and the stream continues past it.
         """
         if out is None:
             out = np.empty(n)
@@ -248,21 +221,14 @@ class Stream:
         z = out.reshape(-1)
         pairs = n // 2
         width = min(_NORMAL_BLOCK, pairs)
-        fill = (z[: 2 * pairs], _steps(2 * width), self._take(2 * pairs), iter(range(0, pairs, _NORMAL_BLOCK)))
-        scratch, errors = _scratch(width), []
-        if pairs > _NORMAL_BLOCK:
-            worker = threading.Thread(target=_fill_blocks, args=(*fill, _scratch(width), errors))
-            worker.start()
-            _fill_blocks(*fill, scratch, errors)
-            worker.join()
-        else:
-            _fill_blocks(*fill, scratch, errors)
-        if errors:
-            raise errors[0]
+        steps, base = _steps(2 * width), self._take(2 * pairs)
+        shifted, trig = np.empty(2 * width, dtype=np.uint64), np.empty(width)
+        for first in range(0, pairs, _NORMAL_BLOCK):
+            block = z[2 * first : 2 * min(first + _NORMAL_BLOCK, pairs)]
+            offset = np.uint64((base + 2 * first * _GOLDEN) & _MASK64)
+            _box_muller(block, steps, offset, shifted, trig)
         if n % 2:
-            last = np.empty(2)
-            _box_muller(last, _steps(2), np.uint64(self._take(2)), *_scratch(1))
-            z[-1] = last[0]
+            z[-1] = self.normals(2)[0]
         return out
 
     def integers(self, n: int, bound: int) -> np.ndarray:

@@ -163,7 +163,7 @@ class TestGenerators:
             SimulationSpec(n_per_group=3, dim=7, test_size=9, seed=4),
             SimulationSpec(n_per_group=5, dim=9, shift=-0.0, outliers_per_group=3, test_size=4, seed=5),
             # test-plus draws 301 * 333 = 100,233 normals: an odd count over
-            # several blocks, filled by two threads.
+            # several blocks.
             SimulationSpec(n_per_group=25, dim=333, outliers_per_group=4, test_size=601, seed=2),
         ],
     )

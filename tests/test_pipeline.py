@@ -657,18 +657,18 @@ class TestFitReport:
             fit_from_text("\n".join(lines))
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
             # cv-table -1 over no rows once read back, and was written again as cv-table 0
-            lambda lines: lines[:7] + ["cv-table -1"] + lines[9:],
-            lambda lines: lines[:3] + ["folds-used -7"] + lines[4:],
+            (lambda lines: lines[:7] + ["cv-table -1"] + lines[9:], "cv-table must be >= 0, got -1"),
+            (lambda lines: lines[:3] + ["folds-used -7"] + lines[4:], "folds-used must be >= 0, got -7"),
         ],
         ids=["cv-table", "folds-used"],
     )
-    def test_negative_count_raises_serialization_error(self, edit):
+    def test_negative_count_raises_serialization_error(self, edit, message):
         lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
         assert lines[3] == "folds-used 0" and lines[7] == "cv-table 1"
-        with pytest.raises(SerializationError, match="count must be >= 0"):
+        with pytest.raises(SerializationError, match=f"^bad fit report: {message}$"):
             fit_from_text("\n".join(edit(lines)))
 
     @pytest.mark.parametrize(
@@ -713,7 +713,7 @@ class TestFitReport:
         table = ["id label outlyingness trimmed f"]
         with pytest.raises(SerializationError, match="h-=0, h\\+=0"):
             fit_from_text("\n".join(head + ["samples 0"] + table))
-        with pytest.raises(SerializationError, match="samples count must be >= 0"):
+        with pytest.raises(SerializationError, match="^bad fit report: samples must be >= 0, got -1$"):
             fit_from_text("\n".join(head + ["samples -1"] + table))
         with pytest.raises(SerializationError, match="model block"):
             fit_from_text("\n".join(lines[: at + 36] + ["samples 0"] + table))

@@ -1,10 +1,11 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sdsvm import rng
+from sdsvm.cli import main
 from sdsvm.rng import _NORMAL_BLOCK, Stream, derive_key
 
 from oracles import shuffled_one_at_a_time, stream_normals_reference, stream_uniforms_reference
@@ -85,8 +86,8 @@ class TestShuffledMatchesOneDrawPerPosition:
         assert fast.uniforms(3).tobytes() == slow.uniforms(3).tobytes()
 
 
-# The counts about the first one that starts the worker (2 * _NORMAL_BLOCK + 2,
-# one pair more than a block) and about two blocks, and an odd count over
+# The counts about the first one of two blocks (2 * _NORMAL_BLOCK + 2, one
+# pair more than a block) and about four blocks, and an odd count over
 # several blocks.
 OUT_SIZES = (
     SIZES
@@ -97,8 +98,8 @@ OUT_SIZES = (
 
 
 class TestNormalsInPlace:
-    """normals(n, out=a) fills a with the reference bytes, whichever thread
-    fills which block."""
+    """normals(n, out=a) fills a with the reference bytes, block by block in
+    a's own memory."""
 
     @pytest.mark.parametrize("n", OUT_SIZES)
     def test_fills_and_returns_out(self, n):
@@ -132,62 +133,50 @@ class TestNormalsInPlace:
         with pytest.raises(ValueError, match="out must be"):
             Stream(1).normals(5, out=out)
 
-    @pytest.mark.parametrize("runs_target", [False, True])
-    def test_bytes_do_not_depend_on_which_thread_fills(self, monkeypatch, runs_target):
-        # One stub never runs the worker, so the caller fills every block;
-        # the other runs it inside start(), so the worker fills every block.
-        started = []
+    @pytest.mark.parametrize("blocks", [2, 8, 32])
+    def test_peak_memory_is_one_blocks_scratch(self, blocks):
+        # One steps table and one scratch set of a block's pairs: 16 B of
+        # steps, 16 B of shifted and 8 B of trig per pair, whatever the
+        # number of blocks; 64 KiB covers the small objects of the call.
+        n = 2 * _NORMAL_BLOCK * blocks
+        out = np.empty(n)
+        tracemalloc.start()
+        try:
+            Stream(derive_key(8, "rng-test")).normals(n, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * _NORMAL_BLOCK + 64 * 1024
 
-        class Stub:
-            def __init__(self, target, args):
-                self.target, self.args = target, args
+    def test_simulate_over_several_blocks_starts_no_thread(self, monkeypatch, capsys):
+        # The byte manifest's sim-odd-blocks: its test-plus draw of 301 * 333
+        # normals is 50,116 pairs over four blocks and an odd last value.
+        # Its output under reference normals is the expected one.
+        argv = ["simulate", "--runs", "1", "--d", "333", "--test-size", "601", "--seed", "2"]
 
-            def start(self):
-                started.append(self)
-                if runs_target:
-                    self.target(*self.args)
+        def reference(stream, n, out=None):
+            z = stream_normals_reference(stream.key, stream._counter, n)
+            stream._counter += n + n % 2
+            if out is None:
+                return z
+            out.reshape(-1)[:] = z
+            return out
 
-            def join(self):
-                pass
+        with monkeypatch.context() as patch:
+            patch.setattr(Stream, "normals", reference)
+            assert main(argv) == 0
+        expected = capsys.readouterr()
 
-        monkeypatch.setattr(threading, "Thread", Stub)
-        key = derive_key(6, "rng-test")
-        n = 4 * _NORMAL_BLOCK + 3
-        assert Stream(key).normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
-        assert len(started) == 1
+        def refuse(thread):
+            raise AssertionError("a normals call started a thread")
 
-    @pytest.mark.parametrize("n", [1, 2, 2 * _NORMAL_BLOCK, 600, 25_000])
-    def test_one_block_starts_no_thread(self, monkeypatch, n):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a call of one block started a thread")
-
-        monkeypatch.setattr(threading, "Thread", refuse)
-        key = derive_key(7, "rng-test")
-        assert Stream(key).normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
-
-    def test_worker_exception_reaches_the_caller(self, monkeypatch):
-        caller = threading.current_thread()
-        fill = rng._box_muller
-
-        def fails_off_the_caller(*args):
-            if threading.current_thread() is not caller:
-                raise MemoryError("worker")
-            fill(*args)
-
-        monkeypatch.setattr(rng, "_box_muller", fails_off_the_caller)
-        before = threading.active_count()
-        with pytest.raises(MemoryError, match="worker"):
-            Stream(1).normals(8 * _NORMAL_BLOCK)
-        assert threading.active_count() == before
-
-    def test_no_thread_outlives_the_call(self):
-        before = threading.active_count()
-        Stream(2).normals(6 * _NORMAL_BLOCK + 1)
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
     def test_concurrent_calls_under_fast_switching(self):
-        # Four callers and their four workers share two or fewer cores and
-        # switch every microsecond; a block claimed twice or never would
+        # Four callers share two or fewer cores and switch every
+        # microsecond; a stream state or scratch shared between calls would
         # change the bytes.
         n = 6 * _NORMAL_BLOCK + 3
         keys = [derive_key(seed, "rng-stress") for seed in range(4)]

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sdsvm import rng
 from sdsvm.cli import main
 from sdsvm.rng import _NORMAL_BLOCK, Stream, derive_key
 
@@ -132,6 +133,30 @@ class TestNormalsInPlace:
     def test_out_must_be_contiguous_float64_of_n_values(self, out):
         with pytest.raises(ValueError, match="out must be"):
             Stream(1).normals(5, out=out)
+
+    @pytest.mark.parametrize("n", [1, 2, 2 * _NORMAL_BLOCK, 600, 25_000])
+    def test_one_block_starts_no_thread(self, monkeypatch, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a call of one block started a thread")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        key = derive_key(7, "rng-test")
+        assert Stream(key).normals(n).tobytes() == stream_normals_reference(key, 0, n).tobytes()
+
+    def test_block_error_reaches_the_caller(self, monkeypatch):
+        # An error in the third block propagates from the call itself.
+        fill, calls = rng._box_muller, []
+
+        def fails_on_the_third_block(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise MemoryError("block")
+            fill(*args)
+
+        monkeypatch.setattr(rng, "_box_muller", fails_on_the_third_block)
+        with pytest.raises(MemoryError, match="block"):
+            Stream(1).normals(8 * _NORMAL_BLOCK)
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("blocks", [2, 8, 32])
     def test_peak_memory_is_one_blocks_scratch(self, blocks):

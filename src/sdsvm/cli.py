@@ -254,9 +254,11 @@ def _loader(parser, args):
 
     A data flag that does not apply to the input's format exits 1 naming
     it: --labels with CSV, --coding or a --label-col other than last with
-    FASTA.  Under map --fit, which loads no dataset, the flags are checked
-    all the same (the format rule only under an explicit --format), and
-    --labels, which is read only with a FASTA dataset, exits 1.
+    FASTA; so does one no file satisfies: --coding labels equal or padded
+    with spaces (label cells are read stripped), a negative --label-col.
+    Under map --fit, which loads no dataset, the flags are checked all the
+    same (the format rule only under an explicit --format), and --labels,
+    which is read only with a FASTA dataset, exits 1.
     """
     unread_labels = "--labels is read only with a FASTA dataset, and map --fit reads none"
     fmt = args.format
@@ -280,6 +282,8 @@ def _loader(parser, args):
         parts = args.coding.split(",")
         if len(parts) != 2:
             parser.error(f"--coding must be NEG,POS, got {args.coding!r}")
+        if parts[0] == parts[1] or parts != [part.strip() for part in parts]:
+            parser.error(f"--coding labels must differ and have no surrounding spaces, got {args.coding!r}")
         coding = (parts[0], parts[1])
     label_col = args.label_col
     if label_col not in ("first", "last"):
@@ -287,6 +291,8 @@ def _loader(parser, args):
             label_col = int(label_col)
         except ValueError:
             parser.error(f"--label-col must be first/last or an index, got {label_col!r}")
+        if label_col < 0:
+            parser.error(f"--label-col must be >= 0, got {label_col}")
     return functools.partial(load_csv, args.data, label_col=label_col, coding=coding)
 
 

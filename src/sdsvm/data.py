@@ -88,7 +88,10 @@ class SimulationSpec:
         for name, least in sizes.items():
             object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         object.__setattr__(self, "shift", check_real("shift", self.shift))
-        object.__setattr__(self, "kappas", tuple(map(check_kappa, check_reals("kappas", self.kappas))))
+        kappas = tuple(map(check_kappa, check_reals("kappas", self.kappas)))
+        if len(set(kappas)) != len(kappas):  # each kappa's summary row pools only its own cells
+            raise ValueError(f"kappas must not repeat a value, got {kappas}")
+        object.__setattr__(self, "kappas", kappas)
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 

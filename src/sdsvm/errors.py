@@ -92,7 +92,7 @@ class IoError(SdsvmError):
 
 
 class SerializationError(SdsvmError):
-    """A model or fit report could not be written or read back."""
+    """A model, fit report or map CSV could not be written or read back."""
 
 
 class PipelineError(SdsvmError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 
-from .errors import EmptyInput
+from .errors import EmptyInput, SerializationError
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
@@ -26,9 +26,17 @@ def _rows(fit) -> list:
     return list(zip(fit.ids, *(column.tolist() for column in columns)))
 
 
+def _splits_row(text: str) -> bool:
+    return "," in text or len(f"{text}.".splitlines()) > 1
+
+
 def map_to_csv(fit) -> str:
     """One row per sample, in sample order.  Floats print as the shortest
-    round-trip repr; inf prints as 'inf'."""
+    round-trip repr; inf prints as 'inf'.  An id whose text holds a comma or
+    a line break, which would split its row, raises SerializationError."""
+    if _splits_row("".join(map(str, fit.ids))):
+        bad = next(filter(_splits_row, map(str, fit.ids)))
+        raise SerializationError(f"id {bad!r} contains a comma or a line break")
     lines = [CSV_HEADER]
     lines.extend(
         f"{sid},{label},{f!r},{r!r},{str(cut).lower()},{str(wrong).lower()}"

@@ -115,10 +115,13 @@ class FitResult:
     """Everything the outlier map and downstream reporting need.
 
     ids, labels, decision_values and the plan's columns are aligned with
-    the dataset; the model holds the plan's retained samples, in order, and
-    its C is cv.c.  Every sample is one the outlier map can draw: its label
-    is -1 or +1, its outlyingness nonnegative and not nan (+inf is kept) and
-    its f finite; a ValueError otherwise.
+    the dataset; the model holds the plan's retained samples and labels, in
+    order, has a kernel spec and C = cv.c.  reports are the (minus, plus)
+    OutlyingnessReports, each holding its group's slice of the plan's
+    outlyingness and a resolved policy (not "auto").  Every sample is one
+    the outlier map can draw: its label is -1 or +1, its outlyingness
+    nonnegative and not nan (+inf is kept) and its f finite.  A ValueError
+    otherwise.
     """
 
     model: SvmModel
@@ -127,11 +130,7 @@ class FitResult:
     decision_values: np.ndarray
     ids: tuple
     labels: np.ndarray
-    policy_minus: DirectionPolicy
-    policy_plus: DirectionPolicy
-    # (minus, plus) outlyingness reports of the fit; not serialized, so a
-    # fit read back from text has ().
-    reports: tuple = ()
+    reports: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "decision_values", _frozen(self.decision_values))
@@ -149,13 +148,22 @@ class FitResult:
             raise ValueError("sample outlyingness must be nonnegative and not nan")
         if not np.isfinite(self.decision_values).all():
             raise ValueError("sample decision values must be finite")
-        if self.model.n_retained != self.plan.retained.size:
-            raise ValueError(
-                f"model has {self.model.n_retained} samples but the plan retains "
-                f"{self.plan.retained.size}"
-            )
         if self.model.c != self.cv.c:
             raise ValueError(f"model has C={self.model.c!r} but the C choice is {self.cv.c!r}")
+        if self.model.spec is None:
+            raise ValueError("model has no kernel spec attached")
+        retained = self.plan.retained
+        if not np.array_equal(self.model.labels, self.labels[retained]):
+            raise ValueError(
+                f"model's {self.model.n_retained} labels are not those of the plan's "
+                f"{retained.size} retained samples"
+            )
+        object.__setattr__(self, "reports", tuple(self.reports))
+        slices = (self.plan.outlyingness[self.labels < 0], self.plan.outlyingness[self.labels > 0])
+        if len(self.reports) != 2 or not all(map(np.array_equal, (rep.r for rep in self.reports), slices)):
+            raise ValueError("reports must hold the (minus, plus) slices of the plan's outlyingness")
+        if any(report.policy.mode == "auto" for report in self.reports):
+            raise ValueError("a report's policy must be resolved, got mode 'auto'")
 
     @property
     def n(self) -> int:
@@ -326,9 +334,8 @@ def fit_ranked(
     skipped and the value used directly.
     """
     dataset, omega = ranking.dataset, ranking.omega
-    report_minus, report_plus = ranking.reports
     labels = np.asarray(dataset.labels, dtype=np.float64)
-    plan = run_stage("trim", trim, report_minus, report_plus, labels, kappa)
+    plan = run_stage("trim", trim, *ranking.reports, labels, kappa)
 
     retained = plan.retained
     labels_t = labels[retained]
@@ -348,8 +355,6 @@ def fit_ranked(
         decision_values=decision_values(model, omega.entries[retained]),
         ids=dataset.ids,
         labels=labels,
-        policy_minus=report_minus.policy,
-        policy_plus=report_plus.policy,
         reports=ranking.reports,
     )
 
@@ -372,24 +377,13 @@ _TABLE_HEADER = "id label outlyingness trimmed f"
 
 
 def _text_ids(ids) -> list:
-    """str of each id, or SerializationError naming the first id that holds
-    whitespace (which would split its row)."""
+    """str of each id, or SerializationError naming the first id that is
+    empty or holds whitespace (either would break its row)."""
     texts = list(map(str, ids))
-    if any(map(str.isspace, "".join(texts))):
-        bad = next(t for t in texts if any(map(str.isspace, t)))
-        raise SerializationError(f"id {bad!r} contains whitespace")
+    if "" in texts or any(map(str.isspace, "".join(texts))):
+        bad = next(t for t in texts if not t or any(map(str.isspace, t)))
+        raise SerializationError(f"id {bad!r} contains whitespace" if bad else "an id is empty")
     return texts
-
-
-def _policy_to_text(policy: DirectionPolicy) -> str:
-    return f"{policy.mode} {policy.count} {policy.seed}"
-
-
-def _policy_from_text(text: str) -> DirectionPolicy:
-    mode, count, seed = text.split()
-    if mode == "auto":  # a report records the policy auto resolved to
-        raise ValueError("policy line must name a resolved mode, got 'auto'")
-    return DirectionPolicy(mode=mode, count=int(count), seed=int(seed))
 
 
 def fit_to_text(fit: FitResult) -> str:
@@ -400,16 +394,14 @@ def fit_to_text(fit: FitResult) -> str:
     Doubles are shortest round-trip decimals, so a read-back is exact.
     """
     model = fit.model
-    if model.spec is None:
-        raise SerializationError("model has no kernel spec attached")
     ids = _text_ids(fit.ids)
     lines = [
         _FIT_HEADER,
         f"kappa {fit.plan.kappa!r}",
         f"chosen-c {model.c!r}",
         f"folds-used {fit.cv.folds_used}",
-        f"policy-minus {_policy_to_text(fit.policy_minus)}",
-        f"policy-plus {_policy_to_text(fit.policy_plus)}",
+        *(f"policy-{side} {report.policy.mode} {report.policy.count} {report.policy.seed}"
+          for side, report in zip(("minus", "plus"), fit.reports)),
         f"kernel {model.spec.describe()}",
         f"cv-table {len(fit.cv.table)}",
     ]
@@ -439,12 +431,14 @@ def fit_to_text(fit: FitResult) -> str:
 
 
 def fit_from_text(text: str) -> FitResult:
-    """Rebuild a FitResult from its report (samples are not serialized).
+    """Rebuild a FitResult from its report.
 
+    The reports hold each group's r and policy, their counters at the
+    defaults, as the model has updates 0 and gap nan: none is serialized.
     Raises SerializationError, and nothing else, on a malformed report; on
     one whose chosen-c or kernel line disagrees with its model block, or
-    whose model block names other ids or labels than the retained rows of
-    its sample table; on one whose folds-used, cv-table or samples count
+    whose model block names other ids than the retained rows of its
+    sample table; on one whose folds-used, cv-table or samples count
     is negative, or whose samples line is not followed by exactly that many
     rows (blank lines may trail); on one whose trimmed column is not the trim
     of its outlyingness; or on one that is not a valid CvSelection or FitResult.
@@ -489,8 +483,10 @@ def fit_from_text(text: str) -> FitResult:
         kappa = float(keyed("kappa"))
         chosen_c = float(keyed("chosen-c"))
         folds_used = count("folds-used")
-        policy_minus = _policy_from_text(keyed("policy-minus"))
-        policy_plus = _policy_from_text(keyed("policy-plus"))
+        policies = []
+        for key in ("policy-minus", "policy-plus"):
+            mode, pairs, seed = keyed(key).split()
+            policies.append(DirectionPolicy(mode, int(pairs), int(seed)))
         kernel = keyed("kernel")
         grid, errors = map(floats, columns(count("cv-table"), 2))
         cv = CvSelection(tuple(zip(grid.tolist(), errors.tolist())), folds_used)
@@ -515,26 +511,11 @@ def fit_from_text(text: str) -> FitResult:
         labels, r_vals, f_vals = floats(labels), floats(r_vals), floats(f_vals)
         trimmed = [{"true": True, "false": False}[cut] for cut in trimmed]
         plan = TrimPlan(kappa, r_vals, trimmed)
-        retained = plan.retained.tolist()
-        model_labels = floats(model_labels)
-        if model_ids != tuple(ids[i] for i in retained) or not np.array_equal(
-            model_labels, labels[retained]
-        ):
-            raise SerializationError(
-                "model block's ids or labels disagree with the retained rows of the sample table"
-            )
-        fit = FitResult(
-            model=SvmModel(floats(alpha), model_labels, bias, c, tol, spec),
-            plan=plan,
-            cv=cv,
-            decision_values=f_vals,
-            ids=ids,
-            labels=labels,
-            policy_minus=policy_minus,
-            policy_plus=policy_plus,
-        )
-        sides = ((-1.0, policy_minus), (1.0, policy_plus))
-        reports = [OutlyingnessReport(r_vals[labels == side], policy) for side, policy in sides]
+        if model_ids != tuple(ids[i] for i in plan.retained.tolist()):
+            raise SerializationError("model block's ids disagree with the retained rows of the sample table")
+        reports = [OutlyingnessReport(r_vals[labels == side], policy) for side, policy in zip((-1, 1), policies)]
+        model = SvmModel(floats(alpha), floats(model_labels), bias, c, tol, spec)
+        fit = FitResult(model, plan, cv, decision_values=f_vals, ids=ids, labels=labels, reports=reports)
         if not np.array_equal(trim(*reports, labels, kappa).trimmed, plan.trimmed):
             raise SerializationError("trimmed column is not the trim of the outlyingness column")
         return fit

@@ -46,8 +46,8 @@ from sdsvm.errors import (
 from sdsvm.data import Dataset
 from sdsvm.kernels import KernelSpec, kernel_matrix
 from sdsvm.outliermap import CSV_HEADER
-from sdsvm.outlyingness import DEGENERACY_TOL, DirectionPolicy
-from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, _fold_assignment, _policy_to_text
+from sdsvm.outlyingness import DEGENERACY_TOL, DirectionPolicy, OutlyingnessReport
+from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, _fold_assignment
 from sdsvm.rng import Stream, derive_key
 from sdsvm.svm import (
     _CURVATURE_FLOOR,
@@ -570,11 +570,11 @@ def model_to_text_reference(model, ids):
 
 def fit_to_text_reference(fit):
     """pipeline.fit_to_text, one formatted sample at a time."""
-    if fit.model.spec is None:
-        raise SerializationError("model has no kernel spec attached")
     ids = []
     for sid in fit.ids:
         text_id = str(sid)
+        if text_id == "":
+            raise SerializationError("an id is empty")
         if any(ch.isspace() for ch in text_id):
             raise SerializationError(f"id {text_id!r} contains whitespace")
         ids.append(text_id)
@@ -583,11 +583,12 @@ def fit_to_text_reference(fit):
         f"kappa {fit.plan.kappa!r}",
         f"chosen-c {float(fit.model.c)!r}",
         f"folds-used {fit.cv.folds_used}",
-        f"policy-minus {_policy_to_text(fit.policy_minus)}",
-        f"policy-plus {_policy_to_text(fit.policy_plus)}",
-        f"kernel {fit.model.spec.describe()}",
-        f"cv-table {len(fit.cv.table)}",
     ]
+    for side, report in (("minus", fit.reports[0]), ("plus", fit.reports[1])):
+        policy = report.policy
+        lines.append(f"policy-{side} {policy.mode} {policy.count} {policy.seed}")
+    lines.append(f"kernel {fit.model.spec.describe()}")
+    lines.append(f"cv-table {len(fit.cv.table)}")
     for c, err in fit.cv.table:
         lines.append(f"{float(c)!r} {float(err)!r}")
     retained_ids = [ids[i] for i in range(fit.n) if not fit.plan.trimmed[i]]
@@ -608,23 +609,24 @@ def fit_from_rows(rows, kappa=0.5):
     """A FitResult whose samples are rows of (id, label, f, r, trimmed).
 
     The model holds the retained samples at alpha = 0 and bias 0 (a solve's
-    start), so it agrees with any rows; a row FitResult rejects raises its
+    start), so it agrees with any rows, and each group's report holds its
+    rows' r under the exhaustive policy; a row FitResult rejects raises its
     ValueError.
     """
     ids, labels, f, r, trimmed = zip(*rows) if rows else ((),) * 5
     labels = np.array(labels, dtype=np.float64)
+    r = np.array(r, dtype=np.float64)
     trimmed = np.array(trimmed, dtype=bool)
     kept = labels[~trimmed]
     exhaustive = DirectionPolicy(mode="exhaustive")
     return FitResult(
         model=SvmModel(np.zeros(kept.size), kept, 0.0, 1.0, DEFAULT_TOL, KernelSpec()),
-        plan=TrimPlan(kappa, np.array(r, dtype=np.float64), trimmed),
+        plan=TrimPlan(kappa, r, trimmed),
         cv=CvSelection(table=((1.0, math.nan),), folds_used=0),
         decision_values=np.array(f, dtype=np.float64),
         ids=ids,
         labels=labels,
-        policy_minus=exhaustive,
-        policy_plus=exhaustive,
+        reports=tuple(OutlyingnessReport(r[labels == side], exhaustive) for side in (-1.0, 1.0)),
     )
 
 
@@ -647,6 +649,9 @@ def map_rows(fit):
 def map_to_csv_reference(fit):
     """outliermap.map_to_csv, one formatted sample at a time."""
     lines = ["id,label,f,outlyingness,trimmed,misclassified"]
+    for sid in map(str, fit.ids):
+        if "," in sid or any(ch in sid for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+            raise SerializationError(f"id {sid!r} contains a comma or a line break")
     for sid, label, f, r, trimmed, misclassified in map_rows(fit):
         lines.append(
             f"{sid},{label},{repr(f)},{repr(r)},"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdsvm import Dataset, KernelSpec, fit_sdsvm, fit_to_text, gen_toy
+from sdsvm import Dataset, KernelSpec, fit_sdsvm, fit_to_text, gen_toy, load_fasta, map_to_svg
 from sdsvm import cli
 from sdsvm.cli import build_parser, main
 
@@ -154,6 +154,8 @@ class TestValidation:
             (["fit", "{toy}", "--cv-grid", "0.1,x"], "--cv-grid"),
             (["map", "--fit", "{report}", "--seed", "-1"], "--seed"),
             (["map", "--fit", "{report}", "--gamma", "nan"], "--gamma"),
+            # a repeated kappa once printed a summary row per repeat
+            (["simulate", "--runs", "3", "--d", "50", "--kappas", "0.5,0.5,1"], "--kappas must not repeat a value,"),
         ],
     )
     def test_non_finite_or_out_of_range_number_exits_1(self, argv_dir, capsys, argv, flag):
@@ -264,6 +266,25 @@ class TestSimulate:
 
 
 class TestMap:
+    def test_id_with_a_comma_exits_2_in_render(self, tmp_path, capsys):
+        # Its rows once held 7 fields under the 6-field header, with exit 0.
+        ids = ["s0,x", *(f"s{i}" for i in range(1, 8))]
+        fasta = "".join(f">{sid}\n{'ACGT' if i % 2 else 'AACCGT'}{'GT' * i}\n" for i, sid in enumerate(ids))
+        (tmp_path / "s.fa").write_text(fasta)
+        (tmp_path / "s.lab").write_text("".join(f"{sid} {1 if i % 2 else -1}\n" for i, sid in enumerate(ids)))
+        argv = ["map", str(tmp_path / "s.fa"), "--labels", str(tmp_path / "s.lab"), "--kernel", "spectrum"]
+        argv += ["--kmer", "2"]
+        csv_path, svg_path = tmp_path / "m.csv", tmp_path / "m.svg"
+        code, out, err = run_cli(capsys, *argv, "--out-csv", str(csv_path))
+        assert (code, out) == (2, "")
+        assert err == "sdsvm: error in render: id 's0,x' contains a comma or a line break\n"
+        assert not csv_path.exists()
+        # The SVG escapes nothing a comma needs, and is drawn as before.
+        assert run_cli(capsys, *argv, "--out-svg", str(svg_path))[0] == 0
+        dataset = load_fasta(tmp_path / "s.fa", tmp_path / "s.lab")
+        fit = fit_sdsvm(dataset, KernelSpec(kind="spectrum", kmer=2))
+        assert svg_path.read_text() == map_to_svg(fit)
+
     def test_rerender_from_saved_fit_matches_direct(self, tmp_path, capsys):
         fit_path = tmp_path / "fit.txt"
         direct_csv = tmp_path / "direct.csv"
@@ -359,6 +380,9 @@ class TestMap:
         assert svg.exists()
 
 
+CODING_RULE = "--coding labels must differ and have no surrounding spaces"
+
+
 class TestDataFlags:
     """--coding and --label-col are read before any work, under map --fit
     too, and a data flag that does not apply to the input's format exits 1
@@ -393,6 +417,13 @@ class TestDataFlags:
              "--labels is read only with a FASTA dataset, and map --fit reads none"),
             (["map", "--fit", "{dir}/toy.fit", "--labels", "{dir}/seqs.labels", "--format", "fasta"],
              "--labels is read only with a FASTA dataset, and map --fit reads none"),
+            # flags no file satisfies: each once loaded the file and exited 2
+            # in stage load, or went unchecked under map --fit
+            (["fit", "{dir}/toy.csv", "--coding", "yes,yes"], f"{CODING_RULE}, got 'yes,yes'"),
+            (["fit", "{dir}/toy.csv", "--coding", "no, yes"], f"{CODING_RULE}, got 'no, yes'"),
+            (["fit", "{dir}/toy.csv", "--label-col", "-1"], "--label-col must be >= 0, got -1"),
+            (["map", "--fit", "{dir}/toy.fit", "--coding", "yes,yes"], f"{CODING_RULE}, got 'yes,yes'"),
+            (["map", "--fit", "{dir}/toy.fit", "--label-col", "-1"], "--label-col must be >= 0, got -1"),
         ],
     )
     def test_bad_or_inapplicable_data_flag_exits_1(self, seqs, capsys, argv, message):

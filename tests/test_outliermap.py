@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sdsvm import KernelSpec, fit_sdsvm, gen_toy, map_to_csv, map_to_svg
-from sdsvm.errors import EmptyInput, IoError, ParseError, write_text
+from sdsvm.errors import EmptyInput, IoError, ParseError, SerializationError, write_text
 
 from oracles import fit_from_rows, parse_csv
 
@@ -133,6 +134,19 @@ class TestCsv:
     def test_unwritable_destination(self):
         with pytest.raises(IoError):
             write_text("/nonexistent-dir/x.csv", map_to_csv(fit_from_rows([sample()])))
+
+    @pytest.mark.parametrize("sid", ["s0,x", ",", "a\nb", "a\r", "\r\n", "x\u2028y", "p\x1c"])
+    def test_id_that_would_split_its_row_raises(self, sid):
+        # Such an id once wrote a row of more than 6 fields, or two rows.
+        fit = fit_from_rows([sample(id="a"), sample(id=sid), sample(id="b,c")])
+        rule = f"^id {re.escape(repr(sid))} contains a comma or a line break$"
+        with pytest.raises(SerializationError, match=rule):
+            map_to_csv(fit)
+        assert map_to_svg(fit).startswith("<svg")
+
+    def test_id_with_other_whitespace_is_written(self):
+        text = map_to_csv(fit_from_rows([sample(id="a b\t")]))
+        assert text.splitlines()[1].split(",")[0] == "a b\t"
 
 
 class TestSvg:

@@ -473,8 +473,7 @@ class TestFitSdsvm:
 
     def test_policy_recorded_per_group(self):
         fit = fit_sdsvm(gen_toy(2), LINEAR)
-        assert fit.policy_minus.mode == "exhaustive"
-        assert fit.policy_plus.mode == "exhaustive"
+        assert [report.policy.mode for report in fit.reports] == ["exhaustive", "exhaustive"]
 
     def test_decision_values_cover_trimmed_samples(self):
         fit = fit_sdsvm(gen_toy(3), LINEAR)
@@ -488,7 +487,7 @@ class TestFitSdsvm:
     def test_outlyingness_reports_kept(self, policy):
         fit = fit_sdsvm(gen_toy(3), LINEAR, policy=policy)
         minus, plus = fit.reports
-        assert (minus.policy, plus.policy) == (fit.policy_minus, fit.policy_plus)
+        assert minus.policy == plus.policy == (EXHAUSTIVE if policy.mode == "auto" else policy)
         assert np.array_equal(fit.plan.outlyingness[fit.labels < 0], minus.r)
         assert np.array_equal(fit.plan.outlyingness[fit.labels > 0], plus.r)
         for report in (minus, plus):
@@ -498,7 +497,10 @@ class TestFitSdsvm:
             else:
                 assert report.directions == 200
                 assert report.draws >= 200
-        assert fit_from_text(fit_to_text(fit)).reports == ()
+        # Read back, each report holds its r and policy, its counters at the defaults.
+        for back, report in zip(fit_from_text(fit_to_text(fit)).reports, fit.reports, strict=True):
+            assert back.r.tobytes() == report.r.tobytes() and back.policy == report.policy
+            assert (back.degenerate_pairs, back.directions, back.draws) == (0, 0, 0)
 
 
 @st.composite
@@ -557,6 +559,12 @@ class TestFitReport:
         assert back.model.updates == 0 and math.isnan(back.model.gap)  # not serialized
         # second serialization is byte-identical
         assert fit_to_text(back) == text
+
+    def test_empty_id_raises(self):
+        # Its row once lost a field, so the reader refused the report.
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        with pytest.raises(SerializationError, match="^an id is empty$"):
+            fit_to_text(replace(fit, ids=("",) + fit.ids[1:]))
 
     def test_kappa_of_any_number_type_reads_back(self):
         # A numpy kappa was once stored as given and written as
@@ -674,13 +682,23 @@ class TestFitReport:
     @pytest.mark.parametrize(
         "column, value, rule",
         [
-            (1, "0.5", "labels must be -1 or"),
-            (2, "-1.0", "outlyingness must be nonnegative"),
-            (2, "-inf", "outlyingness must be nonnegative"),
-            (2, "nan", "outlyingness must be nonnegative"),
-            (4, "nan", "decision values must be finite"),
-            (4, "inf", "decision values must be finite"),
-            (4, "-inf", "decision values must be finite"),
+            (1, "0.5", "sample labels must be -1 or"),
+            # the group's OutlyingnessReport, built before the FitResult, rejects a negative r
+            (2, "-1.0", "outlyingness values must be nonnegative"),
+            (2, "-inf", "outlyingness values must be nonnegative"),
+            (2, "nan", "sample outlyingness must be nonnegative"),
+            (4, "nan", "sample decision values must be finite"),
+            (4, "inf", "sample decision values must be finite"),
+            (4, "-inf", "sample decision values must be finite"),
+        ],
+        ids=[
+            "1-0.5-labels must be -1 or",
+            "2--1.0-outlyingness must be nonnegative",
+            "2--inf-outlyingness must be nonnegative",
+            "2-nan-outlyingness must be nonnegative",
+            "4-nan-decision values must be finite",
+            "4-inf-decision values must be finite",
+            "4--inf-decision values must be finite",
         ],
     )
     def test_sample_the_map_cannot_draw_raises_serialization_error(self, column, value, rule):
@@ -693,7 +711,7 @@ class TestFitReport:
         assert cells[3] == "true"
         cells[column] = value
         lines[row] = " ".join(cells)
-        with pytest.raises(SerializationError, match=f"bad fit report: sample {rule}"):
+        with pytest.raises(SerializationError, match=f"bad fit report: {rule}"):
             fit_from_text("\n".join(lines))
 
     def test_truncated_report_raises_serialization_error(self):
@@ -718,8 +736,18 @@ class TestFitReport:
         with pytest.raises(SerializationError, match="model block"):
             fit_from_text("\n".join(lines[: at + 36] + ["samples 0"] + table))
 
-    @pytest.mark.parametrize("edit", ["id", "label", "drop", "swap"])
-    def test_model_block_must_name_the_retained_rows(self, edit):
+    @pytest.mark.parametrize(
+        "edit, rule",
+        [
+            ("id", "model block's ids disagree"),
+            # FitResult's rule: a row keeps its id, so the reader's id check passes
+            ("label", "model's 33 labels are not those of the plan's 33 retained samples"),
+            ("drop", "model block's ids disagree"),
+            ("swap", "model block's ids disagree"),
+        ],
+        ids=["id", "label", "drop", "swap"],
+    )
+    def test_model_block_must_name_the_retained_rows(self, edit, rule):
         lines = fit_to_text(fit_sdsvm(gen_toy(5), LINEAR)).splitlines()
         at = lines.index("model 35")
         first = at + 2  # the block's first sample row, after its header
@@ -732,7 +760,7 @@ class TestFitReport:
             lines[at : first + 1] = ["model 34", lines[at + 1]]
         else:
             lines[first], lines[first + 1] = lines[first + 1], lines[first]
-        with pytest.raises(SerializationError, match="model block"):
+        with pytest.raises(SerializationError, match=rule):
             fit_from_text("\n".join(lines))
 
     @pytest.mark.parametrize("count", ["model 1", "model 0", "model -1"])
@@ -822,3 +850,31 @@ class TestFitResult:
         edit = {"plan": replace(fit.plan, outlyingness=values)} if column == "outlyingness" else {column: values}
         with pytest.raises(ValueError, match=rule):
             replace(fit, **edit)
+
+    @pytest.mark.parametrize(
+        "edit, rule",
+        [
+            (lambda fit: {"model": replace(fit.model, spec=None)}, "model has no kernel spec attached"),
+            (
+                lambda fit: {"model": replace(fit.model, labels=-fit.model.labels)},
+                "model's 33 labels are not those of the plan's 33 retained samples",
+            ),
+            (
+                lambda fit: {"reports": (replace(fit.reports[0], policy=DirectionPolicy()), fit.reports[1])},
+                "a report's policy must be resolved, got mode 'auto'",
+            ),
+            (
+                lambda fit: {"reports": (replace(fit.reports[0], r=fit.reports[0].r + 1.0), fit.reports[1])},
+                "reports must hold the",
+            ),
+            (lambda fit: {"reports": fit.reports[::-1]}, "reports must hold the"),
+            (lambda fit: {"reports": ()}, "reports must hold the"),
+        ],
+        ids=["no-spec", "model-labels", "auto-policy", "other-r", "swapped-reports", "no-reports"],
+    )
+    def test_record_its_report_cannot_hold_raises(self, edit, rule):
+        # Each of these was once built, and then refused by fit_to_text or
+        # fit_from_text (no-reports was the read-back shape).
+        fit = fit_sdsvm(gen_toy(5), LINEAR)
+        with pytest.raises(ValueError, match=rule):
+            replace(fit, **edit(fit))

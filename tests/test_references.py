@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, kernel_matrix, load_csv
-from sdsvm.errors import SdsvmError
+from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, OutlyingnessReport, kernel_matrix, load_csv
+from sdsvm.errors import GroupEmptyAfterTrim, SdsvmError
 from sdsvm.outliermap import map_to_csv, map_to_svg
-from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, fit_to_text
+from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, fit_from_text, fit_to_text, trim
 from sdsvm.svm import SvmModel
 
 from conftest import with_number_tokens
@@ -41,8 +41,10 @@ def outcome(fn, *args, **kwargs):
 odd_ids = st.one_of(
     st.integers(-5, 10**6),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=6),
-    st.sampled_from(["a&b", "<x>", "été", " ", "tab\there", "nbsp ", "1,2"]),
+    st.sampled_from(["a&b", "<x>", "été", " ", "tab\there", "nbsp ", "1,2", "a\nb"]),
 )
+# The ids a fit report can hold: nonempty, without whitespace.
+report_ids = odd_ids.filter(lambda sid: str(sid) and not any(map(str.isspace, str(sid))))
 f_values = st.one_of(
     st.floats(-1e300, 1e300, allow_nan=False),
     st.sampled_from([0.0, -0.0, 5e-324, -1.5, 1e-300]),
@@ -75,15 +77,26 @@ def cv_selections(draw):
 
 
 @st.composite
-def fits(draw, n_max=6):
+def fits(draw, n_max=6, id_values=odd_ids, by_trim=False):
+    """A FitResult over n_max samples at most; with by_trim its mask is the
+    trim of its outlyingness, else any mask."""
     n = draw(st.sampled_from([1, 2]) | st.integers(1, n_max))
 
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
-    ids = column(odd_ids)
+    ids = column(id_values)
     labels = np.array(column(st.sampled_from([-1.0, 1.0])))
-    trimmed = np.array(column(st.booleans()))
+    kappa = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    r = np.array(column(r_values))
+    reports = tuple(OutlyingnessReport(r[labels == side], draw(policies)) for side in (-1.0, 1.0))
+    if by_trim:
+        try:
+            trimmed = trim(*reports, labels, kappa).trimmed
+        except GroupEmptyAfterTrim:
+            assume(False)
+    else:
+        trimmed = np.array(column(st.booleans()))
     kept = np.flatnonzero(~trimmed)
     cv = draw(cv_selections())
     c = cv.c
@@ -105,13 +118,12 @@ def fits(draw, n_max=6):
     )
     return FitResult(
         model=model,
-        plan=TrimPlan(draw(st.sampled_from([0.5, 0.75, 1.0])), column(r_values), trimmed),
+        plan=TrimPlan(kappa, r, trimmed),
         cv=cv,
         decision_values=column(f_values),
         ids=ids,
         labels=labels,
-        policy_minus=draw(policies),
-        policy_plus=draw(policies),
+        reports=reports,
     )
 
 
@@ -121,9 +133,36 @@ class TestWriters:
         # The reference writes the model block with model_to_text_reference.
         assert outcome(fit_to_text, fit) == outcome(fit_to_text_reference, fit)
 
+    @given(fits(id_values=report_ids, by_trim=True))
+    def test_fit_reads_back_equal(self, fit):
+        # Equal but for what the report does not hold: the text of each id,
+        # the model's updates and gap and each report's counters.
+        back = fit_from_text(fit_to_text(fit))
+        assert back.ids == tuple(map(str, fit.ids))
+        assert (back.plan.kappa, repr(back.cv.table), back.cv.folds_used) == (
+            fit.plan.kappa,
+            repr(fit.cv.table),
+            fit.cv.folds_used,
+        )
+        for got, want in (
+            (back.plan.outlyingness, fit.plan.outlyingness),
+            (back.plan.trimmed, fit.plan.trimmed),
+            (back.decision_values, fit.decision_values),
+            (back.labels, fit.labels),
+            (back.model.alpha, fit.model.alpha),
+            (back.model.labels, fit.model.labels),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        model, want = back.model, fit.model
+        assert (model.bias, model.c, model.tol, model.spec) == (want.bias, want.c, want.tol, want.spec)
+        assert (model.updates, math.isnan(model.gap)) == (0, True)
+        for got, want in zip(back.reports, fit.reports, strict=True):
+            assert got.r.tobytes() == want.r.tobytes() and got.policy == want.policy
+            assert (got.degenerate_pairs, got.directions, got.draws) == (0, 0, 0)
+
     @given(fits(), st.integers(-1, 8), st.sampled_from([None, 0.0, 2.5, 1e300]))
     def test_map(self, fit, label_top, threshold):
-        assert map_to_csv(fit) == map_to_csv_reference(fit)
+        assert outcome(map_to_csv, fit) == outcome(map_to_csv_reference, fit)
         assert map_to_svg(fit, label_top, threshold) == map_to_svg_reference(
             fit, label_top, threshold
         )

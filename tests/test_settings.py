@@ -86,6 +86,10 @@ _BAD_FIELDS = [  # (settings type, bad field values, field the message names)
     (KernelSpec, {"degree": np.True_}, "degree"),
     (KernelSpec, {"kmer": 2.0}, "kmer"),
     (KernelSpec, {"kmer": "3"}, "kmer"),
+    # run_simulation once summarized a repeated kappa once per repeat, each
+    # row pooling its cells twice over.
+    (SimulationSpec, {"kappas": (0.5, 0.5, 1.0)}, "kappas"),
+    (SimulationSpec, {"kappas": [np.float64(0.9), 0.9]}, "kappas"),
 ]
 
 

@@ -109,6 +109,13 @@ INVOCATIONS = (
     ("map-fit-kappa-not-the-trim", ["map", "--fit", "toy-kappa-0.9.fit", "--out-csv", "{out}/map.csv"]),
     ("map-fit-cv-table-token", ["map", "--fit", "toy-cv-table-token.fit", "--out-csv", "{out}/map.csv"]),
     ("sim-kappas-empty-item", ["simulate", "--runs", "1", "--d", "100", "--kappas", "0.5,,1"]),
+    # Inputs no run can use: an id that would split its map CSV row, a
+    # repeated kappa, and data flags no file satisfies.
+    ("map-csv-comma-id", ["map", "seqs-comma.fa", "--labels", "seqs-comma.labels", "--kernel", "spectrum",
+                          "--kmer", "2", "--out-csv", "{out}/map.csv", "--out-svg", "{out}/map.svg"]),
+    ("sim-kappas-repeated", ["simulate", "--runs", "3", "--d", "50", "--kappas", "0.5,0.5,1"]),
+    ("csv-coding-repeated", ["fit", "label-first.csv", "--label-col", "first", "--coding", "yes,yes"]),
+    ("csv-label-col-negative", ["fit", "points.csv", "--label-col", "-1"]),
 )
 
 
@@ -144,6 +151,8 @@ def write_inputs(root: Path) -> None:
         label_lines.append(f"s{i} {1 if i % 2 else -1}")
     (root / "seqs.fa").write_text("\n".join(fasta) + "\n")
     (root / "seqs.labels").write_text("\n".join(label_lines) + "\n")
+    (root / "seqs-comma.fa").write_text("\n".join(fasta).replace(">s0 ", ">s0,x ") + "\n")
+    (root / "seqs-comma.labels").write_text("\n".join(label_lines).replace("s0 ", "s0,x ", 1) + "\n")
     report = fit_to_text(fit_sdsvm(gen_toy(1), KernelSpec()))
     (root / "toy.fit").write_text(report)
     lines = report.splitlines(keepends=True)

@@ -28,7 +28,6 @@ from .pipeline import (
     fit_to_text,
     rank,
     select_C,
-    trim,
 )
 from .svm import (
     SvmModel,
@@ -71,5 +70,4 @@ __all__ = [
     "run_simulation",
     "select_C",
     "solve_dual",
-    "trim",
 ]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 
-from .errors import EmptyInput, SerializationError
+from .errors import SerializationError
 from .svm import sign_labels
 
 CSV_HEADER = "id,label,f,outlyingness,trimmed,misclassified"
@@ -27,16 +27,18 @@ def _rows(fit) -> list:
 
 
 def _splits_row(text: str) -> bool:
-    return "," in text or len(f"{text}.".splitlines()) > 1
+    return "," in text or '"' in text or len(f"{text}.".splitlines()) > 1
 
 
 def map_to_csv(fit) -> str:
     """One row per sample, in sample order.  Floats print as the shortest
     round-trip repr; inf prints as 'inf'.  An id whose text holds a comma or
-    a line break, which would split its row, raises SerializationError."""
+    a line break, which would split its row, or a double quote, which a CSV
+    reader takes for quoting, raises SerializationError."""
     if _splits_row("".join(map(str, fit.ids))):
         bad = next(filter(_splits_row, map(str, fit.ids)))
-        raise SerializationError(f"id {bad!r} contains a comma or a line break")
+        what = "a double quote" if '"' in bad else "a comma or a line break"
+        raise SerializationError(f"id {bad!r} contains {what}")
     lines = [CSV_HEADER]
     lines.extend(
         f"{sid},{label},{f!r},{r!r},{str(cut).lower()},{str(wrong).lower()}"
@@ -56,8 +58,6 @@ def map_to_svg(fit, label_top: int = 5, threshold: float | None = None) -> str:
     misclassified one; a threshold adds a dashed horizontal line.
     """
     rows = _rows(fit)
-    if not rows:
-        raise EmptyInput("cannot render an empty outlier map")
     w, h, m = 640, 480, 4.0  # canvas size and marker radius
     ml, mr, mt, mb = 64, 20, 24, 48
 

@@ -73,7 +73,8 @@ def default_policy(k: int, seed: int = 0) -> DirectionPolicy:
 
 @dataclass(frozen=True)
 class OutlyingnessReport:
-    """Per-sample outlyingness plus the direction policy that produced it."""
+    """Per-sample outlyingness plus the resolved direction policy (not
+    "auto") that produced it."""
 
     r: np.ndarray
     policy: DirectionPolicy
@@ -87,6 +88,8 @@ class OutlyingnessReport:
             raise ValueError("r must be a 1-D array")
         if np.any(arr < 0):
             raise ValueError("outlyingness values must be nonnegative")
+        if self.policy.mode == "auto":
+            raise ValueError("a report's policy must be resolved, got mode 'auto'")
         object.__setattr__(self, "r", arr)
 
     @property

@@ -47,18 +47,55 @@ def check_kappa(kappa) -> float:
     return value
 
 
+def _floor_count(kappa: float, n: int) -> int:
+    # The 1e-9 nudge absorbs float noise in decimal kappa * n products
+    # (e.g. 0.7 * 30) without changing any mathematically exact case.
+    return int(math.floor(kappa * n + 1e-9))
+
+
 @dataclass(frozen=True)
 class TrimPlan:
-    """Which samples survive trimming, and the outlyingness that decided it."""
+    """The trim of a labeled dataset: keep the h = floor(kappa * n) least
+    outlying samples of each group.
+
+    reports are the (minus, plus) OutlyingnessReports and labels the -1/+1
+    label array of the whole dataset.  outlyingness (each sample's value
+    within its own group) and the boolean trimmed mask are derived, aligned
+    with the dataset.  Ties at the cut are broken by ascending original
+    index; +inf outlyingness always sorts last, so such samples are trimmed
+    first.  A kappa outside [0.5, 1] or a label other than -1 or +1 is a
+    ValueError, reports of other sizes than the groups a DimensionError, and
+    a group that keeps no sample GroupEmptyAfterTrim.
+    """
 
     kappa: float
-    outlyingness: np.ndarray  # within-own-group value, aligned with the dataset
-    trimmed: np.ndarray  # bool, aligned with the dataset
+    reports: tuple
+    labels: np.ndarray
+    outlyingness: np.ndarray = field(init=False)
+    trimmed: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", check_kappa(self.kappa))
-        object.__setattr__(self, "outlyingness", _frozen(self.outlyingness))
-        object.__setattr__(self, "trimmed", _frozen(self.trimmed, bool))
+        kappa = check_kappa(self.kappa)
+        labels = check_labels("sample labels", _frozen(self.labels))
+        reports = tuple(self.reports)
+        groups = (np.flatnonzero(labels < 0), np.flatnonzero(labels > 0))
+        covered, sizes = [report.k for report in reports], [group.size for group in groups]
+        if covered != sizes:
+            raise DimensionError(f"reports cover {covered} samples but groups have {sizes}")
+        h = [_floor_count(kappa, size) for size in sizes]
+        if 0 in h:
+            raise GroupEmptyAfterTrim(f"h-={h[0]}, h+={h[1]} after flooring kappa={kappa}")
+
+        r_full = np.zeros(labels.shape)
+        trimmed = np.ones(labels.shape, dtype=bool)
+        for group, report, h_group in zip(groups, reports, h):
+            r_full[group] = report.r
+            trimmed[group[np.lexsort((group, report.r))[:h_group]]] = False
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "outlyingness", _frozen(r_full))
+        object.__setattr__(self, "trimmed", _frozen(trimmed, bool))
 
     @property
     def retained(self) -> np.ndarray:
@@ -114,14 +151,13 @@ class CvSelection:
 class FitResult:
     """Everything the outlier map and downstream reporting need.
 
-    ids, labels, decision_values and the plan's columns are aligned with
-    the dataset; the model holds the plan's retained samples and labels, in
-    order, has a kernel spec and C = cv.c.  reports are the (minus, plus)
-    OutlyingnessReports, each holding its group's slice of the plan's
-    outlyingness and a resolved policy (not "auto").  Every sample is one
-    the outlier map can draw: its label is -1 or +1, its outlyingness
-    nonnegative and not nan (+inf is kept) and its f finite.  A ValueError
-    otherwise.
+    ids and decision_values are aligned with the dataset, as are the plan's
+    labels and columns; labels and reports are read from the plan.  The
+    model holds the plan's retained samples and labels, in order, has a
+    kernel spec and C = cv.c.  Every sample is one the outlier map can
+    draw: its label is -1 or +1 (the plan's rule), its outlyingness
+    nonnegative (the reports' rule) and not nan (+inf is kept) and its f
+    finite.  A ValueError otherwise.
     """
 
     model: SvmModel
@@ -129,21 +165,16 @@ class FitResult:
     cv: CvSelection
     decision_values: np.ndarray
     ids: tuple
-    labels: np.ndarray
-    reports: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "decision_values", _frozen(self.decision_values))
-        object.__setattr__(self, "labels", _frozen(self.labels))
         object.__setattr__(self, "ids", tuple(self.ids))
         n = len(self.ids)
-        columns = (self.labels, self.decision_values, self.plan.outlyingness, self.plan.trimmed)
-        if any(column.shape != (n,) for column in columns):
+        if self.decision_values.shape != (n,) or self.labels.shape != (n,):
             raise ValueError(
-                f"{n} ids vs labels, decision values, outlyingness and trimmed of shapes "
-                f"{[column.shape for column in columns]}"
+                f"{n} ids vs decision values and labels of shapes "
+                f"{self.decision_values.shape} and {self.labels.shape}"
             )
-        check_labels("sample labels", self.labels)
         if not (self.plan.outlyingness >= 0.0).all():
             raise ValueError("sample outlyingness must be nonnegative and not nan")
         if not np.isfinite(self.decision_values).all():
@@ -158,60 +189,18 @@ class FitResult:
                 f"model's {self.model.n_retained} labels are not those of the plan's "
                 f"{retained.size} retained samples"
             )
-        object.__setattr__(self, "reports", tuple(self.reports))
-        slices = (self.plan.outlyingness[self.labels < 0], self.plan.outlyingness[self.labels > 0])
-        if len(self.reports) != 2 or not all(map(np.array_equal, (rep.r for rep in self.reports), slices)):
-            raise ValueError("reports must hold the (minus, plus) slices of the plan's outlyingness")
-        if any(report.policy.mode == "auto" for report in self.reports):
-            raise ValueError("a report's policy must be resolved, got mode 'auto'")
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.plan.labels
+
+    @property
+    def reports(self) -> tuple:
+        return self.plan.reports
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-
-def _floor_count(kappa: float, n: int) -> int:
-    # The 1e-9 nudge absorbs float noise in decimal kappa * n products
-    # (e.g. 0.7 * 30) without changing any mathematically exact case.
-    return int(math.floor(kappa * n + 1e-9))
-
-
-def trim(
-    report_minus: OutlyingnessReport,
-    report_plus: OutlyingnessReport,
-    labels,
-    kappa: float,
-) -> TrimPlan:
-    """Keep the h = floor(kappa * n) least outlying samples of each group.
-
-    labels is the -1/+1 label array of the whole dataset.
-
-    Ties at the cut are broken by ascending original index; +inf outlyingness
-    always sorts last, so such samples are trimmed first.
-    """
-    kappa = check_kappa(kappa)
-    y = np.asarray(labels, dtype=np.float64)
-    minus_idx = np.flatnonzero(y < 0)
-    plus_idx = np.flatnonzero(y > 0)
-    if report_minus.k != minus_idx.size or report_plus.k != plus_idx.size:
-        raise DimensionError(
-            f"reports cover {report_minus.k}/{report_plus.k} samples but groups have "
-            f"{minus_idx.size}/{plus_idx.size}"
-        )
-    h_minus = _floor_count(kappa, minus_idx.size)
-    h_plus = _floor_count(kappa, plus_idx.size)
-    if h_minus == 0 or h_plus == 0:
-        raise GroupEmptyAfterTrim(f"h-={h_minus}, h+={h_plus} after flooring kappa={kappa}")
-
-    r_full = np.zeros(y.shape[0])
-    trimmed = np.ones(y.shape[0], dtype=bool)
-    for group_idx, report, h in (
-        (minus_idx, report_minus, h_minus),
-        (plus_idx, report_plus, h_plus),
-    ):
-        r_full[group_idx] = report.r
-        trimmed[group_idx[np.lexsort((group_idx, report.r))[:h]]] = False
-    return TrimPlan(kappa=kappa, outlyingness=r_full, trimmed=trimmed)
 
 
 def _fold_assignment(labels: np.ndarray, folds: int, seed: int):
@@ -334,11 +323,10 @@ def fit_ranked(
     skipped and the value used directly.
     """
     dataset, omega = ranking.dataset, ranking.omega
-    labels = np.asarray(dataset.labels, dtype=np.float64)
-    plan = run_stage("trim", trim, *ranking.reports, labels, kappa)
+    plan = run_stage("trim", TrimPlan, kappa, ranking.reports, dataset.labels)
 
     retained = plan.retained
-    labels_t = labels[retained]
+    labels_t = plan.labels[retained]
     omega_t = omega.take(retained)
 
     if len(cv.grid) == 1:
@@ -354,8 +342,6 @@ def fit_ranked(
         cv=selection,
         decision_values=decision_values(model, omega.entries[retained]),
         ids=dataset.ids,
-        labels=labels,
-        reports=ranking.reports,
     )
 
 
@@ -433,15 +419,18 @@ def fit_to_text(fit: FitResult) -> str:
 def fit_from_text(text: str) -> FitResult:
     """Rebuild a FitResult from its report.
 
-    The reports hold each group's r and policy, their counters at the
-    defaults, as the model has updates 0 and gap nan: none is serialized.
-    Raises SerializationError, and nothing else, on a malformed report; on
-    one whose chosen-c or kernel line disagrees with its model block, or
-    whose model block names other ids than the retained rows of its
-    sample table; on one whose folds-used, cv-table or samples count
-    is negative, or whose samples line is not followed by exactly that many
-    rows (blank lines may trail); on one whose trimmed column is not the trim
-    of its outlyingness; or on one that is not a valid CvSelection or FitResult.
+    The plan is built as a live fit's is, from kappa and the two group
+    reports, which hold each group's r and policy with their counters at
+    the defaults, as the model has updates 0 and gap nan: none is
+    serialized.  The trimmed column is not read into the fit; it must be
+    the plan's trim.  Raises SerializationError, and nothing else, on a
+    malformed report; on one whose chosen-c or kernel line disagrees with
+    its model block, or whose model block names other ids than the rows
+    its trimmed column retains; on one whose folds-used, cv-table or
+    samples count is negative, or whose samples line is not followed by
+    exactly that many rows (blank lines may trail); on one whose trimmed
+    column is not the trim of its outlyingness; or on one that is not a
+    valid CvSelection, TrimPlan or FitResult.
     """
     lines = text.splitlines()
     if not lines or lines[0].strip() != _FIT_HEADER:
@@ -510,14 +499,13 @@ def fit_from_text(text: str) -> FitResult:
             raise SerializationError(f"fit report has lines after its {n} samples")
         labels, r_vals, f_vals = floats(labels), floats(r_vals), floats(f_vals)
         trimmed = [{"true": True, "false": False}[cut] for cut in trimmed]
-        plan = TrimPlan(kappa, r_vals, trimmed)
-        if model_ids != tuple(ids[i] for i in plan.retained.tolist()):
+        if model_ids != tuple(sid for sid, cut in zip(ids, trimmed) if not cut):
             raise SerializationError("model block's ids disagree with the retained rows of the sample table")
         reports = [OutlyingnessReport(r_vals[labels == side], policy) for side, policy in zip((-1, 1), policies)]
-        model = SvmModel(floats(alpha), floats(model_labels), bias, c, tol, spec)
-        fit = FitResult(model, plan, cv, decision_values=f_vals, ids=ids, labels=labels, reports=reports)
-        if not np.array_equal(trim(*reports, labels, kappa).trimmed, plan.trimmed):
+        plan = TrimPlan(kappa, reports, labels)
+        if plan.trimmed.tolist() != trimmed:
             raise SerializationError("trimmed column is not the trim of the outlyingness column")
-        return fit
+        model = SvmModel(floats(alpha), floats(model_labels), bias, c, tol, spec)
+        return FitResult(model, plan, cv, decision_values=f_vals, ids=ids)
     except (ValueError, IndexError, KeyError, GroupEmptyAfterTrim) as exc:
         raise SerializationError(f"bad fit report: {exc}") from exc

@@ -605,28 +605,28 @@ def fit_to_text_reference(fit):
     return "\n".join(lines) + "\n"
 
 
-def fit_from_rows(rows, kappa=0.5):
-    """A FitResult whose samples are rows of (id, label, f, r, trimmed).
+def fit_from_rows(rows, kappa=1.0):
+    """A FitResult whose samples are rows of (id, label, f, r), trimmed at
+    kappa (by default, none is).
 
     The model holds the retained samples at alpha = 0 and bias 0 (a solve's
     start), so it agrees with any rows, and each group's report holds its
-    rows' r under the exhaustive policy; a row FitResult rejects raises its
-    ValueError.
+    rows' r under the exhaustive policy; a row FitResult, its plan or a
+    report rejects raises its ValueError.
     """
-    ids, labels, f, r, trimmed = zip(*rows) if rows else ((),) * 5
+    ids, labels, f, r = zip(*rows) if rows else ((),) * 4
     labels = np.array(labels, dtype=np.float64)
     r = np.array(r, dtype=np.float64)
-    trimmed = np.array(trimmed, dtype=bool)
-    kept = labels[~trimmed]
     exhaustive = DirectionPolicy(mode="exhaustive")
+    reports = tuple(OutlyingnessReport(r[labels == side], exhaustive) for side in (-1.0, 1.0))
+    plan = TrimPlan(kappa, reports, labels)
+    kept = labels[plan.retained]
     return FitResult(
         model=SvmModel(np.zeros(kept.size), kept, 0.0, 1.0, DEFAULT_TOL, KernelSpec()),
-        plan=TrimPlan(kappa, r, trimmed),
+        plan=plan,
         cv=CvSelection(table=((1.0, math.nan),), folds_used=0),
         decision_values=np.array(f, dtype=np.float64),
         ids=ids,
-        labels=labels,
-        reports=tuple(OutlyingnessReport(r[labels == side], exhaustive) for side in (-1.0, 1.0)),
     )
 
 
@@ -650,6 +650,8 @@ def map_to_csv_reference(fit):
     """outliermap.map_to_csv, one formatted sample at a time."""
     lines = ["id,label,f,outlyingness,trimmed,misclassified"]
     for sid in map(str, fit.ids):
+        if '"' in sid:
+            raise SerializationError(f"id {sid!r} contains a double quote")
         if "," in sid or any(ch in sid for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
             raise SerializationError(f"id {sid!r} contains a comma or a line break")
     for sid, label, f, r, trimmed, misclassified in map_rows(fit):
@@ -715,32 +717,39 @@ def load_csv_reference(lines, label_col, coding) -> Dataset:
     return Dataset(x=np.array(rows), labels=np.array(labels))
 
 
-def parse_csv(text: str):
-    """Inverse of outliermap.map_to_csv: the fit (built by fit_from_rows) of
-    a map CSV's text.
+def parse_csv(text: str, kappa):
+    """Inverse of outliermap.map_to_csv: the fit (built by fit_from_rows at
+    kappa, which a map CSV does not hold) of a map CSV's text.
 
-    A malformed row, one that FitResult rejects (such as a non-finite f) or
-    one whose misclassified flag disagrees with its label and f raises
-    ParseError with its line number.
+    A malformed row, one that FitResult rejects (such as a non-finite f),
+    one whose misclassified flag disagrees with its label and f, or one
+    whose trimmed flag is not the trim at kappa raises ParseError with its
+    line number.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ParseError(f"expected header {CSV_HEADER!r}", line=1)
-    rows = []
+    rows, flags = [], []
     for lineno, ln in enumerate(lines[1:], start=2):
         parts = ln.split(",")
         if len(parts) != 6:
             raise ParseError(f"expected 6 columns, got {len(parts)}", line=lineno)
         try:
             trimmed, misclassified = ({"true": True, "false": False}[cell] for cell in parts[4:])
-            row = (parts[0], int(parts[1]), float(parts[2]), float(parts[3]), trimmed)
-            derived = map_rows(fit_from_rows([row]))[0][5]
+            row = (parts[0], int(parts[1]), float(parts[2]), float(parts[3]))
+            # The row beside one sample of the other label, both kept.
+            derived = map_rows(fit_from_rows([row, ("", -row[1], 0.0, 0.0)]))[0][5]
         except (ValueError, KeyError) as exc:
             raise ParseError(f"bad row: {exc}", line=lineno) from exc
         if misclassified != derived:
             raise ParseError("misclassified flag disagrees with label and f", line=lineno)
         rows.append(row)
-    return fit_from_rows(rows)
+        flags.append(trimmed)
+    fit = fit_from_rows(rows, kappa)
+    for lineno, flag, cut in zip(itertools.count(2), flags, fit.plan.trimmed.tolist()):
+        if flag != cut:
+            raise ParseError(f"trimmed flag is not the trim at kappa {kappa}", line=lineno)
+    return fit
 
 
 def map_to_svg_reference(fit, label_top=5, threshold=None):
@@ -748,8 +757,6 @@ def map_to_svg_reference(fit, label_top=5, threshold=None):
     sort key.  Valid while 2 * 1.05 * max|f| is finite; beyond it this form
     draws nan."""
     points = map_rows(fit)
-    if not points:
-        raise EmptyInput("cannot render an empty outlier map")
 
     def num(x):
         return f"{x:.2f}"

@@ -28,10 +28,10 @@ from sdsvm import (
     outlyingness,
     run_simulation,
     solve_dual,
-    trim,
 )
 from sdsvm.errors import NoValidDirections
 from sdsvm.outliermap import map_to_csv
+from sdsvm.pipeline import TrimPlan
 
 from oracles import (
     dual_qp_oracle,
@@ -415,8 +415,8 @@ def prop_pipeline_monotone_retention(ds, kappa_small, kappa_big):
         report_plus = outlyingness(om.take(plus), DirectionPolicy(mode="exhaustive"))
     except NoValidDirections:
         assume(False)
-    plan_small = trim(report_minus, report_plus, ds.labels, kappa_small)
-    plan_big = trim(report_minus, report_plus, ds.labels, kappa_big)
+    plan_small = TrimPlan(kappa_small, (report_minus, report_plus), ds.labels)
+    plan_big = TrimPlan(kappa_big, (report_minus, report_plus), ds.labels)
     assert set(plan_small.retained) <= set(plan_big.retained)
 
 
@@ -426,31 +426,37 @@ def prop_pipeline_monotone_retention(ds, kappa_small, kappa_big):
 @given(dataset_st(n_group_min=3, n_group_max=6))
 def prop_map_copies_fit_exactly(ds):
     fit = _fit_quietly(ds, 0.5)
-    back = parse_csv(map_to_csv(fit))
+    back = parse_csv(map_to_csv(fit), 0.5)
     assert back.decision_values.tolist() == fit.decision_values.tolist()
     assert back.plan.outlyingness.tolist() == fit.plan.outlyingness.tolist()
     assert int(np.sum(back.decision_values < 0)) == int(np.sum(fit.decision_values < 0))
 
 
-_row_st = st.tuples(
-    st.text(
-        alphabet=st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=","),
-        min_size=1,
-        max_size=8,
-    ),
-    st.sampled_from([-1, 1]),
-    finite,
-    st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
-    st.booleans(),
+def _rows_st(label):
+    """Rows (id, label, f, r) of one group: at least two, so that every
+    kappa keeps one."""
+    row = st.tuples(
+        st.text(
+            alphabet=st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=',"'),
+            min_size=1,
+            max_size=8,
+        ),
+        st.just(label),
+        finite,
+        st.one_of(st.floats(0.0, 50.0), st.just(math.inf)),
+    )
+    return st.lists(row, min_size=2, max_size=10)
+
+
+@given(
+    st.tuples(_rows_st(-1), _rows_st(1)).flatmap(lambda groups: st.permutations(groups[0] + groups[1])),
+    st.sampled_from([0.5, 0.75, 1.0]),
 )
-
-
-@given(st.lists(_row_st, max_size=20))
-def prop_map_csv_round_trip(rows):
+def prop_map_csv_round_trip(rows, kappa):
     # Each cell prints exactly (floats as their round-trip repr), so equal
     # text means equal columns.
-    text = map_to_csv(fit_from_rows(rows))
-    assert map_to_csv(parse_csv(text)) == text
+    text = map_to_csv(fit_from_rows(rows, kappa))
+    assert map_to_csv(parse_csv(text, kappa)) == text
 
 
 # ------------------------------------------------------------------ data ----

@@ -44,7 +44,6 @@ def test_exported_names_are_pinned():
         "run_simulation",
         "select_C",
         "solve_dual",
-        "trim",
     ]
 
 

@@ -26,12 +26,12 @@ from sdsvm import (
     run_simulation,
     select_C,
     solve_dual,
-    trim,
     TrimPlan,
 )
 from sdsvm.data import SimulationSpec
 from sdsvm.errors import (
     ConvergenceError,
+    DimensionError,
     SdsvmError,
     GroupEmptyAfterTrim,
     PipelineError,
@@ -53,43 +53,38 @@ def report(values):
 class TestTrim:
     def test_half_of_four(self):
         labels = [-1, -1, -1, -1, 1, 1, 1, 1]
-        plan = trim(report([3.0, 1.0, 2.0, 4.0]), report([1.0, 2.0, 3.0, 4.0]), labels, 0.5)
+        plan = TrimPlan(0.5, (report([3.0, 1.0, 2.0, 4.0]), report([1.0, 2.0, 3.0, 4.0])), labels)
         assert plan.retained.dtype == np.intp
         assert plan.retained.tolist() == [1, 2, 4, 5]
 
     def test_kappa_one_keeps_everything(self):
         labels = [-1, -1, -1, 1, 1, 1]
-        plan = trim(report([5.0, 1.0, 9.0]), report([2.0, 2.0, 2.0]), labels, 1.0)
+        plan = TrimPlan(1.0, (report([5.0, 1.0, 9.0]), report([2.0, 2.0, 2.0])), labels)
         assert plan.retained.tolist() == [0, 1, 2, 3, 4, 5]
         assert not plan.trimmed.any()
 
     def test_tie_at_cut_broken_by_index(self):
         labels = [1, 1, 1, 1, -1, -1, -1, -1]
-        plan = trim(
-            report([1.0, 1.0, 1.0, 1.0]),
-            report([0.0, 5.0, 5.0, 9.0]),
-            labels,
-            0.75,
-        )
+        plan = TrimPlan(0.75, (report([1.0, 1.0, 1.0, 1.0]), report([0.0, 5.0, 5.0, 9.0])), labels)
         # positive group sits at dataset indices 0-3; the lower-index 5 stays
         assert plan.retained[plan.retained < 4].tolist() == [0, 1, 2]
         assert plan.trimmed[3]
 
     def test_infinite_outlyingness_trimmed_first(self):
         labels = [-1, -1, -1, 1, 1, 1]
-        plan = trim(report([np.inf, 0.5, 1.0]), report([1.0, 1.0, 1.0]), labels, 0.5)
+        plan = TrimPlan(0.5, (report([np.inf, 0.5, 1.0]), report([1.0, 1.0, 1.0])), labels)
         assert 0 not in plan.retained.tolist()
 
     def test_empty_group_after_floor(self):
         labels = [-1, 1, 1]
         with pytest.raises(GroupEmptyAfterTrim):
-            trim(report([1.0]), report([1.0, 2.0]), labels, 0.5)
+            TrimPlan(0.5, (report([1.0]), report([1.0, 2.0])), labels)
 
     def test_kappa_range_validated(self):
         labels = [-1, 1]
         for bad in (0.4, 1.2):
             with pytest.raises(ValueError, match="kappa"):
-                trim(report([1.0]), report([1.0]), labels, bad)
+                TrimPlan(bad, (report([1.0]), report([1.0])), labels)
 
     @pytest.mark.parametrize(
         "kappa,n,expected",
@@ -97,7 +92,7 @@ class TestTrim:
     )
     def test_floor_counts(self, kappa, n, expected):
         labels = [-1] * n + [1] * n
-        plan = trim(report(np.arange(n)), report(np.arange(n)), labels, kappa)
+        plan = TrimPlan(kappa, (report(np.arange(n)), report(np.arange(n))), labels)
         assert np.count_nonzero(~plan.trimmed[:n]) == expected
 
 
@@ -291,7 +286,7 @@ def sim_retained(seed, kappa):
     """Kernel matrix and labels of the set a clean paper-simulation fit trains on."""
     train, _ = gen_simulation(SimulationSpec(seed=seed), 0)
     ranking = rank(train, LINEAR)
-    keep = np.array(trim(*ranking.reports, train.labels, kappa).retained)
+    keep = TrimPlan(kappa, ranking.reports, train.labels).retained
     return ranking.omega.take(keep), train.labels[keep]
 
 
@@ -570,7 +565,7 @@ class TestFitReport:
         # A numpy kappa was once stored as given and written as
         # "kappa np.float64(0.5)", a line its own reader rejected.
         fit = fit_sdsvm(gen_toy(5), LINEAR)
-        fit = replace(fit, plan=TrimPlan(np.float64(0.5), fit.plan.outlyingness, fit.plan.trimmed))
+        fit = replace(fit, plan=replace(fit.plan, kappa=np.float64(0.5)))
         text = fit_to_text(fit)
         assert "\nkappa 0.5\n" in text
         back = fit_from_text(text)
@@ -804,23 +799,22 @@ class TestFitReport:
             fit_from_text("\n".join(lines))
 
 
-def _shifted_retained(plan):
-    """plan with one more sample retained."""
-    trimmed = plan.trimmed.copy()
-    trimmed[np.flatnonzero(trimmed)[0]] = False
-    return replace(plan, trimmed=trimmed)
-
-
 class TestFitResult:
     @pytest.mark.parametrize(
         "edit",
         [
             lambda fit: {"ids": fit.ids[:-5]},
-            lambda fit: {"labels": fit.labels[:-1]},
+            lambda fit: {
+                "plan": TrimPlan(
+                    0.5, (fit.reports[0], replace(fit.reports[1], r=fit.reports[1].r[:-1])), fit.labels[:-1]
+                )
+            },
             lambda fit: {"decision_values": fit.decision_values[1:]},
+            # A plan's columns are derived from its reports, so a plan cannot
+            # be given one of another length.
             lambda fit: {"plan": replace(fit.plan, outlyingness=fit.plan.outlyingness[:-1])},
             lambda fit: {"plan": replace(fit.plan, trimmed=fit.plan.trimmed[:-1])},
-            lambda fit: {"plan": _shifted_retained(fit.plan)},
+            lambda fit: {"plan": replace(fit.plan, kappa=0.75)},
         ],
         ids=["ids", "labels", "decision_values", "outlyingness", "trimmed", "retained"],
     )
@@ -836,45 +830,58 @@ class TestFitResult:
         [
             ("labels", 0.0, "labels must be -1 or"),
             ("labels", 2.0, "labels must be -1 or"),
-            ("outlyingness", -1.0, "outlyingness must be nonnegative"),
-            ("outlyingness", math.nan, "outlyingness must be nonnegative"),
+            ("outlyingness", -1.0, "outlyingness values must be nonnegative"),  # the report's rule
+            ("outlyingness", math.nan, "sample outlyingness must be nonnegative"),
             ("decision_values", math.nan, "decision values must be finite"),
             ("decision_values", math.inf, "decision values must be finite"),
             ("decision_values", -math.inf, "decision values must be finite"),
         ],
     )
     def test_every_sample_is_one_the_map_can_draw(self, column, value, rule):
+        # Sample 0 is the first of the minus group, so the first of its report.
         fit = fit_sdsvm(gen_toy(5), LINEAR)
-        values = (fit.plan.outlyingness if column == "outlyingness" else getattr(fit, column)).copy()
+        values = {"labels": fit.labels, "outlyingness": fit.reports[0].r}.get(column, fit.decision_values).copy()
         values[0] = value
-        edit = {"plan": replace(fit.plan, outlyingness=values)} if column == "outlyingness" else {column: values}
         with pytest.raises(ValueError, match=rule):
-            replace(fit, **edit)
+            if column == "labels":
+                replace(fit, plan=replace(fit.plan, labels=values))
+            elif column == "outlyingness":
+                replace(fit, plan=replace(fit.plan, reports=(replace(fit.reports[0], r=values), fit.reports[1])))
+            else:
+                replace(fit, decision_values=values)
 
     @pytest.mark.parametrize(
-        "edit, rule",
+        "edit, error, rule",
         [
-            (lambda fit: {"model": replace(fit.model, spec=None)}, "model has no kernel spec attached"),
+            (lambda fit: {"model": replace(fit.model, spec=None)}, ValueError, "model has no kernel spec attached"),
             (
                 lambda fit: {"model": replace(fit.model, labels=-fit.model.labels)},
+                ValueError,
                 "model's 33 labels are not those of the plan's 33 retained samples",
             ),
+            # The report edits go through the plan, whose reports cover its
+            # groups in (minus, plus) order.
             (
                 lambda fit: {"reports": (replace(fit.reports[0], policy=DirectionPolicy()), fit.reports[1])},
+                ValueError,
                 "a report's policy must be resolved, got mode 'auto'",
             ),
             (
-                lambda fit: {"reports": (replace(fit.reports[0], r=fit.reports[0].r + 1.0), fit.reports[1])},
-                "reports must hold the",
+                lambda fit: {"reports": (replace(fit.reports[0], r=fit.reports[0].r[:-1]), fit.reports[1])},
+                DimensionError,
+                r"reports cover \[29, 36\] samples but groups have \[30, 36\]",
             ),
-            (lambda fit: {"reports": fit.reports[::-1]}, "reports must hold the"),
-            (lambda fit: {"reports": ()}, "reports must hold the"),
+            (lambda fit: {"reports": fit.reports[::-1]}, DimensionError, r"reports cover \[36, 30\] samples"),
+            (lambda fit: {"reports": ()}, DimensionError, r"reports cover \[\] samples"),
         ],
         ids=["no-spec", "model-labels", "auto-policy", "other-r", "swapped-reports", "no-reports"],
     )
-    def test_record_its_report_cannot_hold_raises(self, edit, rule):
+    def test_record_its_report_cannot_hold_raises(self, edit, error, rule):
         # Each of these was once built, and then refused by fit_to_text or
         # fit_from_text (no-reports was the read-back shape).
         fit = fit_sdsvm(gen_toy(5), LINEAR)
-        with pytest.raises(ValueError, match=rule):
-            replace(fit, **edit(fit))
+        with pytest.raises(error, match=rule):
+            fields = edit(fit)
+            if "reports" in fields:
+                fields = {"plan": replace(fit.plan, **fields)}
+            replace(fit, **fields)

@@ -10,12 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from sdsvm import DirectionPolicy, KernelMatrix, KernelSpec, OutlyingnessReport, kernel_matrix, load_csv
-from sdsvm.errors import GroupEmptyAfterTrim, SdsvmError
+from sdsvm.errors import SdsvmError
 from sdsvm.outliermap import map_to_csv, map_to_svg
-from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, fit_from_text, fit_to_text, trim
+from sdsvm.pipeline import CvSelection, FitResult, TrimPlan, fit_from_text, fit_to_text
 from sdsvm.svm import SvmModel
 
 from conftest import with_number_tokens
@@ -77,27 +77,24 @@ def cv_selections(draw):
 
 
 @st.composite
-def fits(draw, n_max=6, id_values=odd_ids, by_trim=False):
-    """A FitResult over n_max samples at most; with by_trim its mask is the
-    trim of its outlyingness, else any mask."""
-    n = draw(st.sampled_from([1, 2]) | st.integers(1, n_max))
+def fits(draw, n_max=6, id_values=odd_ids):
+    """A FitResult over n_max samples at most, its plan the trim of its
+    reports at a drawn kappa."""
+    kappa = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    least = 1 if kappa == 1.0 else 2  # the smallest group that keeps a sample
+    n_minus = draw(st.integers(least, n_max - least))
+    n_plus = draw(st.integers(least, n_max - n_minus))
+    n = n_minus + n_plus
 
     def column(values):
         return draw(st.lists(values, min_size=n, max_size=n))
 
     ids = column(id_values)
-    labels = np.array(column(st.sampled_from([-1.0, 1.0])))
-    kappa = draw(st.sampled_from([0.5, 0.75, 1.0]))
+    labels = np.array(draw(st.permutations([-1.0] * n_minus + [1.0] * n_plus)))
     r = np.array(column(r_values))
     reports = tuple(OutlyingnessReport(r[labels == side], draw(policies)) for side in (-1.0, 1.0))
-    if by_trim:
-        try:
-            trimmed = trim(*reports, labels, kappa).trimmed
-        except GroupEmptyAfterTrim:
-            assume(False)
-    else:
-        trimmed = np.array(column(st.booleans()))
-    kept = np.flatnonzero(~trimmed)
+    plan = TrimPlan(kappa, reports, labels)
+    kept = plan.retained
     cv = draw(cv_selections())
     c = cv.c
     alpha = np.array(draw(st.lists(st.floats(0.0, c), min_size=kept.size, max_size=kept.size)))
@@ -116,15 +113,7 @@ def fits(draw, n_max=6, id_values=odd_ids, by_trim=False):
         tol=1e-3,
         spec=draw(specs),
     )
-    return FitResult(
-        model=model,
-        plan=TrimPlan(kappa, r, trimmed),
-        cv=cv,
-        decision_values=column(f_values),
-        ids=ids,
-        labels=labels,
-        reports=reports,
-    )
+    return FitResult(model=model, plan=plan, cv=cv, decision_values=column(f_values), ids=ids)
 
 
 class TestWriters:
@@ -133,7 +122,7 @@ class TestWriters:
         # The reference writes the model block with model_to_text_reference.
         assert outcome(fit_to_text, fit) == outcome(fit_to_text_reference, fit)
 
-    @given(fits(id_values=report_ids, by_trim=True))
+    @given(fits(id_values=report_ids))
     def test_fit_reads_back_equal(self, fit):
         # Equal but for what the report does not hold: the text of each id,
         # the model's updates and gap and each report's counters.

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sdsvm import CvConfig, DirectionPolicy, KernelSpec, SvmModel, TrimPlan
+from sdsvm import CvConfig, DirectionPolicy, KernelSpec, OutlyingnessReport, SvmModel, TrimPlan
 from sdsvm.data import SimulationSpec
 from sdsvm.errors import InvalidModel
 from sdsvm.pipeline import CvSelection, check_kappa
@@ -69,7 +69,7 @@ _BAD_FIELDS = [  # (settings type, bad field values, field the message names)
     (check_kappa, {"kappa": 0.49}, "kappa"),
     (check_kappa, {"kappa": 1.01}, "kappa"),
     (check_kappa, {"kappa": math.nan}, "kappa"),
-    (TrimPlan, {"kappa": 7.0, "outlyingness": (), "trimmed": ()}, "kappa"),
+    (TrimPlan, {"kappa": 7.0, "reports": (), "labels": ()}, "kappa"),
     # Integer fields take integers only, as seeds do: each of these was once
     # accepted, then failed in the fit or wrote a report that did not read back.
     (CvConfig, {"folds": 2.5}, "folds"),
@@ -243,7 +243,8 @@ def test_real_fields_are_stored_as_floats():
     assert CvConfig(grid=np.array([0.5, 2])).grid == (0.5, 2.0)
     assert SimulationSpec(kappas=[np.float64(0.5), 1]).kappas == (0.5, 1.0)
     # The records too: each stores the float its check returns.
-    assert type(TrimPlan(np.float64(0.5), (), ()).kappa) is float
+    reports = (OutlyingnessReport([0.0, 1.0], DirectionPolicy("exhaustive")),) * 2
+    assert type(TrimPlan(np.float64(0.5), reports, [-1, -1, 1, 1]).kappa) is float
     model = _model(c=np.float32(2.0), tol=np.float64(0.01), bias=np.int64(-1))
     assert (type(model.c), type(model.tol), type(model.bias)) == (float, float, float)
     selection = _selection(table=((np.float64(0.5), np.float32(0.25)), (2, 0)), folds_used=2)

@@ -90,7 +90,7 @@ def drawn(fit):
 @given(number_like(MAP_CSV))
 def test_parse_csv(text):
     # A map CSV that parses must also render.
-    parses_or_raises_sdsvm_error(lambda: drawn(parse_csv(text)))
+    parses_or_raises_sdsvm_error(lambda: drawn(parse_csv(text, _FIT.plan.kappa)))
 
 
 def rendered_from_text(text):

@@ -33,8 +33,9 @@ def test_toy_fit_is_traced_at_every_layer(tmp_path):
     sampled = _traced_toy(tmp_path, "--directions", "40")
     for tracer in (exhaustive, sampled):
         # data.fit_sdsvm is the simulation's route, which the toy does not
-        # take; the map is drawn from the fit itself, with no build_map step.
-        assert tracer.absent == ["sdsvm.cli.build_map", "sdsvm.data.fit_sdsvm"]
+        # take; the map is drawn from the fit itself, with no build_map step;
+        # the trim is the TrimPlan a fit builds, with no trim function.
+        assert tracer.absent == ["sdsvm.cli.build_map", "sdsvm.data.fit_sdsvm", "sdsvm.pipeline.trim"]
         assert tracer.counts["trace.hook_errors"] == 0
         # A map writer the tracer cannot see would leave this at 0.
         assert tracer.counts["outliermap.bytes"] > 0

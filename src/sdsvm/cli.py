@@ -12,9 +12,6 @@ import ctypes
 import functools
 import math
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import __version__, outliermap
 from .data import (
@@ -27,7 +24,7 @@ from .data import (
     simulation_summary_csv,
 )
 from .errors import PipelineError, SdsvmError, read_text, run_stage, write_text
-from .kernels import KernelSpec
+from .kernels import KernelSpec, openblas_function
 from .outlyingness import DirectionPolicy
 from .pipeline import (
     DEFAULT_C,
@@ -345,22 +342,10 @@ def _cmd_toy(parser, args) -> int:
     return 0
 
 
-@functools.cache
 def _openblas_thread_setter():
-    """scipy_openblas_set_num_threads64_ of numpy's bundled OpenBLAS
-    (numpy.libs/libscipy_openblas64_*.so), or None when this numpy ships no
-    such library or symbol; looked up once per process."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    path = min(libs.glob("libscipy_openblas64_*.so"), default=None)
-    if path is None:
-        return None
-    try:
-        setter = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
-    except (OSError, AttributeError):  # not loadable, or no such symbol
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    return setter
+    """scipy_openblas_set_num_threads64_ of numpy's bundled OpenBLAS, or None
+    when this numpy ships no such library or symbol."""
+    return openblas_function("scipy_openblas_set_num_threads64_", ctypes.c_int)
 
 
 def main(argv=None) -> int:

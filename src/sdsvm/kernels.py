@@ -12,7 +12,10 @@ only the kernel matrix.  Supported kernels:
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -136,8 +139,66 @@ class KernelMatrix:
         return out
 
 
+@functools.cache
+def _openblas_library():
+    """numpy's bundled OpenBLAS (numpy.libs/libscipy_openblas64_*.so) as a
+    ctypes library, or None when this numpy ships none; loaded once per
+    process."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    path = min(libs.glob("libscipy_openblas64_*.so"), default=None)
+    try:
+        return None if path is None else ctypes.CDLL(str(path))
+    except OSError:  # not loadable
+        return None
+
+
+def openblas_function(name: str, *argtypes):
+    """The void function name(*argtypes) of numpy's bundled OpenBLAS, or None
+    when this numpy ships no such library or symbol."""
+    function = getattr(_openblas_library(), name, None)
+    if function is not None:
+        function.argtypes, function.restype = argtypes, None
+    return function
+
+
+# cblas_dsyrk(order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc) of the
+# 64-bit-integer build: the CBLAS enums are C ints, the sizes int64.
+_INT, _LONG, _DOUBLE, _POINTER = ctypes.c_int, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_DSYRK_ARGS = (_INT, _INT, _INT, _LONG, _LONG, _DOUBLE, _POINTER, _LONG, _DOUBLE, _POINTER, _LONG)
+_ROW_MAJOR, _UPPER, _NO_TRANS = 101, 121, 111
+
+
+def _plain(a: np.ndarray) -> bool:
+    """Whether BLAS can take a's memory as is: aligned, C-ordered float64."""
+    return a.dtype == np.float64 and a.flags.c_contiguous and a.flags.aligned
+
+
+def _upper_gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ x.T for an (n, d) array x, or out += x @ x.T for an n x n out:
+    exact on and above the diagonal only, the rest is left undefined.
+
+    numpy computes x @ x.T with one cblas_dsyrk call for the upper triangle
+    and then copies it into the lower one element by element, most of the
+    product's time (12 of 15 ms at 2000 x 20).  This makes the same call on
+    the same library, so the upper triangle keeps its bits, without the
+    copy.  Fewer than 2 samples (where numpy takes its dot path), no
+    features (which OpenBLAS rejects), arrays BLAS cannot take as they are,
+    or no bundled OpenBLAS take x @ x.T itself.
+    """
+    n, d = x.shape
+    dsyrk = openblas_function("scipy_cblas_dsyrk64_", *_DSYRK_ARGS)
+    fits = out is None or (_plain(out) and out.shape == (n, n) and out.flags.writeable)
+    if dsyrk is None or n < 2 or d == 0 or not (_plain(x) and fits):
+        return x @ x.T if out is None else np.add(out, x @ x.T, out=out)
+    beta = 0.0 if out is None else 1.0
+    out = np.empty((n, n)) if out is None else out
+    dsyrk(_ROW_MAJOR, _UPPER, _NO_TRANS, n, d, 1.0, x.ctypes.data, d, beta, out.ctypes.data, n)
+    return out
+
+
 def _spectrum_block(a: list, b: list | None, kmer: int) -> np.ndarray:
-    """Shared k-mer counts between strings a_i and b_j (b=None: a with itself).
+    """Shared k-mer counts between strings a_i and b_j (b=None: a with itself,
+    on and above the diagonal only).
 
     Every k-mer occurrence becomes its string's row and its k-mer's column in
     the sorted joint vocabulary, and the block accumulates C C^T over chunks
@@ -166,7 +227,10 @@ def _spectrum_block(a: list, b: list | None, kmer: int) -> np.ndarray:
         lo, hi = np.searchsorted(cols, (start, start + _KMER_CHUNK))
         counts = np.zeros((len(strings), _KMER_CHUNK))
         np.add.at(counts, (rows[lo:hi], cols[lo:hi] - start), 1.0)
-        out += counts @ counts.T if b is None else counts[:na] @ counts[na:].T
+        if b is None:
+            _upper_gram(counts, out)
+        else:
+            out += counts[:na] @ counts[na:].T
     return out
 
 
@@ -174,20 +238,23 @@ def _mirror_upper(m: np.ndarray) -> np.ndarray:
     """Keep the i <= j entries and mirror them in place, making symmetry exact.
 
     The values are those of triu(m) + triu(m, 1).T, -0.0 turning into 0.0.
-    Rows go block by block, so no copy of the whole matrix is made, and only
-    the kept entries are normalized and checked: DimensionError when one is
-    not finite.  The entries below the diagonal are never read.
+    Rows go block by block, so no copy of the whole matrix is made: a
+    block's diagonal corner is mirrored first, then its rows from the
+    diagonal on are normalized and checked (DimensionError when an entry is
+    not finite), and their transpose is written once to the column strip
+    below.  The entries below the diagonal are never read, so they may hold
+    anything.
     """
     n = m.shape[0]
     for s in range(0, n, _ROW_BLOCK):
         e = min(s + _ROW_BLOCK, n)
-        kept = m[s:e, s:]
-        kept += 0.0
-        _check_finite(kept)
-        m[s:e, :s] = m[:s, s:e].T
         corner = m[s:e, s:e]
         lower = np.tri(e - s, k=-1, dtype=bool)
         corner[lower] = corner.T[lower]
+        kept = m[s:e, s:]
+        kept += 0.0
+        _check_finite(kept)
+        m[e:, s:e] = m[s:e, e:].T
     return m
 
 
@@ -236,13 +303,14 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
 
     The single place that branches on a computed kernel's kind (a given
     Gram never comes here: kernel_matrix checks it, kernel_cross rejects
-    it).  The square block keeps the arithmetic its exactness rests on: one
-    x @ x.T product (the symmetric BLAS path), RBF norms read from the Gram
-    diagonal with the distance diagonal pinned to zero (so exp(0) == 1
-    exactly), and exact integer k-mer counts for spectrum.  Only the square
-    block's entries on and above the diagonal count: kernel_matrix mirrors
-    them, so the RBF passes skip the rest.  Overflow stays quiet here;
-    callers check the entries they keep.  The inputs are never written to.
+    it).  The square block keeps the arithmetic its exactness rests on: the
+    upper triangle of one symmetric BLAS product (_upper_gram), RBF norms
+    read from the Gram diagonal with the distance diagonal pinned to zero
+    (so exp(0) == 1 exactly), and exact integer k-mer counts for spectrum.
+    Only the square block's entries on and above the diagonal are defined:
+    kernel_matrix mirrors them, so the RBF and polynomial passes skip the
+    rest.  Overflow stays quiet here; callers check the entries they keep.
+    The inputs are never written to.
     """
     square = b is None
     if len(a) == 0 or (not square and len(b) == 0):
@@ -253,23 +321,29 @@ def _block(spec: KernelSpec, a, b=None) -> np.ndarray:
     xb = xa if square else _vectors(spec, b)
     if xa.shape[1] != xb.shape[1]:
         raise DimensionError(f"dimension {xa.shape[1]} on one side, {xb.shape[1]} on the other")
-    gram = xa @ xb.T
+    gram = _upper_gram(xa) if square else xa @ xb.T
     if spec.kind == "linear":
         return gram
+    # The passes run in place on gram, one row block at a time.  The square
+    # block computes only the columns from its block's first row on:
+    # kernel_matrix mirrors the upper triangle over the rest.
+    n_rows, n_cols = gram.shape
+    blocks = [(s, s if square else 0) for s in range(0, n_rows, _ROW_BLOCK)]
     if spec.kind == "polynomial":
-        return (spec.gamma * gram + spec.coef0) ** spec.degree
+        for s, first in blocks:
+            rows = gram[s : s + _ROW_BLOCK, first:]
+            rows *= spec.gamma
+            rows += spec.coef0
+            rows **= spec.degree
+        return gram
     if square:
         sq_a = sq_b = np.diag(gram).copy()  # gram is overwritten below
     else:
         sq_a, sq_b = np.sum(xa * xa, axis=1), np.sum(xb * xb, axis=1)
-    # exp(-gamma * max(sq_a + sq_b - 2 gram, 0)), step by step in place on
-    # gram, one row block at a time, with sq_a + sq_b in one scratch buffer.
-    # The square block computes only the columns from its block's first row
-    # on: kernel_matrix mirrors the upper triangle over the rest.
-    n_rows, n_cols = gram.shape
+    # exp(-gamma * max(sq_a + sq_b - 2 gram, 0)) step by step, with
+    # sq_a + sq_b in one scratch buffer.
     scratch = np.empty(min(_SCRATCH_ROWS, n_rows) * n_cols)
-    for s in range(0, n_rows, _ROW_BLOCK):
-        first = s if square else 0
+    for s, first in blocks:
         rows = gram[s : s + _ROW_BLOCK, first:]
         sums = scratch[: rows.size].reshape(rows.shape)
         np.add(sq_a[s : s + _ROW_BLOCK, None], sq_b[None, first:], out=sums)

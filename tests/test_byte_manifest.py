@@ -11,8 +11,9 @@ byte_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_manifest)
 
 # A short subset: written files, a map read back from a fit, a full and a
-# partial direction count, a computation error and a flag error.
-SUBSET = ("toy-directions-435", "fit-cv-list", "map-fit", "coincident-full-count", "bad-folds")
+# partial direction count, a computation error, a flag error, and the
+# benchmark's 2000-sample RBF fit (the direct cblas_dsyrk Gram).
+SUBSET = ("toy-directions-435", "fit-cv-list", "map-fit", "coincident-full-count", "bad-folds", "bench-rbf-2000-fit")
 
 
 def test_two_runs_in_one_process_agree():
@@ -21,6 +22,7 @@ def test_two_runs_in_one_process_agree():
     outputs = [line.split("  ")[1] for line in first]
     expected = {f"{name}/{item}" for name in SUBSET for item in ("exit", "stdout", "stderr")}
     expected |= {"toy-directions-435/fit.txt", "fit-cv-list/fit.txt", "map-fit/map.csv", "map-fit/map.svg"}
+    expected |= {"bench-rbf-2000-fit/fit.txt"}
     assert sorted(outputs) == sorted(expected)
     assert all(len(line.split("  ")[0]) == 64 for line in first)
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdsvm import Dataset, KernelSpec, fit_sdsvm, fit_to_text, gen_toy, load_fasta, map_to_svg
-from sdsvm import cli
+from sdsvm import cli, kernels
 from sdsvm.cli import build_parser, main
 
 from conftest import write_csv
@@ -532,9 +532,9 @@ class TestBlasThreads:
             monkeypatch.setattr(ctypes, "CDLL", lambda path: real_cdll(str(tmp_path / "none.so")))
         else:
             monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
-        lookup = cli._openblas_thread_setter.__wrapped__  # uncached
-        assert lookup() is None
-        monkeypatch.setattr(cli, "_openblas_thread_setter", lookup)
+        library = kernels._openblas_library.__wrapped__  # uncached
+        monkeypatch.setattr(kernels, "_openblas_library", library)
+        assert cli._openblas_thread_setter() is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "toy", "--out-csv", str(tmp_path / "map.csv"))

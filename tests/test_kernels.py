@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import warnings
 
@@ -11,6 +12,7 @@ from sdsvm import (
     Dataset,
     KernelMatrix,
     KernelSpec,
+    cli,
     fit_from_text,
     fit_sdsvm,
     fit_to_text,
@@ -343,12 +345,14 @@ class TestExactRecipe:
 
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513])
     def test_mirror_keeps_upper_triangle(self, n):
-        # Kernel blocks come out of BLAS exactly symmetric, so only an
-        # asymmetric input shows what the row-block mirroring copies.
+        # A square kernel block defines only its entries on and above the
+        # diagonal, so the strictly lower triangle holds nan here: the
+        # row-block mirroring must overwrite it without reading it.
         m = np.random.default_rng(n).normal(size=(n, n))
         m[0, -1] = -0.0
         expected = np.triu(m) + np.triu(m, 1).T
-        assert sdsvm.kernels._mirror_upper(m.copy()).tobytes() == expected.tobytes()
+        m[np.tril_indices(n, -1)] = np.nan
+        assert sdsvm.kernels._mirror_upper(m).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("width", [1, 7])
     def test_kmer_chunk_width_does_not_change_entries(self, monkeypatch, width):
@@ -399,3 +403,61 @@ class TestExactRecipe:
     def test_rbf_self_value_exactly_one(self, v, gamma):
         spec = KernelSpec(kind="rbf", gamma=gamma)
         assert kernel_entry(spec, v, v) == 1.0
+
+
+@pytest.fixture(params=["host threads", "one thread"])
+def blas_threads(request):
+    """Runs a test at the bundled OpenBLAS's own thread count, then after the
+    CLI's one-thread pin, and restores the count afterwards."""
+    library = sdsvm.kernels._openblas_library()
+    if library is None:
+        pytest.skip("numpy ships no bundled scipy-openblas64 here")
+    get_threads, get_procs = library.scipy_openblas_get_num_threads64_, library.scipy_openblas_get_num_procs64_
+    get_threads.restype = get_procs.restype = ctypes.c_int
+    before = get_threads()
+    pin = cli._openblas_thread_setter()
+    pin(get_procs() if request.param == "host threads" else 1)
+    yield
+    pin(before)
+
+
+class TestSymmetricProduct:
+    """The square block's product is numpy's x @ x.T on and above the
+    diagonal, bit for bit, whether it comes from the bundled cblas_dsyrk
+    or from x @ x.T itself."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 255, 256, 257])
+    def test_upper_triangle_is_numpys(self, blas_threads, capfd, n):
+        rng = np.random.default_rng(n)
+        upper = np.triu_indices(n)
+        for d in (0, 1, 2, 5, 7, 20, 33, 64, 257, 1000):
+            x = rng.normal(size=(n, d)) * 3.0
+            assert sdsvm.kernels._upper_gram(x)[upper].tobytes() == (x @ x.T)[upper].tobytes(), d
+        assert capfd.readouterr().err == ""
+
+    def test_arrays_blas_cannot_take_as_they_are_go_through_numpy(self):
+        x = np.random.default_rng(4).normal(size=(70, 10))
+        unaligned = np.frombuffer(bytearray(x.nbytes + 1), dtype=np.float64, offset=1, count=x.size)
+        unaligned = unaligned.reshape(x.shape)
+        unaligned[...] = x
+        for view in (x[:, ::2], x[::2], np.asfortranarray(x), unaligned):
+            upper = np.triu_indices(view.shape[0])
+            assert sdsvm.kernels._upper_gram(view)[upper].tobytes() == (view @ view.T)[upper].tobytes()
+        for out in (np.ones((70, 70), order="F"), np.ones((80, 80))[:70, :70]):
+            expected = out + x @ x.T
+            assert sdsvm.kernels._upper_gram(x, out).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial", "spectrum"])
+    def test_entries_keep_their_bytes_without_the_bundled_openblas(self, monkeypatch, kind):
+        params = TestExactRecipe.PARAMS[kind]
+        rng = np.random.default_rng(5)
+        if kind == "spectrum":
+            x = ["".join(rng.choice(list("ACGT"), size=m)) for m in rng.integers(1, 40, size=130)]
+            monkeypatch.setattr(sdsvm.kernels, "_KMER_CHUNK", 5)  # several chunks
+        else:
+            x = rng.normal(size=(130, 7)) * 3.0
+        direct = kernel_matrix(KernelSpec(kind=kind, **params), x).entries
+        monkeypatch.setattr(sdsvm.kernels, "_openblas_library", lambda: None)
+        assert sdsvm.kernels.openblas_function("scipy_cblas_dsyrk64_") is None
+        fallback = kernel_matrix(KernelSpec(kind=kind, **params), x).entries
+        assert fallback.tobytes() == direct.tobytes()

@@ -103,38 +103,28 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sdsvm", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"sdsvm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    formatter = argparse.ArgumentDefaultsHelpFormatter
 
-    fit = sub.add_parser(
-        "fit",
-        help="trim + train on a dataset, write the fit report",
-        formatter_class=formatter,
-    )
+    def command(name, help, handler):
+        cmd = sub.add_parser(name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        cmd.set_defaults(handler=handler, parser=cmd)
+        return cmd
+
+    fit = command("fit", "trim + train on a dataset, write the fit report", _cmd_fit)
     fit.add_argument("data", help="dataset path (CSV vectors or FASTA strings)")
     _add_data_flags(fit)
     _add_kernel_flags(fit)
     _add_fit_flags(fit)
     fit.add_argument("--out-fit", default="-", help="fit report path ('-' for stdout)")
-    fit.set_defaults(handler=_cmd_fit, parser=fit)
 
-    map_cmd = sub.add_parser(
-        "map",
-        help="render an outlier map from a dataset or a saved fit report",
-        formatter_class=formatter,
-    )
+    map_cmd = command("map", "render an outlier map from a dataset or a saved fit report", _cmd_map)
     map_cmd.add_argument("data", nargs="?", default=None, help="dataset path (omit with --fit)")
     map_cmd.add_argument("--fit", dest="fit_report", default=None, help="saved fit report to re-render")
     _add_data_flags(map_cmd)
     _add_kernel_flags(map_cmd)
     _add_fit_flags(map_cmd)
     _add_map_output_flags(map_cmd)
-    map_cmd.set_defaults(handler=_cmd_map, parser=map_cmd)
 
-    sim = sub.add_parser(
-        "simulate",
-        help="Monte-Carlo benchmark over runs and kappa values",
-        formatter_class=formatter,
-    )
+    sim = command("simulate", "Monte-Carlo benchmark over runs and kappa values", _cmd_simulate)
     sim.add_argument("--runs", type=int, default=50, help="simulation runs")
     sim.add_argument("--kappas", default="0.5,0.7,0.9,1", help="comma list of kappa values")
     sim.add_argument("--contaminated", action="store_true", help="plant 4 outliers per group")
@@ -145,18 +135,12 @@ def build_parser() -> _Parser:
     _add_kernel_flags(sim)
     _add_fit_flags(sim)
     sim.add_argument("--out-csv", default="-", help="per-run table path ('-' for stdout)")
-    sim.set_defaults(handler=_cmd_simulate, parser=sim)
 
-    toy = sub.add_parser(
-        "toy",
-        help="generate the 66-point toy dataset, fit it, emit map outputs",
-        formatter_class=formatter,
-    )
+    toy = command("toy", "generate the 66-point toy dataset, fit it, emit map outputs", _cmd_toy)
     _add_kernel_flags(toy)
     _add_fit_flags(toy)
     _add_map_output_flags(toy)
     toy.add_argument("--out-fit", default=None, help="fit report path")
-    toy.set_defaults(handler=_cmd_toy, parser=toy)
     return parser
 
 

@@ -28,7 +28,7 @@ from .rng import Stream, check_integer, check_labels, check_real, check_reals, c
 from .svm import decision_values, sign_labels
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Samples x with aligned -1/+1 labels and sample ids.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DimensionError, EmptyInput, KernelTypeError
 from .rng import check_integer, check_real
 
-KINDS = ("linear", "rbf", "polynomial", "spectrum", "precomputed")
+# The fields each kernel kind reads, in the order its description prints them.
+_KIND_FIELDS = dict(
+    linear=(), rbf=("gamma",), polynomial=("gamma", "degree", "coef0"), spectrum=("kmer",), precomputed=()
+)
+KINDS = tuple(_KIND_FIELDS)
 
 # Vocabulary columns per k-mer count chunk: a chunk is n x this many
 # float64s.  At 600 strings, 512 and 2048 took the same time; 512 peaked
@@ -64,8 +68,9 @@ class KernelSpec:
 
     The only place kernel identity lives; passed around immutably.  The
     numeric fields must be valid for every kind, used or not, and are stored
-    as Python floats and ints.  For the precomputed kind the data is the
-    Gram matrix itself (see kernel_matrix).
+    as Python floats and ints; a field the kind does not read is stored at
+    its default, so two specs of the same kernel compare equal.  For the
+    precomputed kind the data is the Gram matrix itself (see kernel_matrix).
     """
 
     kind: str = "linear"
@@ -81,19 +86,17 @@ class KernelSpec:
         object.__setattr__(self, "coef0", check_real("coef0", self.coef0))
         for name in ("degree", "kmer"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), 1))
+        for unread in fields(self):
+            if unread.name not in ("kind", *_KIND_FIELDS[self.kind]):
+                object.__setattr__(self, unread.name, unread.default)
 
     def describe(self) -> str:
-        """Stable single-line rendering used by the fit report."""
-        if self.kind == "rbf":
-            return f"kind=rbf gamma={self.gamma!r}"
-        if self.kind == "polynomial":
-            return f"kind=polynomial gamma={self.gamma!r} degree={self.degree} coef0={self.coef0!r}"
-        if self.kind == "spectrum":
-            return f"kind=spectrum kmer={self.kmer}"
-        return f"kind={self.kind}"
+        """The fit report's stable one-line rendering: the kind and the fields it reads."""
+        read = (f"{name}={getattr(self, name)!r}" for name in _KIND_FIELDS[self.kind])
+        return " ".join((f"kind={self.kind}", *read))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelMatrix:
     """Symmetric k x k Gram matrix; the sole stand-in for feature space."""
 

@@ -51,6 +51,18 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+# One writer per element shape, each in the attribute order of the golden map.
+def _line(x1, y1, x2, y2, width, dash="") -> str:
+    dash = f' stroke-dasharray="{dash}"' if dash else ""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="{width}"{dash}/>\n'
+
+
+def _text(x, y, size, family, body, anchor=None, transform="") -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return f'<text x="{x}" y="{y}" font-size="{size}"{anchor} font-family="{family}"{transform}>{body}</text>\n'
+
+
 def map_to_svg(fit, label_top: int = 5, threshold: float | None = None) -> str:
     """Self-contained SVG 1.1 text; byte-stable for fixed inputs.
 
@@ -89,48 +101,22 @@ def map_to_svg(fit, label_top: int = 5, threshold: float | None = None) -> str:
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">\n'
     )
     out.write(f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>\n')
-    # axes
-    out.write(
-        f'<line x1="{ml}" y1="{h - mb}" x2="{w - mr}" y2="{h - mb}" '
-        f'stroke="black" stroke-width="1"/>\n'
-    )
-    out.write(
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{h - mb}" stroke="black" stroke-width="1"/>\n'
-    )
-    # solid vertical line at f = 0
+    # axes, then a solid vertical line at f = 0
+    out.write(_line(ml, h - mb, w - mr, h - mb, 1))
+    out.write(_line(ml, mt, ml, h - mb, 1))
     zero_x = f"{px(0.0):.2f}"
-    out.write(
-        f'<line x1="{zero_x}" y1="{mt}" x2="{zero_x}" y2="{h - mb}" '
-        f'stroke="black" stroke-width="1.5"/>\n'
-    )
+    out.write(_line(zero_x, mt, zero_x, h - mb, 1.5))
     if threshold is not None:
         ty = f"{py(threshold):.2f}"
-        out.write(
-            f'<line x1="{ml}" y1="{ty}" x2="{w - mr}" y2="{ty}" '
-            f'stroke="black" stroke-width="1" stroke-dasharray="6 4"/>\n'
-        )
-    # axis tick labels
+        out.write(_line(ml, ty, w - mr, ty, 1, dash="6 4"))
+    # axis tick labels and titles
     for f_tick in (-max_abs_f, 0.0, max_abs_f) if max_abs_f > 0 else (0.0,):
-        out.write(
-            f'<text x="{px(f_tick):.2f}" y="{h - mb + 16}" font-size="11" '
-            f'text-anchor="middle" font-family="monospace">{f_tick:.3g}</text>\n'
-        )
+        out.write(_text(f"{px(f_tick):.2f}", h - mb + 16, 11, "monospace", f"{f_tick:.3g}", "middle"))
     for r_tick in ((0.0, max_r) if max_r > 0 else (0.0,)):
-        out.write(
-            f'<text x="{ml - 6}" y="{py(r_tick) + 4:.2f}" font-size="11" '
-            f'text-anchor="end" font-family="monospace">{r_tick:.3g}</text>\n'
-        )
-    # axis titles
-    out.write(
-        f'<text x="{(ml + w - mr) / 2:.2f}" y="{h - 12}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">f(x)</text>\n'
-    )
-    out.write(
-        f'<text x="16" y="{(mt + h - mb) / 2:.2f}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif" '
-        f'transform="rotate(-90 16 {(mt + h - mb) / 2:.2f})">'
-        f"Stahel–Donoho outlyingness</text>\n"
-    )
+        out.write(_text(ml - 6, f"{py(r_tick) + 4:.2f}", 11, "monospace", f"{r_tick:.3g}", "end"))
+    out.write(_text(f"{(ml + w - mr) / 2:.2f}", h - 12, 13, "sans-serif", "f(x)", "middle"))
+    mid = f"{(mt + h - mb) / 2:.2f}"
+    out.write(_text(16, mid, 13, "sans-serif", "Stahel–Donoho outlyingness", "middle", f"rotate(-90 16 {mid})"))
     # markers
     for _, label, f, r, _, _ in rows:
         x, y = px(f), py(r)
@@ -158,11 +144,7 @@ def map_to_svg(fit, label_top: int = 5, threshold: float | None = None) -> str:
     labeled.update(i for i, row in enumerate(rows) if row[5])
     for i in sorted(labeled):
         sid, _, f, r, _, _ = rows[i]
-        x, y = px(f), py(r)
-        out.write(
-            f'<text x="{x + m + 1:.2f}" y="{y - m - 1:.2f}" font-size="10" '
-            f'font-family="monospace">{_xml_escape(str(sid))}</text>\n'
-        )
+        out.write(_text(f"{px(f) + m + 1:.2f}", f"{py(r) - m - 1:.2f}", 10, "monospace", _xml_escape(str(sid))))
     out.write("</svg>\n")
     return out.getvalue()
 

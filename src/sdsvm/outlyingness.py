@@ -71,7 +71,7 @@ def default_policy(k: int, seed: int = 0) -> DirectionPolicy:
     return DirectionPolicy(mode="sampled", count=DEFAULT_SAMPLED_COUNT, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutlyingnessReport:
     """Per-sample outlyingness plus the resolved direction policy (not
     "auto") that produced it."""

@@ -11,7 +11,7 @@ included, since the outlier map plots them all).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def _floor_count(kappa: float, n: int) -> int:
     return int(math.floor(kappa * n + 1e-9))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrimPlan:
     """The trim of a labeled dataset: keep the h = floor(kappa * n) least
     outlying samples of each group.
@@ -147,7 +147,7 @@ class CvSelection:
         object.__setattr__(self, "c", table[0][0] if fixed else min(scored)[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitResult:
     """Everything the outlier map and downstream reporting need.
 
@@ -275,7 +275,7 @@ def select_C(omega_t: KernelMatrix, labels_t, cv: CvConfig) -> CvSelection:
     return CvSelection(tuple(zip(cv.grid, errors)), folds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """The kappa-independent part of a fit: the kernel matrix of the dataset
     and the (minus, plus) outlyingness reports of its two groups."""
@@ -482,11 +482,11 @@ def fit_from_text(text: str) -> FitResult:
         block = int(keyed("model"))
         if block < 2:
             raise SerializationError(f"model block needs a header and a bias line, got {block} lines")
-        fields = dict(tok.split("=", 1) for tok in keyed(_MODEL_HEADER).split())
-        c, tol = float(fields.pop("C")), float(fields.pop("tol"))
-        kind = fields.pop("kind")
-        types = {"gamma": float, "degree": int, "coef0": float, "kmer": int}
-        spec = KernelSpec(kind=kind, **{name: types[name](value) for name, value in fields.items()})
+        header = dict(tok.split("=", 1) for tok in keyed(_MODEL_HEADER).split())
+        c, tol = float(header.pop("C")), float(header.pop("tol"))
+        kind = header.pop("kind")
+        types = {spec_field.name: type(spec_field.default) for spec_field in fields(KernelSpec)}
+        spec = KernelSpec(kind=kind, **{name: types[name](value) for name, value in header.items()})
         if chosen_c != c or kernel != spec.describe():
             raise SerializationError("chosen-c or kernel line disagrees with the model block")
         model_ids, model_labels, alpha = columns(block - 2, 3)

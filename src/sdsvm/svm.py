@@ -60,7 +60,7 @@ def _as_model(check, *args):
         raise InvalidModel(str(exc)) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     """Fitted dual solution over the retained training samples.
 

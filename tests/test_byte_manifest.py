@@ -11,9 +11,18 @@ byte_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_manifest)
 
 # A short subset: written files, a map read back from a fit, a full and a
-# partial direction count, a computation error, a flag error, and the
-# benchmark's 2000-sample RBF fit (the direct cblas_dsyrk Gram).
-SUBSET = ("toy-directions-435", "fit-cv-list", "map-fit", "coincident-full-count", "bad-folds", "bench-rbf-2000-fit")
+# partial direction count, a computation error, a flag error, the
+# benchmark's 2000-sample RBF fit (the direct cblas_dsyrk Gram) and its
+# simulation over the default C grid (--cv-grid default).
+SUBSET = (
+    "toy-directions-435",
+    "fit-cv-list",
+    "map-fit",
+    "coincident-full-count",
+    "bad-folds",
+    "bench-rbf-2000-fit",
+    "bench-sim-cv",
+)
 
 
 def test_two_runs_in_one_process_agree():

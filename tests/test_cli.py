@@ -101,6 +101,9 @@ class TestValidation:
             (["fit", "{tmp}/s.fasta", "--labels", "{tmp}/bin.dat", "--kernel", "spectrum"], 2, "error in load"),
             (["fit", "{tmp}/nan.csv"], 2, "line 3: non-finite"),
             (["fit", "{tmp}/big.csv"], 2, "error in kernel"),
+            # 3 samples per class, 1 retained at kappa 0.5: too few for 2 folds
+            (["fit", "{tmp}/d.csv", "--cv-grid", "0.1,1"], 2,
+             "sdsvm: error in select-c: smallest class has 1 samples; cannot form 2 folds\n"),
         ],
     )
     def test_bad_path_or_value_exits_with_stage(self, tmp_path, capsys, argv, code, stage):
@@ -404,6 +407,7 @@ class TestDataFlags:
               "--coding", "no,yes"], "--coding applies to CSV input only"),
             (["map", "{dir}/seqs.fa", "--labels", "{dir}/seqs.labels", "--kernel", "spectrum",
               "--label-col", "first"], "--label-col applies to CSV input only"),
+            (["fit", "{dir}/seqs.fa", "--kernel", "spectrum"], "--labels is required for FASTA input"),
             (["fit", "{dir}/toy.csv", "--labels", "{dir}/nonexistent"], "--labels applies to FASTA input only"),
             (["map", "{dir}/toy.csv", "--format", "csv", "--labels", "{dir}/seqs.labels"],
              "--labels applies to FASTA input only"),

@@ -126,6 +126,10 @@ class TestLoadFasta:
         with pytest.raises(DuplicateId):
             load_fasta(*self.write(tmp_path, ">a\nAC\n", "a 1\na -1\n"))
 
+    def test_empty_header(self, tmp_path):
+        with pytest.raises(ParseError, match="^line 3: empty FASTA header$"):
+            load_fasta(*self.write(tmp_path, ">a\nAC\n> \nGT\n", "a 1\n"))
+
     def test_bad_label_value(self, tmp_path):
         with pytest.raises(LabelError):
             load_fasta(*self.write(tmp_path, ">a\nAC\n", "a 2\n"))
@@ -281,6 +285,14 @@ class TestDatasetValidation:
     def test_label_alignment_checked(self):
         with pytest.raises(ValueError):
             Dataset(x=np.zeros((1, 1)), labels=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "x, ids, rule",
+        [(np.zeros(2), None, "must be 2-D, got shape"), (np.zeros((2, 1)), ("a",), "1 ids vs 2 samples")],
+    )
+    def test_sample_shape_and_id_count_checked(self, x, ids, rule):
+        with pytest.raises(ValueError, match=rule):
+            Dataset(x=x, labels=np.array([-1.0, 1.0]), ids=ids)
 
     def test_label_values_checked(self):
         with pytest.raises(ValueError):

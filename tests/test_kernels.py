@@ -281,6 +281,10 @@ class TestKernelCross:
         with pytest.raises(KernelTypeError):
             call(KernelSpec(kind=kind))
 
+    def test_sides_of_other_dimensions_rejected(self):
+        with pytest.raises(DimensionError, match="^dimension 2 on one side, 1 on the other$"):
+            kernel_cross(KernelSpec(), make_vectors([[1.0, 2.0]]), make_vectors([[1.0]]))
+
     def test_precomputed_has_no_cross_block(self):
         m = np.eye(3)
         with pytest.raises(KernelTypeError, match="precomputed"):

@@ -222,6 +222,10 @@ class TestOutlyingness:
         report = OutlyingnessReport(r=np.array([np.nan, np.inf, 0.0]), policy=EXHAUSTIVE)
         assert np.isnan(report.r[0]) and report.r[1] == np.inf
 
+    def test_report_rejects_r_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="r must be a 1-D array"):
+            OutlyingnessReport(r=np.zeros((2, 2)), policy=EXHAUSTIVE)
+
     def test_report_records_policy(self):
         rows = np.arange(12.0).reshape(6, 2)
         policy = DirectionPolicy(mode="sampled", count=4, seed=11)

@@ -36,6 +36,7 @@ from sdsvm.errors import (
     GroupEmptyAfterTrim,
     PipelineError,
     SerializationError,
+    SingleClassError,
     TooFewSamples,
 )
 from sdsvm.pipeline import DEFAULT_C_GRID, CvSelection
@@ -138,6 +139,16 @@ class TestSelectC:
         errors = [err for _, err in selection.table]
         assert errors.count(min(errors)) >= 2  # wide margin: many zeros
         assert selection.c == 0.5
+
+    @pytest.mark.parametrize(
+        "keep, rule",
+        [(range(9), "needs both classes"), ([0, 1, 2, 9], "smallest class has 1 samples; cannot form 2 folds")],
+    )
+    def test_too_few_samples_of_a_class_rejected(self, keep, rule):
+        ds = wide_margin_dataset()
+        om = kernel_matrix(LINEAR, ds.x).take(keep)
+        with pytest.raises(SingleClassError, match=rule):
+            select_C(om, ds.labels[list(keep)], CvConfig(folds=3, grid=(0.1, 1.0)))
 
     def test_folds_clamped_to_min_class(self):
         ds = wide_margin_dataset()
@@ -572,6 +583,20 @@ class TestFitReport:
         assert type(back.plan.kappa) is float and back.plan.kappa == 0.5
         assert fit_to_text(back) == text
 
+    @pytest.mark.parametrize("kind", sdsvm.kernels.KINDS)
+    def test_kernel_spec_reads_back_equal(self, kind):
+        # Every field off its default: a field the kind does not read was
+        # once kept, left out of the report and read back at its default.
+        spec = KernelSpec(kind, gamma=0.5, degree=2, coef0=1.5, kmer=2)
+        toy = gen_toy(5)
+        x = {
+            "spectrum": tuple("ACGT"[i % 4] * 3 + "AC" * (i % 5) + "GT"[i % 2] * 4 for i in range(len(toy))),
+            "precomputed": kernel_matrix(LINEAR, toy.x).entries,
+        }.get(kind, toy.x)
+        fit = fit_sdsvm(Dataset(x=x, labels=toy.labels), spec)
+        assert fit_from_text(fit_to_text(fit)).model.spec == fit.model.spec == spec
+        assert spec == KernelSpec(kind, **{name: getattr(spec, name) for name in sdsvm.kernels._KIND_FIELDS[kind]})
+
     def test_cv_table_round_trip(self):
         ds = wide_margin_dataset()
         fit = fit_sdsvm(ds, LINEAR, cv=CvConfig(folds=3, grid=(0.1, 1.0, 10.0)))
@@ -800,6 +825,24 @@ class TestFitReport:
 
 
 class TestFitResult:
+    def test_records_holding_arrays_compare_by_identity(self):
+        # Two fits of one dataset hold equal arrays.  Comparing them, or any
+        # record of theirs, once asked numpy for the truth of an array and
+        # raised ValueError; hashing one raised TypeError.
+        first, second = (rank(gen_toy(0), LINEAR) for _ in range(2))
+        fits = [fit_ranked(ranking, 0.5) for ranking in (first, second)]
+        for a, b in [
+            (first, second),
+            (first.dataset, second.dataset),
+            (first.omega, second.omega),
+            (first.reports[0], second.reports[0]),
+            (fits[0], fits[1]),
+            (fits[0].plan, fits[1].plan),
+            (fits[0].model, fits[1].model),
+        ]:
+            assert a == a and a != b and len({a, b}) == 2
+        assert fits[0].model.spec == fits[1].model.spec and fits[0].cv == fits[1].cv
+
     @pytest.mark.parametrize(
         "edit",
         [

@@ -134,6 +134,11 @@ class TestNormalsInPlace:
         with pytest.raises(ValueError, match="out must be"):
             Stream(1).normals(5, out=out)
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_integers_need_a_positive_bound(self, bound):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            Stream(1).integers(4, bound)
+
     @pytest.mark.parametrize("n", [1, 2, 2 * _NORMAL_BLOCK, 600, 25_000])
     def test_one_block_starts_no_thread(self, monkeypatch, n):
         def refuse(*args, **kwargs):

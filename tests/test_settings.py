@@ -236,7 +236,7 @@ def test_real_field_rejects_what_is_not_a_finite_number(settings, values, field)
 
 
 def test_real_fields_are_stored_as_floats():
-    kernel = KernelSpec(gamma=np.float32(0.5), coef0=2**70)
+    kernel = KernelSpec("polynomial", gamma=np.float32(0.5), coef0=2**70)
     assert (type(kernel.gamma), type(kernel.coef0)) == (float, float)
     assert kernel.coef0 == float(2**70)
     assert type(SimulationSpec(shift=np.int64(1)).shift) is float

@@ -94,6 +94,11 @@ class TestSolveDual:
         with pytest.raises(SingleClassError):
             solve_dual(om, [1.0, 1.0], 1.0)
 
+    def test_kernel_and_labels_of_other_sizes_rejected(self):
+        om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0], [2.0]]))
+        with pytest.raises(DimensionError, match="3x3 but 2 labels"):
+            solve_dual(om, [-1.0, 1.0], 1.0)
+
     def test_nonpositive_c_rejected(self):
         om = kernel_matrix(LINEAR, make_vectors([[0.0], [1.0]]))
         with pytest.raises(ValueError):
@@ -131,6 +136,14 @@ class TestSolveDual:
         assert isinstance(info.value, ValueError)
         with pytest.raises(PipelineError, match="stage 'train'"):
             run_stage("train", SvmModel, **{**values, **fields})
+
+    def test_nested_stages_name_the_innermost(self):
+        def inner():
+            return run_stage("train", SvmModel, alpha=[0.5], labels=[1.0, -1.0], bias=0.0, c=1.0, tol=1e-3)
+
+        with pytest.raises(PipelineError) as info:
+            run_stage("select-c", inner)
+        assert info.value.stage == "train" and isinstance(info.value.cause, DimensionError)
 
     def test_labels_must_match_alpha(self):
         with pytest.raises(DimensionError):

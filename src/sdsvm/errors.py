@@ -45,46 +45,45 @@ class ConvergenceError(SdsvmError):
 
 
 class InvalidModel(SdsvmError, ValueError):
-    """A model's values are not a dual solution the solver could return.
-
-    A ValueError too, like any other bad setting or value.
-    """
+    """A model's values are not a dual solution the solver could return (a ValueError, as any bad value)."""
 
 
 class GroupEmptyAfterTrim(SdsvmError):
     """Flooring kappa * group size left a group with zero retained samples."""
 
 
-class ParseError(SdsvmError):
+class _LineError(SdsvmError):
+    """An input error; a known line number is kept in .line and prefixes the message."""
+
+    def __init__(self, message, line=None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
+class ParseError(_LineError):
     """A data file could not be parsed; carries the offending line number."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
-
-class LabelError(SdsvmError):
+class LabelError(_LineError):
     """A label value falls outside the declared coding."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
+
+class _IdError(SdsvmError):
+    """An error about one sample id, kept in .sample_id; the message is _text and the id."""
+
+    def __init__(self, sample_id):
+        super().__init__(f"{self._text} {sample_id!r}")
+        self.sample_id = sample_id
 
 
-class MissingLabel(SdsvmError):
+class MissingLabel(_IdError):
     """A sequence record has no matching entry in the labels file."""
-
-    def __init__(self, sample_id):
-        super().__init__(f"no label found for id {sample_id!r}")
-        self.sample_id = sample_id
+    _text = "no label found for id"
 
 
-class DuplicateId(SdsvmError):
+class DuplicateId(_IdError):
     """The same id occurs twice in a dataset or labels file."""
-
-    def __init__(self, sample_id):
-        super().__init__(f"duplicate id {sample_id!r}")
-        self.sample_id = sample_id
+    _text = "duplicate id"
 
 
 class IoError(SdsvmError):
@@ -127,11 +126,7 @@ def read_text(path) -> str:
 
 
 def write_text(destination, text) -> None:
-    """Write text to '-' (stdout) or a path.
-
-    Files are written as UTF-8 with Unix line ends; an OSError becomes an
-    IoError.
-    """
+    """Write text to '-' (stdout) or a path, as UTF-8 with Unix line ends; an OSError becomes an IoError."""
     try:
         if destination == "-":
             sys.stdout.write(text)

@@ -15,10 +15,11 @@ at a smaller C (alpha seeding along a C grid).
 
 On the small problems of a C grid most of a solve is numpy call overhead,
 not arithmetic.  A pair update therefore reads its scalars as Python floats,
-moves the candidate vectors by the step in place and resets only the two
-updated entries: about a dozen numpy calls on length-n vectors, against
-rebuilding both candidate vectors from y * g on every update.  The pairs,
-steps and results are those of the rebuild, bit for bit.  The classifier is
+adds one step vector in place to both candidate vectors and y times it to
+g, and resets only the two updated entries: about a dozen numpy calls on
+length-n vectors, against rebuilding both candidate vectors from y * g on
+every update.  The pairs, steps and results are those of the rebuild, bit
+for bit.  The classifier is
 
     f(x) = sum_i a_i y_i K(x_i, x) + b,      predicted label = sign(f),
 
@@ -173,13 +174,11 @@ def solve_dual(
     lower = np.where(y > 0, 0.0, -c)
 
     # The loop keeps beta, the bounds and the diagonal as Python floats.
-    # state holds the candidate vectors up and low (y * g where beta can
-    # still rise / fall, else -inf / +inf) and g; a step adds
-    # lam * (K_j - K_i) to up and low in place and y times it to g, and only
-    # entries i and j are reset.  The running y * g in up/low equals y * g
-    # up to the sign of a zero, which argmax and argmin do not see; a zero
-    # gap and the bias are read from g.  A masked -inf/+inf entry plus an
-    # infinite step turns nan, so a nan gap rebuilds up/low from g first.
+    # up and low are the candidate vectors: y * g where beta can still
+    # rise / fall, else -inf / +inf.  Their running y * g equals y * g up to
+    # the sign of a zero, which argmax and argmin do not see; a zero gap and
+    # the bias are read from g.  A masked -inf/+inf entry plus an infinite
+    # step turns nan, so a nan gap rebuilds up/low from g first.
     y_l = y.tolist()
     beta_l = beta.tolist()
     upper_l = upper.tolist()
@@ -190,10 +189,7 @@ def solve_dual(
         yg = y * g
         return np.where(b < upper, yg, -np.inf), np.where(b > lower, yg, np.inf)
 
-    state = np.array((*candidates(beta), g))
-    up, low, g = state
-    weights = np.ones((3, n))
-    weights[2] = y
+    up, low = candidates(beta)
     iterations = 0
     gap = np.inf
     # A non-finite kernel makes g nan; the nan gap raises ConvergenceError,
@@ -207,7 +203,7 @@ def solve_dual(
             if gap == 0.0:
                 gap = y_l[i] * g.item(i) - y_l[j] * g.item(j)
             elif gap != gap:
-                state[:2] = candidates(np.array(beta_l))
+                up[:], low[:] = candidates(np.array(beta_l))
                 i = int(up.argmax())
                 j = int(low.argmin())
                 gap = up.item(i) - low.item(j)
@@ -226,9 +222,10 @@ def solve_dual(
             # beta_l[j] is read after the write to beta_l[i], as when i == j.
             b_i = beta_l[i] = min(upper_l[i], b_i + lam)
             b_j = beta_l[j] = max(lower_l[j], beta_l[j] - lam)
-            step = kk[j] - kk[i]
-            step *= lam
-            state += weights * step
+            step = lam * (kk[j] - kk[i])
+            up += step
+            low += step
+            g += y * step
             # i was a candidate to rise and j to fall; either may have
             # reached a bound or left one.
             yg_i, yg_j = up.item(i), low.item(j)

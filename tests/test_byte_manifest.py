@@ -11,9 +11,10 @@ byte_manifest = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(byte_manifest)
 
 # A short subset: written files, a map read back from a fit, a full and a
-# partial direction count, a computation error, a flag error, the
-# benchmark's 2000-sample RBF fit (the direct cblas_dsyrk Gram) and its
-# simulation over the default C grid (--cv-grid default).
+# partial direction count, a computation error, a flag error, and one op of
+# each benchmark workload: the 2000-sample RBF fit (the direct cblas_dsyrk
+# Gram), the simulation over the default C grid (--cv-grid default) and the
+# contaminated simulation at four kappas.
 SUBSET = (
     "toy-directions-435",
     "fit-cv-list",
@@ -22,6 +23,7 @@ SUBSET = (
     "bad-folds",
     "bench-rbf-2000-fit",
     "bench-sim-cv",
+    "bench-sim-contaminated",
 )
 
 

@@ -30,7 +30,6 @@ def _record(seed, metrics, attempted=10, failed=0):
 def test_quartiles_of_runs():
     assert bench.quartiles([3.0, 1.0, 2.0]) == {"median": 2.0, "q1": 1.5, "q3": 2.5, "runs": [3.0, 1.0, 2.0]}
     assert bench.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])["q1"] == 2.0
-    assert bench.quartiles([0.5]) == {"median": 0.5, "q1": 0.5, "q3": 0.5, "runs": [0.5]}
 
 
 def test_summary_of_plain_and_traced_runs():

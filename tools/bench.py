@@ -41,9 +41,9 @@ SOURCE = "perfbench/tracer.py (--trace 1): self times include the tracer's overh
 
 
 def quartiles(values) -> dict:
-    """Median and quartiles (inclusive method) of a non-empty list of runs."""
+    """Median and quartiles (inclusive method) of two or more runs."""
     values = list(values)
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
